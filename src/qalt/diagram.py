@@ -81,15 +81,21 @@ class PDDiagram:
     def __len__(self) -> int:
         return len(self.crossings)
 
+    def key(self) -> tuple[tuple[Crossing, ...], int]:
+        """(crossings, free loops): equal exactly when the diagrams are equal.
+
+        The skein engines memoize on this rather than on the diagram itself,
+        so a memo keeps no diagram's `ends` table alive.
+        """
+        return self.crossings, self.free_loops
+
     def __eq__(self, other):
         if not isinstance(other, PDDiagram):
             return NotImplemented
-        return (
-            self.crossings == other.crossings and self.free_loops == other.free_loops
-        )
+        return self.key() == other.key()
 
     def __hash__(self):
-        return hash((self.crossings, self.free_loops))
+        return hash(self.key())
 
     def __repr__(self):
         return f"PDDiagram({render_pd(self)!r})"
@@ -108,13 +114,11 @@ class PDDiagram:
 
         Lexicographically minimal walk encoding per connected piece, pieces
         sorted; equal codes mean equal diagrams up to arc/crossing
-        relabeling and tuple rotation by two.  Used as the memo key.
+        relabeling and tuple rotation by two.
         """
         if self._canon is None:
             pieces = _connected_pieces(self)
-            codes = sorted(
-                _min_walk_code(self, piece, shadow=False) for piece in pieces
-            )
+            codes = sorted(_min_walk_code(self, piece) for piece in pieces)
             self._canon = (tuple(codes), self.free_loops)
         return self._canon
 
@@ -192,35 +196,30 @@ def _walk_passes(d: PDDiagram, piece: list[int], start: tuple[int, int]):
             c, s = c2, s2
 
 
-def _walk_code(d: PDDiagram, piece: list[int], start: tuple[int, int], shadow: bool):
-    """Encode the walk from `start` as a relabeling-invariant tuple."""
+def _walk_code(d: PDDiagram, piece: list[int], start: tuple[int, int]):
+    """Encode the walk from `start` as a relabeling-invariant tuple.
+
+    A 0 marks each restart after a component closes, so "continues to
+    crossing X" and "closes, then restarts at X" encode differently.
+    """
     disc: dict[int, tuple[int, int]] = {}  # crossing -> (id, frame slot)
     out = []
+    prev = None
     for c, s in _walk_passes(d, piece, start):
+        if prev is not None and d.next_end(*prev) != (c, s):
+            out.append(0)
+        prev = (c, s)
         if c not in disc:
             disc[c] = (len(disc), s)
-            out.append(2 if shadow else 2 + (s % 2))
+            out.append(2 + (s % 2))
         else:
             cid, fs = disc[c]
             out.append(-(cid * 4 + (s - fs) % 4) - 1)
     return tuple(out)
 
 
-def _min_walk_code(d: PDDiagram, piece: list[int], shadow: bool):
-    best = None
-    for c in piece:
-        for s in range(4):
-            code = _walk_code(d, piece, (c, s), shadow)
-            if best is None or code < best:
-                best = code
-    return best
-
-
-def shadow_code(d: PDDiagram):
-    """Like :meth:`PDDiagram.canonical_code` but blind to over/under."""
-    pieces = _connected_pieces(d)
-    codes = sorted(_min_walk_code(d, piece, shadow=True) for piece in pieces)
-    return (tuple(codes), d.free_loops)
+def _min_walk_code(d: PDDiagram, piece: list[int]):
+    return min(_walk_code(d, piece, (c, s)) for c in piece for s in range(4))
 
 
 # -- parsing / rendering ----------------------------------------------

@@ -197,7 +197,7 @@ def _bracket(d: PDDiagram, memo: dict) -> IntLaurent:
         for piece in pieces:
             out = out * _bracket(PDDiagram([d.crossings[i] for i in piece], 0), memo)
         return out
-    key = d.canonical_code()
+    key = d.key()
     cached = memo.get(key)
     if cached is None:
         a = _bracket(smooth(d, 0, SmoothingKind.A), memo)
@@ -240,11 +240,7 @@ def jones_polynomial(
     return _normalize_bracket(kauffman_bracket(base), od.writhe)
 
 
-def determinant(
-    d: PDDiagram, max_crossings: int = JONES_MAX_CROSSINGS
-) -> int:
-    """det(L) = |V_L(-1)|, evaluated exactly at s = i."""
-    v = jones_polynomial(d, max_crossings)
+def _det_from_jones(v: HalfLaurent) -> int:
     value = eval_at_s_equals_i(v)
     try:
         return value.abs_pure()
@@ -254,12 +250,22 @@ def determinant(
         ) from e
 
 
-def breadth(d: PDDiagram, max_crossings: int = JONES_MAX_CROSSINGS) -> Fraction:
-    """Breadth of V_L in t-units (orientation independent)."""
-    v = jones_polynomial(d, max_crossings)
+def _breadth_from_jones(v: HalfLaurent) -> Fraction:
     if v.is_zero():
         raise InternalConsistencyError("Jones polynomial of a nonempty link is zero")
     return breadth_t(v)
+
+
+def determinant(
+    d: PDDiagram, max_crossings: int = JONES_MAX_CROSSINGS
+) -> int:
+    """det(L) = |V_L(-1)|, evaluated exactly at s = i."""
+    return _det_from_jones(jones_polynomial(d, max_crossings))
+
+
+def breadth(d: PDDiagram, max_crossings: int = JONES_MAX_CROSSINGS) -> Fraction:
+    """Breadth of V_L in t-units (orientation independent)."""
+    return _breadth_from_jones(jones_polynomial(d, max_crossings))
 
 
 # -- Goeritz determinant (independent oracle) ----------------------------
@@ -374,7 +380,8 @@ def obstruction_check(
     is a conjecture and never used to rule links out.
     """
     dq = q_degree(d, max_crossings)
-    dt = determinant(d, jones_max_crossings)
-    br = breadth(d, jones_max_crossings)
+    v = jones_polynomial(d, jones_max_crossings)
+    dt = _det_from_jones(v)
+    br = _breadth_from_jones(v)
     verdict = "NotQuasiAlternating" if dq >= dt else "Inconclusive"
     return ObstructionVerdict(verdict, dq, dt, br)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import HypothesisViolationError
+from .errors import HypothesisViolationError, InternalConsistencyError
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,10 @@ def corollary26_obstruction(tangles, beta: int, l: int, k: int) -> Corollary26Re
     base = 1 + sum(_tangle_crossings(a, b) for a, b in tangles)
     tail = sum(continued_fraction(beta, l)) if l > 0 else 0
     c = base + k + tail
-    assert c == montesinos_crossing_number(pres)
+    if c != montesinos_crossing_number(pres):
+        raise InternalConsistencyError(
+            f"crossing count {c} differs from montesinos_crossing_number"
+        )
     verdict = "NotQuasiAlternating" if c - 2 >= det else "Inconclusive"
     threshold = max(1, det + 2 - base - tail)
     return Corollary26Report(pres, det, c, verdict, threshold)

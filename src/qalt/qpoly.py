@@ -6,6 +6,12 @@ reached on their understrand until the diagram is descending (hence an
 unlink, Q = (2x^-1 - 1)^(k-1)), and expands the skein relation along that
 chain; the two smoothings at each chain step recurse into strictly smaller
 diagrams.  Split pieces factor through Q(A u B) = (2x^-1 - 1) Q(A) Q(B).
+
+The memo is keyed on the exact diagram, `PDDiagram.key()`, and not on a
+relabeling-invariant code.  The exact key cannot collide and costs one
+tuple, where a canonical code walks the diagram from each of its 4n starts
+and took most of the run time.  Every move renumbers arcs densely, so most
+repeated subdiagrams come out identical and the memo still hits.
 """
 
 from __future__ import annotations
@@ -108,7 +114,7 @@ def _first_visit_under(d: PDDiagram) -> list[int]:
 
 
 def _q_connected(d: PDDiagram, memo: dict) -> IntLaurent:
-    key = d.canonical_code()
+    key = d.key()
     cached = memo.get(key)
     if cached is not None:
         return cached
@@ -122,11 +128,11 @@ def _q_connected(d: PDDiagram, memo: dict) -> IntLaurent:
         cur = switch(cur, c)
         chain.append(cur)
     val = _UNLINK ** (k - 1)
-    memo[chain[-1].canonical_code()] = val
+    memo[chain[-1].key()] = val
     for j in range(len(bad) - 1, -1, -1):
         c = bad[j]
         qa = _q(smooth(chain[j], c, SmoothingKind.A), memo)
         qb = _q(smooth(chain[j], c, SmoothingKind.B), memo)
         val = _X * (qa + qb) - val
-        memo[chain[j].canonical_code()] = val
+        memo[chain[j].key()] = val
     return val

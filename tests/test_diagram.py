@@ -14,7 +14,6 @@ from qalt.diagram import (
     num_components,
     parse_pd,
     render_pd,
-    shadow_code,
     simplify,
     smooth,
     switch,
@@ -25,6 +24,7 @@ from qalt.diagram import (
 from qalt.errors import MalformedDiagramError, PDParseError
 
 TREFOIL_PD = "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"
+TREFOIL_CODES = {trefoil().canonical_code(), mirror(trefoil()).canonical_code()}
 
 
 def test_parse_trefoil():
@@ -171,9 +171,8 @@ def test_close_braid_trefoil():
     d = close_braid([1, 1, 1], 2)
     assert len(d) == 3
     assert num_components(d) == 1
-    # same knot as the standard trefoil PD: compare shadow after nothing to
-    # do -- both are 3-crossing one-component diagrams with the same code
-    assert shadow_code(d) == shadow_code(trefoil())
+    # the same diagram as the standard trefoil PD or its mirror, up to labels
+    assert d.canonical_code() in TREFOIL_CODES
 
 
 def test_close_braid_validation():
@@ -196,8 +195,8 @@ def test_pretzel_counts():
         generate_pretzel([2, 0, 2])
 
 
-def test_pretzel_trefoil_shadow():
-    assert shadow_code(generate_pretzel([1, 1, 1])) == shadow_code(trefoil())
+def test_pretzel_trefoil_code():
+    assert generate_pretzel([1, 1, 1]).canonical_code() in TREFOIL_CODES
 
 
 def test_canonical_code_relabel_invariance():
@@ -205,10 +204,17 @@ def test_canonical_code_relabel_invariance():
     # relabel arcs 1..6 -> 7..12 shuffled consistently and reorder crossings
     d2 = parse_pd("X(15,12,16,13);X(11,14,12,15);X(13,16,14,11)")
     assert d1.canonical_code() == d2.canonical_code()
-    assert shadow_code(d1) == shadow_code(d2)
 
 
 def test_canonical_code_sees_over_under():
     d = trefoil()
     assert d.canonical_code() != switch(d, 0).canonical_code()
-    assert shadow_code(d) == shadow_code(switch(d, 0))
+
+
+def test_canonical_code_records_component_restarts():
+    # a 3- and a 2-component diagram whose walks differ only in where a
+    # component closes and the walk restarts
+    d3 = parse_pd("X(1,2,3,4);X(5,6,7,3);X(6,5,8,7);X(1,4,8,2)")
+    d2 = parse_pd("X(1,2,3,4);X(2,5,6,3);X(5,7,8,6);X(1,4,8,7)")
+    assert (num_components(d3), num_components(d2)) == (3, 2)
+    assert d3.canonical_code() != d2.canonical_code()

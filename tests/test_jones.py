@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qalt import jones
 from qalt.diagram import (
     SmoothingKind,
     close_braid,
@@ -191,6 +192,21 @@ def test_obstruction_verdicts():
     assert nine46.verdict == "Inconclusive"
     assert (nine46.deg_q, nine46.det) == (7, 9)
     assert isinstance(v, ObstructionVerdict)
+
+
+def test_obstruction_check_computes_one_bracket(monkeypatch):
+    calls = []
+    engine = jones.kauffman_bracket
+
+    def counted(d):
+        calls.append(d)
+        return engine(d)
+
+    monkeypatch.setattr(jones, "kauffman_bracket", counted)
+    d = generate_pretzel([3, 3, -3])
+    v = obstruction_check(d)
+    assert len(calls) == 1
+    assert (v.det, v.breadth) == (determinant(d), breadth(d))
 
 
 def test_crossing_limits():

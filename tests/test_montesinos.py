@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from qalt import montesinos
 from qalt.diagram import generate_pretzel
-from qalt.errors import HypothesisViolationError
+from qalt.errors import HypothesisViolationError, InternalConsistencyError
 from qalt.jones import determinant
 from qalt.montesinos import (
     MontesinosPresentation,
@@ -100,6 +101,12 @@ def test_corollary26():
         corollary26_obstruction([(2, 1)], beta=1, l=0, k=3)  # sum = 1/2
     with pytest.raises(HypothesisViolationError):
         corollary26_obstruction([(2, 1), (2, 1)], beta=2, l=0, k=3)  # never coprime
+
+
+def test_corollary26_crossing_mismatch_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(montesinos, "montesinos_crossing_number", lambda pres: -1)
+    with pytest.raises(InternalConsistencyError):
+        corollary26_obstruction([(2, 1), (2, 1)], beta=1, l=0, k=1)
 
 
 def test_corollary26_threshold_is_sharp():

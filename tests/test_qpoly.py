@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from qalt.diagram import (
     unlink,
 )
 from qalt.errors import CrossingLimitError, MalformedDiagramError
+from qalt.jones import determinant_goeritz
 from qalt.poly import IntLaurent
 from qalt.qpoly import check_lemma22, q_degree, q_polynomial, q_result
 
@@ -134,3 +136,17 @@ def test_crossing_bound():
 def test_pretzel_degrees():
     assert q_degree(generate_pretzel([3, 3, -3])) == 7
     assert q_degree(generate_pretzel([5, 4, -3])) == 10
+
+
+def test_memo_key_does_not_collide():
+    # (s1 s2^-1)^8 is a knot; a relabeling-invariant memo key that merged
+    # distinct subdiagrams gave Q(-2) = -863 here
+    d = close_braid([1, -2] * 8, 3)
+    q = q_polynomial(d, 16)
+
+    def at(x):
+        return sum(Fraction(x) ** e * v for e, v in q.items())
+
+    assert at(1) == 1
+    assert at(-2) == 1
+    assert at(2) == determinant_goeritz(d) ** 2
