@@ -235,7 +235,8 @@ def closed_form_jones(nf: B3NormalForm) -> HalfLaurent:
 def _family1_tree_count(pairs) -> int:
     """Spanning trees of the hub-and-cycle graph, by the displayed sum.
 
-    The hub attaches at cumulative positions on a q-cycle; each choice of
+    The hub attaches at cumulative positions on a q-cycle (syllable i just
+    before its own q_i block, as in :func:`tutte_graph`); each choice of
     attachment subset contributes the product of its parallel-edge counts
     times the product of the cyclic gaps between consecutive chosen points.
     """
@@ -244,8 +245,8 @@ def _family1_tree_count(pairs) -> int:
     cum = []
     acc = 0
     for _, qi in pairs:
-        acc += qi
         cum.append(acc)
+        acc += qi
     total = 0
     for k in range(1, s + 1):
         for subset in combinations(range(s), k):
@@ -297,8 +298,8 @@ class Multigraph:
 
 
 def tutte_graph(pairs) -> Multigraph:
-    """Cycle on q = sum q_i vertices plus a hub joined to the cumulative
-    positions by p_i parallel edges."""
+    """Cycle on q = sum q_i vertices plus a hub joined by p_i parallel edges
+    to the cumulative position q_1 + ... + q_(i-1), before the q_i block."""
     pairs = [(int(p), int(q)) for p, q in pairs]
     if not pairs or any(p < 1 or q < 1 for p, q in pairs):
         raise HypothesisViolationError("need positive (p_i, q_i) pairs")
@@ -310,8 +311,8 @@ def tutte_graph(pairs) -> Multigraph:
             edges.append((j, (j + 1) % q))
     acc = 0
     for p, qi in pairs:
-        acc += qi
         edges.extend([(hub, (acc - 1) % q)] * p)
+        acc += qi
     return Multigraph.from_edges(q + 1, edges)
 
 

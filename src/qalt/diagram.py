@@ -49,8 +49,6 @@ class PDDiagram:
             raise MalformedDiagramError("negative free loop count")
         counts: dict[int, int] = {}
         for t in self.crossings:
-            if len(t) != 4:
-                raise MalformedDiagramError(f"crossing {t} is not a 4-tuple")
             for a in t:
                 counts[a] = counts.get(a, 0) + 1
         bad = sorted(a for a, n in counts.items() if n != 2)
@@ -74,9 +72,6 @@ class PDDiagram:
                     ends.setdefault(a, []).append((i, s))
             self._ends = ends
         return self._ends
-
-    def arcs(self) -> list[int]:
-        return sorted(self.ends)
 
     def __len__(self) -> int:
         return len(self.crossings)
@@ -145,6 +140,15 @@ def _connected_pieces(d: PDDiagram) -> list[list[int]]:
                         stack.append(c2)
         pieces.append(sorted(piece))
     return pieces
+
+
+def _split_pieces(d: PDDiagram) -> list[PDDiagram]:
+    """The connected pieces of `d` as diagrams without free loops; `[d]`
+    itself when `d` is connected and has no free loops."""
+    pieces = _connected_pieces(d)
+    if len(pieces) == 1 and not d.free_loops:
+        return [d]
+    return [PDDiagram([d.crossings[i] for i in piece], 0) for piece in pieces]
 
 
 def _walk_passes(d: PDDiagram, piece: list[int], start: tuple[int, int]):
@@ -264,23 +268,24 @@ def render_pd(d: PDDiagram) -> str:
 # -- component counting ------------------------------------------------
 
 
+def _find(parent: dict[int, int], x: int) -> int:
+    """Root of `x` in a union-find forest kept as a dict (absent = root)."""
+    while parent.get(x, x) != x:
+        parent[x] = parent.get(parent[x], parent[x])
+        x = parent[x]
+    return x
+
+
 def num_components(d: PDDiagram) -> int:
     """Link components: arcs a-c and b-d are the same strand at each crossing."""
     if d._ncomp is None:
         parent: dict[int, int] = {}
-
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
         for a, b, c, e in d.crossings:
             for x, y in ((a, c), (b, e)):
-                rx, ry = find(x), find(y)
+                rx, ry = _find(parent, x), _find(parent, y)
                 if rx != ry:
                     parent[ry] = rx
-        roots = {find(a) for a in d.ends}
+        roots = {_find(parent, a) for a in d.ends}
         d._ncomp = len(roots) + d.free_loops
     return d._ncomp
 
@@ -295,15 +300,8 @@ def _rebuild(kept: list[Crossing], fusions: list[tuple[int, int]], loops: int) -
     increments the free-loop count; arc labels are then renumbered densely.
     """
     parent: dict[int, int] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
     for x, y in fusions:
-        rx, ry = find(x), find(y)
+        rx, ry = _find(parent, x), _find(parent, y)
         if rx == ry:
             loops += 1
         else:
@@ -314,7 +312,7 @@ def _rebuild(kept: list[Crossing], fusions: list[tuple[int, int]], loops: int) -
     for t in kept:
         out = []
         for a in t:
-            r = find(a)
+            r = _find(parent, a)
             if r not in relabel:
                 relabel[r] = len(relabel) + 1
             out.append(relabel[r])
@@ -375,14 +373,20 @@ def _find_r2(d: PDDiagram):
     return None
 
 
-def simplify(d: PDDiagram) -> PDDiagram:
-    """Remove Reidemeister-I kinks and Reidemeister-II bigons until none remain."""
+def _reduce_r1_r2(d: PDDiagram) -> tuple[PDDiagram, list[int]]:
+    """Remove Reidemeister-I kinks and Reidemeister-II bigons until none remain.
+
+    Returns the reduced diagram and, per removed kink in removal order, the
+    slot s such that the kink's loop arc occupies slots s and s+1.
+    """
+    kinks: list[int] = []
     while True:
         r1 = _find_r1(d)
         if r1 is not None:
             i, s = r1
+            kinks.append(s)
             t = d.crossings[i]
-            # loop arc at slots s, s+1; fuse the remaining two slots
+            # fuse the two slots the loop arc does not occupy
             x, y = t[(s + 2) % 4], t[(s + 3) % 4]
             kept = [c for j, c in enumerate(d.crossings) if j != i]
             d = _rebuild(kept, [(x, y)], d.free_loops)
@@ -402,7 +406,12 @@ def simplify(d: PDDiagram) -> PDDiagram:
             kept = [t for j, t in enumerate(d.crossings) if j not in (c1, c2)]
             d = _rebuild(kept, fusions, d.free_loops)
             continue
-        return d
+        return d, kinks
+
+
+def simplify(d: PDDiagram) -> PDDiagram:
+    """Remove Reidemeister-I kinks and Reidemeister-II bigons until none remain."""
+    return _reduce_r1_r2(d)[0]
 
 
 def connected_sum(d1: PDDiagram, d2: PDDiagram, arc1: int, arc2: int) -> PDDiagram:

@@ -2,8 +2,9 @@
 deg Q < det obstruction verdict.
 
 The bracket is computed two ways: a literal 2^n state sum (the reference
-oracle) and a memoized two-way skein recursion with R1/R2 reduction (the
-default engine; equal to the state sum, just fast enough for grid scans).
+oracle) and a memoized two-way skein recursion on the R1/R2 reduction of
+`diagram.py`, each removed kink a factor -A^{+-3} (the default engine;
+equal to the state sum, just fast enough for grid scans).
 V is normalized by (-A)^(-3w) and realized in s = t^(1/2) via t = A^-4.
 
 det(L) = |V_L(-1)| with t = -1 evaluated exactly as s = i.  A Goeritz-form
@@ -20,6 +21,9 @@ from .diagram import (
     PDDiagram,
     SmoothingKind,
     _connected_pieces,
+    _find,
+    _reduce_r1_r2,
+    _split_pieces,
     num_components,
     smooth,
 )
@@ -29,7 +33,7 @@ from .errors import (
     MalformedDiagramError,
 )
 from .intmat import int_det
-from .poly import GaussianInt, HalfLaurent, IntLaurent, breadth_t, eval_at_s_equals_i
+from .poly import HalfLaurent, IntLaurent, breadth_t, eval_at_s_equals_i
 from .qpoly import DEFAULT_MAX_CROSSINGS, q_degree
 
 JONES_MAX_CROSSINGS = 16
@@ -45,13 +49,11 @@ class OrientedDiagram:
     """A diagram with a direction chosen on every component.
 
     `entries` holds, per crossing, the pair (under entry slot, over entry
-    slot); `crossing_components` the walk-component ids of the two strands
-    (under first); `writhe` the signed crossing sum.
+    slot); `writhe` the signed crossing sum.
     """
 
     base: PDDiagram
     entries: tuple[tuple[int, int], ...]
-    crossing_components: tuple[tuple[int, int], ...]
     writhe: int
 
     @property
@@ -77,13 +79,13 @@ def orient(d: PDDiagram, flips: frozenset[int] | set[int] = frozenset()) -> Orie
     n = len(d.crossings)
     under: dict[int, int] = {}
     over: dict[int, int] = {}
-    comp_of: dict[tuple[int, int], int] = {}  # (crossing, parity) -> component
 
     def free_pass():
         for cc in range(n):
-            for p in (1, 0):
-                if (cc, p) not in comp_of:
-                    return (cc, p)
+            if cc not in over:
+                return (cc, 1)
+            if cc not in under:
+                return (cc, 0)
         return None
 
     comp = 0
@@ -97,7 +99,6 @@ def orient(d: PDDiagram, flips: frozenset[int] | set[int] = frozenset()) -> Orie
                 under[c] = entry
             else:
                 over[c] = entry
-            comp_of[(c, s % 2)] = comp
             c2, s2 = d.next_end(c, s)
             if (c2, s2) == comp_start:
                 break
@@ -106,9 +107,8 @@ def orient(d: PDDiagram, flips: frozenset[int] | set[int] = frozenset()) -> Orie
         start = free_pass()
 
     entries = tuple((under[i], over[i]) for i in range(n))
-    comps = tuple((comp_of[(i, 0)], comp_of[(i, 1)]) for i in range(n))
     writhe = sum(_crossing_sign(u, o) for u, o in entries)
-    return OrientedDiagram(d, entries, comps, writhe)
+    return OrientedDiagram(d, entries, writhe)
 
 
 # -- Kauffman bracket ---------------------------------------------------
@@ -122,13 +122,6 @@ def bracket_state_sum(d: PDDiagram) -> IntLaurent:
     total = IntLaurent.zero()
     for state in range(1 << n):
         parent: dict[int, int] = {}
-
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
         loops = d.free_loops
         a_minus_b = 0
         for i, (a, b, c, e) in enumerate(d.crossings):
@@ -139,7 +132,7 @@ def bracket_state_sum(d: PDDiagram) -> IntLaurent:
                 a_minus_b -= 1
                 pairs = ((a, e), (b, c))
             for x, y in pairs:
-                rx, ry = find(x), find(y)
+                rx, ry = _find(parent, x), _find(parent, y)
                 if rx == ry:
                     loops += 1
                 else:
@@ -148,55 +141,24 @@ def bracket_state_sum(d: PDDiagram) -> IntLaurent:
     return total
 
 
-def _reduce_for_bracket(d: PDDiagram):
-    """Strip R1 kinks (collecting -A^{+-3} factors) and R2 bigons."""
-    from .diagram import _find_r1, _find_r2, _rebuild
-
-    factor = IntLaurent.const(1)
-    while True:
-        r1 = _find_r1(d)
-        if r1 is not None:
-            i, s = r1
-            t = d.crossings[i]
-            x, y = t[(s + 2) % 4], t[(s + 3) % 4]
-            kept = [c for j, c in enumerate(d.crossings) if j != i]
-            # loop arc at slots {s, s+1}: A-smoothing closes the circle for
-            # {0,1}/{2,3}, giving -A^3; B closes it for {1,2}/{3,0}: -A^-3
-            factor = factor * IntLaurent.term(-1, 3 if s % 2 == 0 else -3)
-            d = _rebuild(kept, [(x, y)], d.free_loops)
-            continue
-        r2 = _find_r2(d)
-        if r2 is not None:
-            c1, c2, over_arc, under_arc = r2
-            fusions = []
-            for c in (c1, c2):
-                t = d.crossings[c]
-                over_pair = [t[1], t[3]]
-                under_pair = [t[0], t[2]]
-                over_pair.remove(over_arc)
-                under_pair.remove(under_arc)
-                fusions.append((over_arc, over_pair[0]))
-                fusions.append((under_arc, under_pair[0]))
-            kept = [t for j, t in enumerate(d.crossings) if j not in (c1, c2)]
-            d = _rebuild(kept, fusions, d.free_loops)
-            continue
-        return d, factor
-
-
 def _bracket(d: PDDiagram, memo: dict) -> IntLaurent:
-    d, factor = _reduce_for_bracket(d)
-    if not d.crossings:
-        k = d.free_loops
-        if k == 0:
-            raise MalformedDiagramError("the empty link has no bracket")
-        return factor * _LOOP ** (k - 1)
-    pieces = _connected_pieces(d)
+    d, kinks = _reduce_r1_r2(d)
+    # a kink's loop arc at slots {0,1}/{2,3} closes under the A-smoothing,
+    # giving -A^3; at {1,2}/{3,0} it closes under B, giving -A^-3
+    factor = IntLaurent.term(
+        -1 if len(kinks) % 2 else 1, sum(-3 if s % 2 else 3 for s in kinks)
+    )
+    pieces = _split_pieces(d)
     parts = len(pieces) + d.free_loops
-    if parts > 1:
-        out = factor * _LOOP ** (parts - 1)
-        for piece in pieces:
-            out = out * _bracket(PDDiagram([d.crossings[i] for i in piece], 0), memo)
-        return out
+    if parts == 0:
+        raise MalformedDiagramError("the empty link has no bracket")
+    out = factor * _LOOP ** (parts - 1)
+    for piece in pieces:
+        out = out * _bracket_connected(piece, memo)
+    return out
+
+
+def _bracket_connected(d: PDDiagram, memo: dict) -> IntLaurent:
     key = d.key()
     cached = memo.get(key)
     if cached is None:
@@ -204,7 +166,7 @@ def _bracket(d: PDDiagram, memo: dict) -> IntLaurent:
         b = _bracket(smooth(d, 0, SmoothingKind.B), memo)
         cached = IntLaurent.term(1, 1) * a + IntLaurent.term(1, -1) * b
         memo[key] = cached
-    return factor * cached
+    return cached
 
 
 def kauffman_bracket(d: PDDiagram) -> IntLaurent:
@@ -314,7 +276,6 @@ def determinant_goeritz(d: PDDiagram) -> int:
         )
     # 2-color faces: corners k and k+1 at a crossing see opposite colors
     color = [-1] * nfaces
-    stack = [0]
     color[face_of[(0, 0)]] = 0
     stack = [face_of[(0, 0)]]
     adj: dict[int, set[int]] = {i: set() for i in range(nfaces)}

@@ -9,24 +9,12 @@ pass the deg Q < det obstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .poly import IntLaurent, sigma
 
 KANENOBU_DET = 25
 
 Q_8_8 = IntLaurent.parse("2x^7+8x^6+4x^5-14x^4-10x^3+6x^2+4x+1")
 Q_8_9 = IntLaurent.parse("2x^7+8x^6+4x^5-16x^4-10x^3+16x^2+4x-7")
-
-
-@dataclass(frozen=True)
-class KanenobuParams:
-    p: int
-    q: int
-
-    @property
-    def det(self) -> int:
-        return KANENOBU_DET
 
 
 def kanenobu_q(p: int, q: int) -> IntLaurent:

@@ -190,7 +190,7 @@ def pretzel_family_report(family: str, parameter: int) -> PretzelFamilyReport:
         if r <= 3 or r % 2 == 0:
             raise HypothesisViolationError("family B needs odd r > 3")
         entries = (r + 1, r + 1, -r)
-        deg, det = 3 * r + 2, r * r - 1
+        deg, det = 3 * r, r * r - 1
     elif fam == "C":
         if r < 3:
             raise HypothesisViolationError("family C needs n >= 3")

@@ -155,10 +155,6 @@ class IntLaurent:
     def items(self):
         return self._c.items()
 
-    def substitute_x_inverse(self) -> "IntLaurent":
-        """x -> x^-1."""
-        return IntLaurent({-e: v for e, v in self._c.items()})
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = IntLaurent.const(other)
@@ -234,21 +230,6 @@ def _coerce(v) -> "IntLaurent":
     if isinstance(v, int):
         return IntLaurent.const(v)
     return NotImplemented
-
-
-# -- spec-level operation names ---------------------------------------
-
-
-def mul(a: IntLaurent, b: IntLaurent) -> IntLaurent:
-    return a * b
-
-
-def degree(p: IntLaurent) -> int:
-    return p.degree()
-
-
-def low_degree(p: IntLaurent) -> int:
-    return p.low_degree()
 
 
 def chebyshev_S(k: int) -> IntLaurent:
@@ -355,12 +336,6 @@ class HalfLaurent:
     def from_t(p: IntLaurent) -> "HalfLaurent":
         """Embed Z[t, t^-1] via t = s^2."""
         return HalfLaurent({2 * e: v for e, v in p.items()})
-
-    def to_t(self) -> IntLaurent:
-        """Inverse of :meth:`from_t`; requires even support."""
-        if any(e % 2 for e in self._c):
-            raise ValueError("polynomial has half-integer t-powers")
-        return IntLaurent({e // 2: v for e, v in self._c.items()})
 
     def __add__(self, other):
         if isinstance(other, int):

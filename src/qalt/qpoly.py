@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .diagram import (
     PDDiagram,
     SmoothingKind,
-    _connected_pieces,
+    _split_pieces,
     _walk_passes,
     num_components,
     simplify,
@@ -79,25 +79,16 @@ def check_lemma22(
     return dq <= max(da.degree(), db.degree()) + 1
 
 
-def _subdiagram(d: PDDiagram, piece: list[int]) -> PDDiagram:
-    return PDDiagram([d.crossings[i] for i in piece], 0)
-
-
 def _q(d: PDDiagram, memo: dict) -> IntLaurent:
     d = simplify(d)
-    if not d.crossings:
-        k = d.free_loops
-        if k == 0:
-            raise MalformedDiagramError("the empty link has no Q-polynomial")
-        return _UNLINK ** (k - 1)
-    pieces = _connected_pieces(d)
+    pieces = _split_pieces(d)
     parts = len(pieces) + d.free_loops
-    if parts > 1:
-        out = _UNLINK ** (parts - 1)
-        for piece in pieces:
-            out = out * _q_connected(_subdiagram(d, piece), memo)
-        return out
-    return _q_connected(d, memo)
+    if parts == 0:
+        raise MalformedDiagramError("the empty link has no Q-polynomial")
+    out = _UNLINK ** (parts - 1)
+    for piece in pieces:
+        out = out * _q_connected(piece, memo)
+    return out
 
 
 def _first_visit_under(d: PDDiagram) -> list[int]:

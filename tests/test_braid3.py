@@ -21,7 +21,7 @@ from qalt.braid3 import (
 )
 from qalt.diagram import close_braid
 from qalt.errors import HypothesisViolationError, MalformedDiagramError, PDParseError
-from qalt.jones import determinant, jones_polynomial
+from qalt.jones import determinant, determinant_goeritz, jones_polynomial
 from qalt.poly import HalfLaurent, IntLaurent, eval_at_s_equals_i
 
 
@@ -149,6 +149,20 @@ def test_det_formula_cases():
     assert det_formula(B3NormalForm.family1(1, [(1, 1)])) == 5
     # figure-eight as a closed 3-braid
     assert determinant(close_braid([1, -2, 1, -2], 3)) == 5
+
+
+def test_det_formula_matches_goeritz_on_non_palindromic_forms():
+    # syllable order matters: each form differs from its reversal
+    for n, pairs in [
+        (-1, [(1, 1), (2, 3), (3, 1)] * 4),
+        (0, [(1, 2), (3, 1), (2, 4)]),
+        (1, [(2, 1), (1, 3), (4, 2), (1, 1)]),
+        (2, [(1, 3), (2, 1), (3, 2)]),
+        (-2, [(3, 1), (1, 2), (2, 4)]),
+    ]:
+        nf = B3NormalForm.family1(n, pairs)
+        assert det_formula(nf) == determinant_goeritz(close_braid(to_word(nf)))
+    assert det_formula(B3NormalForm.family1(-1, [(1, 1), (2, 3), (3, 1)] * 4)) == 126202756
 
 
 def test_tutte_graph_and_matrix_tree():

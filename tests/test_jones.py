@@ -12,6 +12,9 @@ from qalt.diagram import (
     hopf_link,
     mirror,
     num_components,
+    parse_pd,
+    render_pd,
+    simplify,
     smooth,
     switch,
     trefoil,
@@ -81,6 +84,30 @@ def test_bracket_engines_agree(rng):
     for _ in range(15):
         d = random_braid_diagram(rng, 8, 3)
         assert kauffman_bracket(d) == bracket_state_sum(d)
+
+
+KINK = parse_pd("X(1,1,2,2)")  # loop arc at slots 0, 1; its mirror at 1, 2
+KINKED_TREFOIL = connected_sum(trefoil(), KINK, 1, 1)  # loop arc at slots 2, 3
+UNKNOT_KINKS = [
+    KINK,
+    parse_pd("X(1,2,2,1)"),
+    close_braid([1, -1, 1], 2),  # R2 bigon, then a kink
+    close_braid([-1, -1, 1], 2),
+]
+# (diagram, its simplified PD text)
+REDUCER_CASES = [(d, "O(1)") for k in UNKNOT_KINKS for d in (k, mirror(k))] + [
+    (KINKED_TREFOIL, "X(1,2,3,4);X(2,1,5,6);X(4,3,6,5)"),
+    (mirror(KINKED_TREFOIL), "X(1,2,3,4);X(4,6,5,1);X(2,5,6,3)"),
+]
+
+
+@pytest.mark.parametrize(
+    "d, simplified", REDUCER_CASES, ids=[render_pd(d) for d, _ in REDUCER_CASES]
+)
+def test_reducer_kink_weights(d, simplified):
+    # each removed kink costs -A^3 or -A^-3 depending on its loop arc's slots
+    assert kauffman_bracket(d) == bracket_state_sum(d)
+    assert render_pd(simplify(d)) == simplified
 
 
 def test_determinants():

@@ -6,7 +6,7 @@ import pytest
 from qalt import montesinos
 from qalt.diagram import generate_pretzel
 from qalt.errors import HypothesisViolationError, InternalConsistencyError
-from qalt.jones import determinant
+from qalt.jones import determinant, determinant_goeritz
 from qalt.montesinos import (
     MontesinosPresentation,
     continued_fraction,
@@ -144,7 +144,10 @@ def test_pretzel_family_reports():
     c3 = pretzel_family_report("C", 3)
     assert (c3.deg_q, c3.det, c3.satisfies_theorem_inequality) == (7, 9, True)
     b5 = pretzel_family_report("B", 5)
-    assert (b5.deg_q, b5.det) == (17, 24)
+    assert (b5.deg_q, b5.det) == (15, 24)
+    d = generate_pretzel(b5.entries)
+    assert q_degree(d, 64) == b5.deg_q == len(d) - 2
+    assert determinant_goeritz(d) == b5.det
     for bad in (("A", 3), ("A", 4), ("B", 2), ("C", 2), ("X", 5)):
         with pytest.raises(HypothesisViolationError):
             pretzel_family_report(*bad)
