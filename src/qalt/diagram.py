@@ -151,6 +151,41 @@ def _split_pieces(d: PDDiagram) -> list[PDDiagram]:
     return [PDDiagram([d.crossings[i] for i in piece], 0) for piece in pieces]
 
 
+def _faces(d: PDDiagram):
+    """Faces of the diagram, over all its pieces, as orbits of the left-turn walk.
+
+    Returns (number of faces, face id per corner (crossing, k)), a corner
+    being the region between slots k and k+1.
+    """
+    face_of: dict[tuple[int, int], int] = {}
+    nfaces = 0
+    for c0 in range(len(d.crossings)):
+        for s0 in range(4):
+            if (c0, s0) in face_of:
+                continue
+            # walk: leave crossing c via slot s, turn left at the far end
+            c, s = c0, s0
+            while (c, s) not in face_of:
+                face_of[(c, s)] = nfaces
+                arc = d.crossings[c][s]
+                e1, e2 = d.ends[arc]
+                c2, s2 = e2 if e1 == (c, s) else e1
+                c, s = c2, (s2 + 1) % 4
+            nfaces += 1
+    return nfaces, face_of
+
+
+def _check_planar(d: PDDiagram) -> None:
+    """Reject a PD code that no diagram on the sphere realizes.
+
+    A connected piece with n crossings is planar exactly when it has n + 2
+    faces (Euler), so a planar diagram has n + 2 faces per piece.
+    """
+    nfaces, _ = _faces(d)
+    if nfaces != len(d.crossings) + 2 * len(_connected_pieces(d)):
+        raise MalformedDiagramError("PD code is not planar: no sphere diagram has it")
+
+
 def _walk_passes(d: PDDiagram, piece: list[int], start: tuple[int, int]):
     """All strand passes of one connected piece, starting from an entry end.
 

@@ -8,8 +8,10 @@ equal to the state sum, just fast enough for grid scans).
 V is normalized by (-A)^(-3w) and realized in s = t^(1/2) via t = A^-4.
 
 det(L) = |V_L(-1)| with t = -1 evaluated exactly as s = i.  A Goeritz-form
-determinant over a checkerboard coloring is included as an independent
-cross-check that also handles diagrams beyond the bracket's crossing bound.
+determinant over a checkerboard coloring of the faces (`diagram._faces`) is
+included as an independent cross-check that also handles diagrams beyond the
+bracket's crossing bound.  `kauffman_bracket` rejects a non-planar PD code
+with MalformedDiagramError before it expands anything.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from fractions import Fraction
 from .diagram import (
     PDDiagram,
     SmoothingKind,
+    _check_planar,
     _connected_pieces,
+    _faces,
     _find,
     _reduce_r1_r2,
     _split_pieces,
@@ -171,6 +175,7 @@ def _bracket_connected(d: PDDiagram, memo: dict) -> IntLaurent:
 
 def kauffman_bracket(d: PDDiagram) -> IntLaurent:
     """<D> as a Laurent polynomial in A (memoized skein engine)."""
+    _check_planar(d)
     return _bracket(d, {})
 
 
@@ -231,30 +236,6 @@ def breadth(d: PDDiagram, max_crossings: int = JONES_MAX_CROSSINGS) -> Fraction:
 
 
 # -- Goeritz determinant (independent oracle) ----------------------------
-
-
-def _faces(d: PDDiagram):
-    """Faces of the connected diagram as orbits of the left-turn walk.
-
-    Returns (number of faces, face id per corner (crossing, k)), a corner
-    being the region between slots k and k+1.
-    """
-    face_of: dict[tuple[int, int], int] = {}
-    nfaces = 0
-    for c0 in range(len(d.crossings)):
-        for s0 in range(4):
-            if (c0, s0) in face_of:
-                continue
-            # walk: leave crossing c via slot s, turn left at the far end
-            c, s = c0, s0
-            while (c, s) not in face_of:
-                face_of[(c, s)] = nfaces
-                arc = d.crossings[c][s]
-                e1, e2 = d.ends[arc]
-                c2, s2 = e2 if e1 == (c, s) else e1
-                c, s = c2, (s2 + 1) % 4
-            nfaces += 1
-    return nfaces, face_of
 
 
 def determinant_goeritz(d: PDDiagram) -> int:
@@ -324,10 +305,6 @@ class ObstructionVerdict:
     deg_q: int
     det: int
     breadth: Fraction
-
-    @property
-    def not_quasi_alternating(self) -> bool:
-        return self.verdict == "NotQuasiAlternating"
 
 
 def obstruction_check(

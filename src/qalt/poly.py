@@ -1,12 +1,13 @@
 """Exact Laurent-polynomial arithmetic over arbitrary-precision integers.
 
-Two coefficient rings are provided:
-
-* :class:`IntLaurent` -- Z[x, x^-1], used for the Q-polynomial, for the
-  Chebyshev-like sigma polynomials and for Burau matrix entries (in t).
-* :class:`HalfLaurent` -- Z[s, s^-1] with the convention t = s^2, so that
-  half-integer powers of t (and monomials like (-sqrt(t))^e) are honest
-  monomials.  Jones polynomials live here.
+One ring class, :class:`IntLaurent`, implements Z[x, x^-1]: the
+Q-polynomial, the Chebyshev-like sigma polynomials and Burau matrix entries
+(in t) live there.  :class:`HalfLaurent` is the same ring in the variable
+s = t^(1/2): it inherits the arithmetic and adds only the embedding t = s^2,
+the substitution s -> s^-1 and the spelling of s-powers in t, so half-integer
+powers of t (and monomials like (-sqrt(t))^e) are honest monomials.  Jones
+polynomials live there.  The two rings stay apart: mixing them in arithmetic
+raises TypeError, and they never compare equal.
 
 Everything is immutable and hashable; there is no floating point anywhere.
 """
@@ -43,17 +44,17 @@ class IntLaurent:
 
     # -- constructors ------------------------------------------------
 
-    @staticmethod
-    def zero() -> "IntLaurent":
-        return IntLaurent()
+    @classmethod
+    def zero(cls):
+        return cls()
 
-    @staticmethod
-    def const(n: int) -> "IntLaurent":
-        return IntLaurent({0: n})
+    @classmethod
+    def const(cls, n: int):
+        return cls({0: n})
 
-    @staticmethod
-    def term(coeff: int, exp: int) -> "IntLaurent":
-        return IntLaurent({exp: coeff})
+    @classmethod
+    def term(cls, coeff: int, exp: int):
+        return cls({exp: coeff})
 
     @staticmethod
     def x() -> "IntLaurent":
@@ -61,8 +62,16 @@ class IntLaurent:
 
     # -- ring structure ----------------------------------------------
 
+    def _coerce(self, v):
+        """`v` in this ring: an element of the same class, or an int constant."""
+        if type(v) is type(self):
+            return v
+        if isinstance(v, int):
+            return self.const(v)
+        return NotImplemented
+
     def __add__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         c = dict(self._c)
@@ -72,7 +81,7 @@ class IntLaurent:
                 c[e] = nv
             else:
                 c.pop(e, None)
-        out = IntLaurent.__new__(IntLaurent)
+        out = object.__new__(type(self))
         out._c = c
         out._hash = None
         return out
@@ -80,22 +89,25 @@ class IntLaurent:
     __radd__ = __add__
 
     def __neg__(self):
-        out = IntLaurent.__new__(IntLaurent)
+        out = object.__new__(type(self))
         out._c = {e: -v for e, v in self._c.items()}
         out._hash = None
         return out
 
     def __sub__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         c: dict[int, int] = {}
@@ -107,21 +119,21 @@ class IntLaurent:
                     c[e] = nv
                 else:
                     del c[e]
-        out = IntLaurent.__new__(IntLaurent)
+        out = object.__new__(type(self))
         out._c = c
         out._hash = None
         return out
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "IntLaurent":
+    def __pow__(self, n: int):
         if n < 0:
             if len(self._c) == 1:
                 ((e, v),) = self._c.items()
                 if v in (1, -1):
-                    return IntLaurent({e * n: v if n % 2 else 1})
+                    return type(self)({e * n: v if n % 2 else 1})
             raise ValueError("negative powers only defined for unit monomials")
-        result = IntLaurent.const(1)
+        result = self.const(1)
         base = self
         while n:
             if n & 1:
@@ -130,9 +142,9 @@ class IntLaurent:
             n >>= 1
         return result
 
-    def shift(self, k: int) -> "IntLaurent":
+    def shift(self, k: int):
         """Multiply by x^k."""
-        return IntLaurent({e + k: v for e, v in self._c.items()})
+        return type(self)({e + k: v for e, v in self._c.items()})
 
     # -- queries -------------------------------------------------------
 
@@ -156,9 +168,8 @@ class IntLaurent:
         return self._c.items()
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntLaurent.const(other)
-        if not isinstance(other, IntLaurent):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._c == other._c
 
@@ -172,6 +183,10 @@ class IntLaurent:
 
     # -- text form -----------------------------------------------------
 
+    @staticmethod
+    def _power(e: int) -> str:
+        return "x" if e == 1 else f"x^{e}"
+
     def render(self) -> str:
         """`2x^2+2x-3` style: descending exponents, x^0 and ^1 elided."""
         if not self._c:
@@ -184,13 +199,13 @@ class IntLaurent:
             if e == 0:
                 body = str(mag)
             else:
-                var = "x" if e == 1 else f"x^{e}"
+                var = self._power(e)
                 body = var if mag == 1 else f"{mag}{var}"
             parts.append(sign + body)
         return "".join(parts)
 
     def __repr__(self):
-        return f"IntLaurent({self.render()!r})"
+        return f"{type(self).__name__}({self.render()!r})"
 
     @staticmethod
     def parse(text: str) -> "IntLaurent":
@@ -224,14 +239,6 @@ class IntLaurent:
         return IntLaurent(out)
 
 
-def _coerce(v) -> "IntLaurent":
-    if isinstance(v, IntLaurent):
-        return v
-    if isinstance(v, int):
-        return IntLaurent.const(v)
-    return NotImplemented
-
-
 def chebyshev_S(k: int) -> IntLaurent:
     """S_{-1} = 0, S_0 = 1, S_k = x*S_{k-1} - S_{k-2}."""
     if k < -1:
@@ -262,18 +269,6 @@ class GaussianInt:
         self.re = re
         self.im = im
 
-    def __add__(self, other):
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other):
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self):
-        return GaussianInt(-self.re, -self.im)
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = GaussianInt(other, 0)
@@ -297,36 +292,21 @@ class GaussianInt:
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-class HalfLaurent:
+class HalfLaurent(IntLaurent):
     """Integer Laurent polynomial in s, with t = s^2.
 
     Supported on even s-exponents it is an ordinary polynomial in t; odd
     exponents carry the half-integer t-powers of Jones polynomials of
-    even-component links.
+    even-component links.  The ring is :class:`IntLaurent`'s, in s.
     """
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        c: dict[int, int] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for e, v in items:
-            if v:
-                nv = c.get(e, 0) + v
-                if nv:
-                    c[e] = nv
-                else:
-                    del c[e]
-        self._c = c
-        self._hash: int | None = None
-
-    @staticmethod
-    def zero() -> "HalfLaurent":
-        return HalfLaurent()
-
-    @staticmethod
-    def const(n: int) -> "HalfLaurent":
-        return HalfLaurent({0: n})
+    # qaltbench/layertrace.py traces these by name in this class's namespace
+    __add__ = __radd__ = IntLaurent.__add__
+    __neg__ = IntLaurent.__neg__
+    __sub__ = IntLaurent.__sub__
+    __mul__ = __rmul__ = IntLaurent.__mul__
 
     @staticmethod
     def s_term(coeff: int, s_exp: int) -> "HalfLaurent":
@@ -337,109 +317,18 @@ class HalfLaurent:
         """Embed Z[t, t^-1] via t = s^2."""
         return HalfLaurent({2 * e: v for e, v in p.items()})
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = HalfLaurent.const(other)
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            nv = c.get(e, 0) + v
-            if nv:
-                c[e] = nv
-            else:
-                c.pop(e, None)
-        return HalfLaurent(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HalfLaurent({e: -v for e, v in self._c.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = HalfLaurent.const(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = HalfLaurent.const(other)
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                nv = c.get(e, 0) + v1 * v2
-                if nv:
-                    c[e] = nv
-                else:
-                    del c[e]
-        return HalfLaurent(c)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def items(self):
-        return self._c.items()
-
-    def coeff(self, e: int) -> int:
-        return self._c.get(e, 0)
-
-    def min_s_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial")
-        return min(self._c)
-
-    def max_s_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial")
-        return max(self._c)
-
     def substitute_s_inverse(self) -> "HalfLaurent":
         """s -> s^-1, i.e. t -> t^-1."""
         return HalfLaurent({-e: v for e, v in self._c.items()})
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = HalfLaurent.const(other)
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        return self._c == other._c
+    @staticmethod
+    def _power(e: int) -> str:
+        # odd s-powers are the half-integer t-powers
+        if e % 2:
+            return f"t^({e}/2)"
+        return "t" if e == 2 else f"t^{e // 2}"
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("s", tuple(sorted(self._c.items()))))
-        return self._hash
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def render_t(self) -> str:
-        """Render in the t variable; odd s-powers show as t^(k/2)."""
-        if not self._c:
-            return "0"
-        parts = []
-        for e in sorted(self._c, reverse=True):
-            v = self._c[e]
-            sign = "-" if v < 0 else ("+" if parts else "")
-            mag = abs(v)
-            if e == 0:
-                body = str(mag)
-            else:
-                if e % 2 == 0:
-                    te = e // 2
-                    var = "t" if te == 1 else f"t^{te}"
-                else:
-                    var = f"t^({e}/2)"
-                body = var if mag == 1 else f"{mag}{var}"
-            parts.append(sign + body)
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"HalfLaurent({self.render_t()!r})"
+    render_t = IntLaurent.render  # render in t
 
 
 def eval_at_s_equals_i(p: HalfLaurent) -> GaussianInt:
@@ -456,4 +345,4 @@ def breadth_t(p: HalfLaurent) -> Fraction:
     """Highest minus lowest t-degree, as an exact rational."""
     if p.is_zero():
         raise ValueError("breadth of the zero polynomial")
-    return Fraction(p.max_s_exp() - p.min_s_exp(), 2)
+    return Fraction(p.degree() - p.low_degree(), 2)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .diagram import (
     PDDiagram,
     SmoothingKind,
+    _check_planar,
     _split_pieces,
     _walk_passes,
     num_components,
@@ -48,11 +49,14 @@ def q_polynomial(
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
     memo: dict | None = None,
 ) -> IntLaurent:
-    """Q-polynomial of the link presented by `d`."""
+    """Q-polynomial of the link presented by `d`.
+
+    A non-planar PD code raises MalformedDiagramError."""
     if len(d) > max_crossings:
         raise CrossingLimitError(
             f"{len(d)} crossings exceed the bound {max_crossings}"
         )
+    _check_planar(d)
     if memo is None:
         memo = {}
     return _q(d, memo)

@@ -4,6 +4,7 @@ import pytest
 
 from qalt import jones
 from qalt.diagram import (
+    PDDiagram,
     SmoothingKind,
     close_braid,
     connected_sum,
@@ -33,7 +34,8 @@ from qalt.jones import (
     obstruction_check,
     orient,
 )
-from qalt.poly import HalfLaurent
+from qalt.poly import HalfLaurent, IntLaurent
+from qalt.qpoly import q_polynomial
 
 from conftest import random_braid_diagram
 
@@ -250,3 +252,26 @@ def test_empty_link_errors():
         jones_polynomial(unlink(0))
     with pytest.raises(MalformedDiagramError):
         determinant_goeritz(unlink(0))
+
+
+def test_non_planar_pd_is_rejected():
+    # a valid arc multiset whose rotation system has genus 1: 2 faces, not 4
+    d = parse_pd("X(1,1,2,3);X(2,4,3,4)")
+    for entry in (q_polynomial, kauffman_bracket, jones_polynomial, obstruction_check):
+        with pytest.raises(MalformedDiagramError):
+            entry(d)
+
+
+def test_split_diagrams_are_planar():
+    # n + 2 faces per connected piece: trefoil, Hopf link and a free loop
+    shifted = tuple(tuple(a + 100 for a in t) for t in hopf_link().crossings)
+    split = PDDiagram(trefoil().crossings + shifted, 1)
+    unlink_factor = IntLaurent({-1: 2, 0: -1})
+    assert q_polynomial(split) == (
+        unlink_factor ** 2 * q_polynomial(trefoil()) * q_polynomial(hopf_link())
+    )
+    assert jones_polynomial(split) == (
+        HalfLaurent({1: -1, -1: -1}) ** 2
+        * jones_polynomial(trefoil())
+        * jones_polynomial(hopf_link())
+    )

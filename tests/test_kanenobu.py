@@ -1,3 +1,5 @@
+from qalt.diagram import connected_sum, figure_eight
+from qalt.jones import determinant_goeritz
 from qalt.kanenobu import (
     KANENOBU_DET,
     Q_8_8,
@@ -7,6 +9,7 @@ from qalt.kanenobu import (
     qa_candidate_scan,
 )
 from qalt.poly import IntLaurent, sigma
+from qalt.qpoly import q_polynomial
 
 
 def test_constants():
@@ -19,6 +22,14 @@ def test_constants():
 def test_q00_substitution():
     expected = IntLaurent.term(2, -1) * (Q_8_8 - IntLaurent.const(1)) + IntLaurent.const(1)
     assert kanenobu_q(0, 0) == expected
+
+
+def test_k00_constants_match_a_diagram():
+    # K(0, 0) is 4_1 # 4_1: its Q and det derive Q_8_8 and KANENOBU_DET
+    k00 = connected_sum(figure_eight(), figure_eight(), 1, 1)
+    assert q_polynomial(k00) == kanenobu_q(0, 0)
+    assert kanenobu_q(0, 0) == IntLaurent.term(2, -1) * (Q_8_8 - 1) + 1
+    assert determinant_goeritz(k00) == KANENOBU_DET
 
 
 def test_symmetry():

@@ -147,3 +147,23 @@ def test_breadth():
     assert breadth_t(HalfLaurent({1: 1, 0: 1})) == Fraction(1, 2)
     with pytest.raises(ValueError):
         breadth_t(HalfLaurent.zero())
+
+
+def test_rings_stay_apart():
+    x, s = IntLaurent({1: 1}), HalfLaurent({1: 1})
+    for add in (lambda: x + s, lambda: s + x):
+        with pytest.raises(TypeError):
+            add()
+    for sub in (lambda: x - s, lambda: s - x, lambda: "x" - x):
+        with pytest.raises(TypeError, match=r"for -: "):
+            sub()
+    assert x != s and s != x
+    assert type(HalfLaurent.const(1) + 1) is HalfLaurent
+    assert type(HalfLaurent.zero()) is HalfLaurent
+
+
+def test_rendering_is_pinned():
+    assert repr(HalfLaurent({2: -1, 1: -1})) == "HalfLaurent('-t-t^(1/2)')"
+    assert HalfLaurent({2: -1, 1: -1}).render_t() == "-t-t^(1/2)"
+    assert IntLaurent.parse("2x^-1-1").render() == "-1+2x^-1"
+    assert repr(IntLaurent.parse("2x^-1-1")) == "IntLaurent('-1+2x^-1')"
