@@ -13,8 +13,10 @@ other splits one.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import MalformedDiagramError, PDParseError
@@ -42,15 +44,12 @@ class PDDiagram:
     def __init__(self, crossings: Iterable[Sequence[int]], free_loops: int = 0):
         # rotating a tuple by two is the same crossing; store the smaller form
         self.crossings: tuple[Crossing, ...] = tuple(
-            _normalize(tuple(int(a) for a in t)) for t in crossings
+            _normalize(tuple(map(int, t))) for t in crossings
         )
         self.free_loops = int(free_loops)
         if self.free_loops < 0:
             raise MalformedDiagramError("negative free loop count")
-        counts: dict[int, int] = {}
-        for t in self.crossings:
-            for a in t:
-                counts[a] = counts.get(a, 0) + 1
+        counts = Counter(chain.from_iterable(self.crossings))
         bad = sorted(a for a, n in counts.items() if n != 2)
         if bad:
             raise MalformedDiagramError(
@@ -328,11 +327,14 @@ def num_components(d: PDDiagram) -> int:
 # -- the rebuild helper -------------------------------------------------
 
 
-def _rebuild(kept: list[Crossing], fusions: list[tuple[int, int]], loops: int) -> PDDiagram:
-    """New diagram from kept crossings plus arc fusions.
+def _relabel(
+    kept: list[Crossing], fusions: list[tuple[int, int]], loops: int
+) -> tuple[list[Crossing], int]:
+    """Kept crossings after arc fusions, and the new free-loop count.
 
     Fusing two ends of the same (possibly merged) arc closes a circle and
-    increments the free-loop count; arc labels are then renumbered densely.
+    increments the free-loop count; arc labels are then renumbered densely
+    in order of first appearance, and each tuple is normalized.
     """
     parent: dict[int, int] = {}
     for x, y in fusions:
@@ -341,18 +343,25 @@ def _rebuild(kept: list[Crossing], fusions: list[tuple[int, int]], loops: int) -
             loops += 1
         else:
             parent[ry] = rx
+    root = {a: _find(parent, a) for a in parent}
 
     relabel: dict[int, int] = {}
     new = []
     for t in kept:
         out = []
         for a in t:
-            r = _find(parent, a)
-            if r not in relabel:
-                relabel[r] = len(relabel) + 1
-            out.append(relabel[r])
-        new.append(tuple(out))
-    return PDDiagram(new, loops)
+            r = root.get(a, a)
+            label = relabel.get(r)
+            if label is None:
+                label = relabel[r] = len(relabel) + 1
+            out.append(label)
+        new.append(_normalize(tuple(out)))
+    return new, loops
+
+
+def _rebuild(kept: list[Crossing], fusions: list[tuple[int, int]], loops: int) -> PDDiagram:
+    """New diagram from kept crossings plus arc fusions (see :func:`_relabel`)."""
+    return PDDiagram(*_relabel(kept, fusions, loops))
 
 
 # -- structural moves ---------------------------------------------------
@@ -385,24 +394,28 @@ def mirror(d: PDDiagram) -> PDDiagram:
     )
 
 
-def _find_r1(d: PDDiagram):
-    for i, t in enumerate(d.crossings):
+def _find_r1(crossings: list[Crossing]):
+    for i, t in enumerate(crossings):
         for s in range(4):
             if t[s] == t[(s + 1) % 4]:
                 return i, s
     return None
 
 
-def _find_r2(d: PDDiagram):
+def _find_r2(crossings: list[Crossing]):
     # two distinct crossings joined by an arc that is over at both ends and
     # another that is under at both ends
-    for arc, ((c1, s1), (c2, s2)) in d.ends.items():
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for i, t in enumerate(crossings):
+        for s, a in enumerate(t):
+            ends.setdefault(a, []).append((i, s))
+    for arc, ((c1, s1), (c2, s2)) in ends.items():
         if c1 == c2 or s1 % 2 == 0 or s2 % 2 == 0:
             continue  # want an over-over arc between distinct crossings
-        for arc2 in set(d.crossings[c1]) & set(d.crossings[c2]):
+        for arc2 in set(crossings[c1]) & set(crossings[c2]):
             if arc2 == arc:
                 continue
-            (d1, t1), (d2, t2) = d.ends[arc2]
+            (d1, t1), (d2, t2) = ends[arc2]
             if {d1, d2} == {c1, c2} and t1 % 2 == 0 and t2 % 2 == 0:
                 return c1, c2, arc, arc2
     return None
@@ -412,36 +425,42 @@ def _reduce_r1_r2(d: PDDiagram) -> tuple[PDDiagram, list[int]]:
     """Remove Reidemeister-I kinks and Reidemeister-II bigons until none remain.
 
     Returns the reduced diagram and, per removed kink in removal order, the
-    slot s such that the kink's loop arc occupies slots s and s+1.
+    slot s such that the kink's loop arc occupies slots s and s+1.  The moves
+    work on crossing tuples; one diagram is built at the end, and `d` itself
+    is returned when no move applies.
     """
+    crossings, loops = list(d.crossings), d.free_loops
     kinks: list[int] = []
+    moved = False
     while True:
-        r1 = _find_r1(d)
+        r1 = _find_r1(crossings)
         if r1 is not None:
             i, s = r1
             kinks.append(s)
-            t = d.crossings[i]
+            t = crossings[i]
             # fuse the two slots the loop arc does not occupy
             x, y = t[(s + 2) % 4], t[(s + 3) % 4]
-            kept = [c for j, c in enumerate(d.crossings) if j != i]
-            d = _rebuild(kept, [(x, y)], d.free_loops)
+            del crossings[i]
+            crossings, loops = _relabel(crossings, [(x, y)], loops)
+            moved = True
             continue
-        r2 = _find_r2(d)
+        r2 = _find_r2(crossings)
         if r2 is not None:
             c1, c2, over_arc, under_arc = r2
             fusions = []
             for c in (c1, c2):
-                t = d.crossings[c]
+                t = crossings[c]
                 over_pair = [t[1], t[3]]
                 under_pair = [t[0], t[2]]
                 over_pair.remove(over_arc)
                 under_pair.remove(under_arc)
                 fusions.append((over_arc, over_pair[0]))
                 fusions.append((under_arc, under_pair[0]))
-            kept = [t for j, t in enumerate(d.crossings) if j not in (c1, c2)]
-            d = _rebuild(kept, fusions, d.free_loops)
+            kept = [t for j, t in enumerate(crossings) if j not in (c1, c2)]
+            crossings, loops = _relabel(kept, fusions, loops)
+            moved = True
             continue
-        return d, kinks
+        return (PDDiagram(crossings, loops) if moved else d), kinks
 
 
 def simplify(d: PDDiagram) -> PDDiagram:

@@ -241,7 +241,13 @@ def breadth(d: PDDiagram, max_crossings: int = JONES_MAX_CROSSINGS) -> Fraction:
 def determinant_goeritz(d: PDDiagram) -> int:
     """det(L) from a Goeritz form of a checkerboard coloring.
 
-    Works for any number of crossings; split diagrams return 0.
+    Works for any number of crossings; split diagrams return 0.  The time
+    goes to :func:`~qalt.intmat.int_det` on a sparse minor.  Measured on a
+    2-core Xeon with Python 3.11: the reduced closure of (s1 s2^-1)^k takes
+    0.007 s at 200 crossings, 0.09 s at 800, 0.55 s at 1600 and 6 s at
+    3200; reduced random 4-braids take 0.04 s at 460 crossings and 0.29 s
+    at 1880.  On (s1 s2^-1)^k one white face borders all the others, so its
+    row in the minor is dense and every elimination step updates it.
     """
     if num_components(d) == 0:
         raise MalformedDiagramError("the empty link has no determinant")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping
 
 
@@ -74,6 +75,11 @@ class IntLaurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # elements are immutable, so either operand may be the result
+        if not other._c:
+            return self
+        if not self._c:
+            return other
         c = dict(self._c)
         for e, v in other._c.items():
             nv = c.get(e, 0) + v
@@ -110,6 +116,16 @@ class IntLaurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # a monomial factor shifts and scales the other one: nothing cancels
+        mono, poly = (other, self) if len(other._c) == 1 else (self, other)
+        if len(mono._c) == 1:
+            ((e0, v0),) = mono._c.items()
+            if e0 == 0 and v0 == 1:
+                return poly
+            out = object.__new__(type(self))
+            out._c = {e + e0: v * v0 for e, v in poly._c.items()}
+            out._hash = None
+            return out
         c: dict[int, int] = {}
         for e1, v1 in self._c.items():
             for e2, v2 in other._c.items():
@@ -174,8 +190,11 @@ class IntLaurent:
         return self._c == other._c
 
     def __hash__(self):
+        # a constant equals its int, so it must hash like it
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._c.items())))
+            c = self._c
+            key = c.get(0, 0) if c.keys() <= {0} else tuple(sorted(c.items()))
+            self._hash = hash(key)
         return self._hash
 
     def __bool__(self):
@@ -240,16 +259,15 @@ class IntLaurent:
 
 
 def chebyshev_S(k: int) -> IntLaurent:
-    """S_{-1} = 0, S_0 = 1, S_k = x*S_{k-1} - S_{k-2}."""
+    """S_{-1} = 0, S_0 = 1, S_k = x*S_{k-1} - S_{k-2}, in closed form:
+
+    S_k = sum over 0 <= j <= k/2 of (-1)^j C(k-j, j) x^(k-2j).
+    """
     if k < -1:
         raise ValueError("chebyshev_S defined for k >= -1")
-    prev, cur = IntLaurent.zero(), IntLaurent.const(1)  # S_{-1}, S_0
-    if k == -1:
-        return prev
-    x = IntLaurent.x()
-    for _ in range(k):
-        prev, cur = cur, x * cur - prev
-    return cur
+    return IntLaurent(
+        {k - 2 * j: (-1) ** j * comb(k - j, j) for j in range(k // 2 + 1)}
+    )
 
 
 def sigma(n: int) -> IntLaurent:

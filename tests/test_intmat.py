@@ -1,0 +1,105 @@
+import random
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+
+from qalt.intmat import int_det
+
+
+def fraction_det(m: list[list[int]]) -> int:
+    """Reference: Gaussian elimination over the rationals, row pivoting only."""
+    n = len(m)
+    a = [[Fraction(v) for v in row] for row in m]
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    assert det.denominator == 1
+    return int(det)
+
+
+def test_random_matrices_match_fraction_elimination():
+    rng = random.Random(20140603)
+    singular = 0
+    for _ in range(600):
+        n = rng.randint(0, 8)
+        density = rng.choice((0.1, 0.25, 0.5, 1.0))
+        m = [
+            [rng.randint(-7, 7) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n > 1 and rng.random() < 0.2:
+            m[rng.randrange(n)] = list(m[rng.randrange(n)])  # often singular
+        expected = fraction_det(m)
+        singular += expected == 0
+        assert int_det(m) == expected, m
+    assert singular > 50
+
+
+def test_permutation_matrices_give_their_sign():
+    for n in range(1, 6):
+        for perm in permutations(range(n)):
+            m = [[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+            inversions = sum(
+                perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
+            )
+            assert int_det(m) == (-1) ** inversions
+
+
+def test_shapes():
+    assert int_det([]) == 1
+    assert int_det([[5]]) == 5
+    assert int_det([[0]]) == 0
+    with pytest.raises(ValueError):
+        int_det([[1, 2]])
+    with pytest.raises(ValueError):
+        int_det([[1, 2], [3]])
+
+
+def reduced_laplacian(vertices: int, edges, keep_first: bool = False):
+    lap = [[0] * vertices for _ in range(vertices)]
+    for u, v in edges:
+        lap[u][v] -= 1
+        lap[v][u] -= 1
+        lap[u][u] += 1
+        lap[v][v] += 1
+    drop = vertices - 1 if keep_first else 0
+    return [
+        [x for j, x in enumerate(row) if j != drop]
+        for i, row in enumerate(lap)
+        if i != drop
+    ]
+
+
+def lucas(n: int) -> int:
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_wheel_spanning_trees_with_the_dense_hub_row():
+    # W_n: hub 0 joined to the n-cycle 1..n; tau(W_n) = L_{2n} - 2.  The kept
+    # hub row and column are dense, the rest of the minor is sparse.
+    n = 150
+    edges = [(0, i) for i in range(1, n + 1)]
+    edges += [(i, i % n + 1) for i in range(1, n + 1)]
+    minor = reduced_laplacian(n + 1, edges, keep_first=True)
+    assert int_det(minor) == lucas(2 * n) - 2
+
+
+def test_complete_graph_spanning_trees():
+    # Cayley: K_n has n^(n-2) spanning trees; every entry of the minor is nonzero
+    n = 40
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    assert int_det(reduced_laplacian(n, edges)) == n ** (n - 2)

@@ -54,6 +54,9 @@ def test_chebyshev():
     assert chebyshev_S(3) == P("x^3-2x")
     with pytest.raises(ValueError):
         chebyshev_S(-2)
+    x = IntLaurent.x()
+    for k in range(1, 61):
+        assert chebyshev_S(k) == x * chebyshev_S(k - 1) - chebyshev_S(k - 2)
 
 
 def test_sigma():
@@ -65,7 +68,7 @@ def test_sigma():
 def test_sigma_three_term_identity():
     # x*sigma_n = sigma_{n+1} + sigma_{n-1}
     x = IntLaurent.x()
-    for n in range(-20, 21):
+    for n in range(-60, 61):
         assert x * sigma(n) == sigma(n + 1) + sigma(n - 1)
         assert sigma(-n) == -sigma(n)
 
@@ -79,6 +82,33 @@ def test_ring_axioms_random():
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+def test_monomial_products_and_identities():
+    rng = random.Random(11)
+    for cls in (IntLaurent, HalfLaurent):
+        for _ in range(100):
+            a = cls(rand_poly(rng).items())
+            e, v = rng.randint(-5, 5), rng.choice((-3, -1, 1, 2))
+            mono = cls({e: v})
+            shifted = cls({e + k: v * c for k, c in a.items()})
+            assert a * mono == mono * a == shifted
+            assert type(a * mono) is cls
+            assert a * 1 == 1 * a == a + 0 == 0 + a == a
+            assert a * cls.zero() == cls.zero() * a == cls.zero()
+
+
+def test_constant_hash_matches_int():
+    for cls in (IntLaurent, HalfLaurent):
+        for c in (-3, 0, 1, 3, 10**30):
+            p = cls.const(c)
+            assert p == c and hash(p) == hash(c)
+            assert c in {p} and p in {c}
+            assert {p: "v"}[c] == "v"
+        assert hash(cls.zero()) == hash(0)
+        # a constant reached by arithmetic hashes like its int as well
+        x = cls({1: 1})
+        assert hash((x + 3) - x) == hash(3)
 
 
 def test_degree_multiplicative():
