@@ -39,7 +39,7 @@ class SmoothingKind(Enum):
 class PDDiagram:
     """Immutable planar diagram: crossing tuples plus a free-loop count."""
 
-    __slots__ = ("crossings", "free_loops", "_ends", "_canon", "_ncomp")
+    __slots__ = ("crossings", "free_loops", "_ends")
 
     def __init__(self, crossings: Iterable[Sequence[int]], free_loops: int = 0):
         # rotating a tuple by two is the same crossing; store the smaller form
@@ -56,8 +56,6 @@ class PDDiagram:
                 f"arc identifiers {bad} do not occur exactly twice"
             )
         self._ends: dict[int, list[tuple[int, int]]] | None = None
-        self._canon = None
-        self._ncomp: int | None = None
 
     # -- basic structure ---------------------------------------------
 
@@ -110,11 +108,11 @@ class PDDiagram:
         sorted; equal codes mean equal diagrams up to arc/crossing
         relabeling and tuple rotation by two.
         """
-        if self._canon is None:
-            pieces = _connected_pieces(self)
-            codes = sorted(_min_walk_code(self, piece) for piece in pieces)
-            self._canon = (tuple(codes), self.free_loops)
-        return self._canon
+        codes = sorted(
+            min(_walk_code(self, (c, s)) for c in piece for s in range(4))
+            for piece in _connected_pieces(self)
+        )
+        return tuple(codes), self.free_loops
 
 
 def _connected_pieces(d: PDDiagram) -> list[list[int]]:
@@ -154,7 +152,9 @@ def _faces(d: PDDiagram):
     """Faces of the diagram, over all its pieces, as orbits of the left-turn walk.
 
     Returns (number of faces, face id per corner (crossing, k)), a corner
-    being the region between slots k and k+1.
+    being the region between slots k and k+1.  A connected piece with n
+    crossings lies on the sphere exactly when it has n + 2 faces (Euler), so
+    a code with any other count per piece raises MalformedDiagramError.
     """
     face_of: dict[tuple[int, int], int] = {}
     nfaces = 0
@@ -171,93 +171,68 @@ def _faces(d: PDDiagram):
                 c2, s2 = e2 if e1 == (c, s) else e1
                 c, s = c2, (s2 + 1) % 4
             nfaces += 1
+    if nfaces != len(d.crossings) + 2 * len(_connected_pieces(d)):
+        raise MalformedDiagramError("PD code is not planar: no sphere diagram has it")
     return nfaces, face_of
 
 
-def _check_planar(d: PDDiagram) -> None:
-    """Reject a PD code that no diagram on the sphere realizes.
+# Two walks follow strands, and they restart differently once a component
+# closes.  `_walk_code` restarts at the first-discovered crossing with an
+# unwalked pass, so the code does not depend on crossing labels.
+# `_strands` restarts at the lowest crossing index, because the default
+# orientation of `orient` and the component numbering of its `flips`
+# depend on that order.
 
-    A connected piece with n crossings is planar exactly when it has n + 2
-    faces (Euler), so a planar diagram has n + 2 faces per piece.
+
+def _strands(d: PDDiagram) -> list[list[tuple[int, int]]]:
+    """Each link component of `d` as its list of passes (crossing, entry slot).
+
+    A component starts at the lowest crossing that still has an unwalked
+    pass, on the over pass (slot 1) before the under pass (slot 0).
     """
-    nfaces, _ = _faces(d)
-    if nfaces != len(d.crossings) + 2 * len(_connected_pieces(d)):
-        raise MalformedDiagramError("PD code is not planar: no sphere diagram has it")
+    walked = [[False, False] for _ in d.crossings]  # [under, over] per crossing
+    strands = []
+    for c0 in range(len(d.crossings)):
+        for s0 in (1, 0):
+            strand = []
+            c, s = c0, s0
+            while not walked[c][s % 2]:
+                walked[c][s % 2] = True
+                strand.append((c, s))
+                c, s = d.next_end(c, s)
+            if strand:
+                strands.append(strand)
+    return strands
 
 
-def _walk_passes(d: PDDiagram, piece: list[int], start: tuple[int, int]):
-    """All strand passes of one connected piece, starting from an entry end.
-
-    Yields (crossing, entry_slot).  When a link component closes, the walk
-    resumes at the earliest-discovered crossing with an unvisited pass, so
-    the continuation is independent of input labels.
-    """
-    visited: dict[int, set[int]] = {c: set() for c in piece}  # pass parities
-    order: list[int] = []  # crossings in discovery order
-
-    def take(c, s):
-        visited[c].add(s % 2)
-        if c not in order_set:
-            order_set.add(c)
-            order.append(c)
-
-    order_set: set[int] = set()
-    total = 2 * len(piece)
-    done = 0
-    c, s = start
-    comp_start = (c, s)
-    while done < total:
-        take(c, s)
-        yield c, s
-        done += 1
-        c2, s2 = d.next_end(c, s)
-        if (c2, s2) == comp_start:
-            # component closed; find next unvisited pass
-            nxt = None
-            for cc in order:
-                free = {0, 1} - visited[cc]
-                if free:
-                    p = 1 if 1 in free else 0
-                    nxt = (cc, p)
-                    break
-            if nxt is None:
-                if done < total:  # pragma: no cover - piece is connected
-                    raise AssertionError("walk exhausted before covering piece")
-                return
-            c, s = nxt
-            comp_start = (c, s)
-        else:
-            if s2 % 2 in visited.get(c2, set()):
-                # re-entering a visited pass means the component closed in a
-                # way not detected above; cannot happen on valid diagrams
-                raise AssertionError("inconsistent strand walk")
-            c, s = c2, s2
-
-
-def _walk_code(d: PDDiagram, piece: list[int], start: tuple[int, int]):
-    """Encode the walk from `start` as a relabeling-invariant tuple.
+def _walk_code(d: PDDiagram, start: tuple[int, int]):
+    """Encode the walk of one connected piece from the entry end `start`
+    as a relabeling-invariant tuple.
 
     A 0 marks each restart after a component closes, so "continues to
     crossing X" and "closes, then restarts at X" encode differently.
     """
     disc: dict[int, tuple[int, int]] = {}  # crossing -> (id, frame slot)
+    walked: set[tuple[int, int]] = set()  # (crossing, pass parity)
     out = []
-    prev = None
-    for c, s in _walk_passes(d, piece, start):
-        if prev is not None and d.next_end(*prev) != (c, s):
-            out.append(0)
-        prev = (c, s)
-        if c not in disc:
-            disc[c] = (len(disc), s)
-            out.append(2 + (s % 2))
-        else:
-            cid, fs = disc[c]
-            out.append(-(cid * 4 + (s - fs) % 4) - 1)
-    return tuple(out)
-
-
-def _min_walk_code(d: PDDiagram, piece: list[int]):
-    return min(_walk_code(d, piece, (c, s)) for c in piece for s in range(4))
+    c, s = start
+    while True:
+        while (c, s % 2) not in walked:
+            walked.add((c, s % 2))
+            if c not in disc:
+                disc[c] = (len(disc), s)
+                out.append(2 + s % 2)
+            else:
+                cid, fs = disc[c]
+                out.append(-(cid * 4 + (s - fs) % 4) - 1)
+            c, s = d.next_end(c, s)
+        restart = next(
+            ((cc, p) for cc in disc for p in (1, 0) if (cc, p) not in walked), None
+        )
+        if restart is None:
+            return tuple(out)
+        out.append(0)
+        c, s = restart
 
 
 # -- parsing / rendering ----------------------------------------------
@@ -299,7 +274,7 @@ def render_pd(d: PDDiagram) -> str:
     return ";".join(parts) if parts else "O(0)"
 
 
-# -- component counting ------------------------------------------------
+# -- component counting and the relabeling helper --------------------
 
 
 def _find(parent: dict[int, int], x: int) -> int:
@@ -311,20 +286,8 @@ def _find(parent: dict[int, int], x: int) -> int:
 
 
 def num_components(d: PDDiagram) -> int:
-    """Link components: arcs a-c and b-d are the same strand at each crossing."""
-    if d._ncomp is None:
-        parent: dict[int, int] = {}
-        for a, b, c, e in d.crossings:
-            for x, y in ((a, c), (b, e)):
-                rx, ry = _find(parent, x), _find(parent, y)
-                if rx != ry:
-                    parent[ry] = rx
-        roots = {_find(parent, a) for a in d.ends}
-        d._ncomp = len(roots) + d.free_loops
-    return d._ncomp
-
-
-# -- the rebuild helper -------------------------------------------------
+    """Link components: the strands of `d` plus its free loops."""
+    return len(_strands(d)) + d.free_loops
 
 
 def _relabel(
@@ -359,11 +322,6 @@ def _relabel(
     return new, loops
 
 
-def _rebuild(kept: list[Crossing], fusions: list[tuple[int, int]], loops: int) -> PDDiagram:
-    """New diagram from kept crossings plus arc fusions (see :func:`_relabel`)."""
-    return PDDiagram(*_relabel(kept, fusions, loops))
-
-
 # -- structural moves ---------------------------------------------------
 
 
@@ -374,7 +332,7 @@ def smooth(d: PDDiagram, crossing_index: int, kind: SmoothingKind) -> PDDiagram:
     a, b, c, e = d.crossings[crossing_index]
     pairs = [(a, b), (c, e)] if kind is SmoothingKind.A else [(a, e), (b, c)]
     kept = [t for i, t in enumerate(d.crossings) if i != crossing_index]
-    return _rebuild(kept, pairs, d.free_loops)
+    return PDDiagram(*_relabel(kept, pairs, d.free_loops))
 
 
 def switch(d: PDDiagram, crossing_index: int) -> PDDiagram:
@@ -470,9 +428,9 @@ def simplify(d: PDDiagram) -> PDDiagram:
 
 def connected_sum(d1: PDDiagram, d2: PDDiagram, arc1: int, arc2: int) -> PDDiagram:
     """Cut arc1 and arc2 and cross-join the four ends."""
+    if not (d1.crossings or d1.free_loops) or not (d2.crossings or d2.free_loops):
+        raise MalformedDiagramError("cannot sum with the empty diagram")
     if not d2.crossings:
-        if num_components(d2) == 0:
-            raise MalformedDiagramError("cannot sum with the empty diagram")
         return PDDiagram(d1.crossings, d1.free_loops + d2.free_loops - 1)
     if not d1.crossings:
         return connected_sum(d2, d1, arc2, arc1)
@@ -508,7 +466,7 @@ def connected_sum(d1: PDDiagram, d2: PDDiagram, arc1: int, arc2: int) -> PDDiagr
     part1 = cut(list(d1.crossings), arc1, fresh1)
     part2 = cut(d2_crossings, arc2, fresh2)
     fusions = [(arc1, arc2), (fresh1, fresh2)]
-    return _rebuild(part1 + part2, fusions, d1.free_loops + d2.free_loops)
+    return PDDiagram(*_relabel(part1 + part2, fusions, d1.free_loops + d2.free_loops))
 
 
 # -- generators ---------------------------------------------------------
@@ -552,7 +510,7 @@ def close_braid(word, strands: int | None = None) -> PDDiagram:
         current[i - 1], current[i] = x, y
 
     fusions = [(start[p], current[p]) for p in range(strands)]
-    return _rebuild(crossings, fusions, 0)
+    return PDDiagram(*_relabel(crossings, fusions, 0))
 
 
 def generate_pretzel(signs: Sequence[int]) -> PDDiagram:
@@ -596,7 +554,7 @@ def generate_pretzel(signs: Sequence[int]) -> PDDiagram:
         j = (i + 1) % k
         fusions.append((tops[i][1], tops[j][0]))  # right top -> next left top
         fusions.append((bottoms[i][1], bottoms[j][0]))
-    return _rebuild(crossings, fusions, 0)
+    return PDDiagram(*_relabel(crossings, fusions, 0))
 
 
 @lru_cache(maxsize=None)

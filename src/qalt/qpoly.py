@@ -16,15 +16,12 @@ repeated subdiagrams come out identical and the memo still hits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import (
     PDDiagram,
     SmoothingKind,
-    _check_planar,
+    _faces,
     _split_pieces,
-    _walk_passes,
-    num_components,
+    _strands,
     simplify,
     smooth,
     switch,
@@ -36,12 +33,6 @@ DEFAULT_MAX_CROSSINGS = 14
 
 _X = IntLaurent.x()
 _UNLINK = IntLaurent({-1: 2, 0: -1})  # 2x^-1 - 1, the extra-component factor
-
-
-@dataclass(frozen=True)
-class QResult:
-    q: IntLaurent
-    diagram_components: int
 
 
 def q_polynomial(
@@ -56,14 +47,10 @@ def q_polynomial(
         raise CrossingLimitError(
             f"{len(d)} crossings exceed the bound {max_crossings}"
         )
-    _check_planar(d)
+    _faces(d)  # rejects a non-planar code
     if memo is None:
         memo = {}
     return _q(d, memo)
-
-
-def q_result(d: PDDiagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> QResult:
-    return QResult(q_polynomial(d, max_crossings), num_components(d))
 
 
 def q_degree(d: PDDiagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> int:
@@ -95,27 +82,23 @@ def _q(d: PDDiagram, memo: dict) -> IntLaurent:
     return out
 
 
-def _first_visit_under(d: PDDiagram) -> list[int]:
-    """Crossings first reached on their understrand, in walk order."""
-    piece = list(range(len(d.crossings)))
-    seen: set[int] = set()
-    bad = []
-    for c, s in _walk_passes(d, piece, (0, 1)):
-        if c not in seen:
-            seen.add(c)
-            if s % 2 == 0:
-                bad.append(c)
-    return bad
-
-
 def _q_connected(d: PDDiagram, memo: dict) -> IntLaurent:
     key = d.key()
     cached = memo.get(key)
     if cached is not None:
         return cached
 
-    bad = _first_visit_under(d)
-    k = num_components(d)
+    # switch the crossings first reached on their understrand, in walk order
+    strands = _strands(d)
+    seen: set[int] = set()
+    bad = []
+    for strand in strands:
+        for c, s in strand:
+            if c not in seen:
+                seen.add(c)
+                if s % 2 == 0:
+                    bad.append(c)
+    k = len(strands)
     # descending endpoint of the switch chain is a k-component unlink
     chain = [d]
     cur = d

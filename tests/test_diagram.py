@@ -157,6 +157,13 @@ def test_connected_sum_with_unknot():
     assert connected_sum(trefoil(), unknot(), 1, 0) == trefoil()
 
 
+def test_connected_sum_with_the_empty_diagram_raises():
+    empty = PDDiagram((), 0)
+    for d1, d2 in ((empty, unknot()), (unknot(), empty), (empty, trefoil())):
+        with pytest.raises(MalformedDiagramError):
+            connected_sum(d1, d2, 1, 1)
+
+
 def test_close_braid_empty():
     assert close_braid([], 3) == unlink(3)
 

@@ -257,9 +257,21 @@ def test_empty_link_errors():
 def test_non_planar_pd_is_rejected():
     # a valid arc multiset whose rotation system has genus 1: 2 faces, not 4
     d = parse_pd("X(1,1,2,3);X(2,4,3,4)")
-    for entry in (q_polynomial, kauffman_bracket, jones_polynomial, obstruction_check):
-        with pytest.raises(MalformedDiagramError):
-            entry(d)
+    # the same code beside a trefoil: split, and still not planar
+    beside = PDDiagram(
+        d.crossings + tuple(tuple(a + 10 for a in t) for t in trefoil().crossings)
+    )
+    entries = (
+        q_polynomial,
+        kauffman_bracket,
+        jones_polynomial,
+        obstruction_check,
+        determinant_goeritz,
+    )
+    for diagram in (d, beside):
+        for entry in entries:
+            with pytest.raises(MalformedDiagramError):
+                entry(diagram)
 
 
 def test_split_diagrams_are_planar():

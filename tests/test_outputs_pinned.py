@@ -1,21 +1,31 @@
-"""One digest pins the rendered outputs of the polynomial-time and skein paths.
+"""Two digests pin the rendered outputs of the polynomial-time and skein paths
+and of everything that walks a diagram's strands and faces.
 
-The digest is sha256 over the rendered text of every result, never
+Each digest is sha256 over the rendered text of every result, never
 ``hash()``, so it does not depend on the interpreter's hash seed.  A change
-that is meant to keep every output byte-identical must leave it equal.
+that is meant to keep every output byte-identical must leave both equal.
 """
 
 import hashlib
 import random
 
 from qalt.braid3 import BraidWord, birman_jones
-from qalt.diagram import close_braid, render_pd, simplify
+from qalt.diagram import (
+    PDDiagram,
+    SmoothingKind,
+    close_braid,
+    num_components,
+    render_pd,
+    simplify,
+    smooth,
+)
 from qalt.intmat import int_det
-from qalt.jones import determinant_goeritz, kauffman_bracket
+from qalt.jones import determinant_goeritz, jones_polynomial, kauffman_bracket, orient
 from qalt.kanenobu import kanenobu_q
 from qalt.qpoly import q_polynomial
 
 PINNED = "c5ef25d225cc6d9324a527790c4d7439e8e67706245887fb3412de304cab1990"
+WALK_PINNED = "b0abd01bc5f760f494684b1287344b9ad19d75f8f44af2be0b1fafb00673ea51"
 
 
 def _word(rng: random.Random, strands: int, lo: int, hi: int) -> list[int]:
@@ -51,13 +61,58 @@ def _lines():
         yield str(int_det(m))
 
 
-def outputs_digest() -> str:
+def _walk_diagrams():
+    """Seeded 2-5-strand closures: knots, links, split diagrams (a generator
+    that never occurs, or a disjoint union) and free loops, a third of them
+    with one crossing smoothed."""
+    rng = random.Random(20140604)
+    for _ in range(300):
+        strands = rng.randint(2, 5)
+        d = close_braid(_word(rng, strands, 1, 12), strands)
+        if rng.random() < 0.2:
+            other = close_braid(_word(rng, 2, 1, 4), 2)
+            shift = max(d.ends, default=0)
+            d = PDDiagram(
+                d.crossings + tuple(tuple(a + shift for a in t) for t in other.crossings),
+                d.free_loops + other.free_loops,
+            )
+        if d.crossings and rng.random() < 0.35:
+            kind = rng.choice((SmoothingKind.A, SmoothingKind.B))
+            d = smooth(d, rng.randrange(len(d)), kind)
+        yield d
+
+
+def _walk_lines():
+    for d in _walk_diagrams():
+        for flips in (frozenset(), frozenset({0, 2})):
+            od = orient(d, flips)
+            yield f"{od.entries} {od.writhe}"
+        yield str(num_components(d))
+        yield repr(d.canonical_code())
+        yield str(determinant_goeritz(d))
+        if len(d) <= 12:
+            yield repr(jones_polynomial(d))
+
+
+def _digest(lines) -> str:
     h = hashlib.sha256()
-    for line in _lines():
+    for line in lines:
         h.update(line.encode())
         h.update(b"\n")
     return h.hexdigest()
 
 
+def outputs_digest() -> str:
+    return _digest(_lines())
+
+
+def walk_digest() -> str:
+    return _digest(_walk_lines())
+
+
 def test_outputs_are_pinned():
     assert outputs_digest() == PINNED
+
+
+def test_walk_outputs_are_pinned():
+    assert walk_digest() == WALK_PINNED

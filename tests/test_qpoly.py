@@ -21,7 +21,7 @@ from qalt.diagram import (
 from qalt.errors import CrossingLimitError, MalformedDiagramError
 from qalt.jones import determinant_goeritz
 from qalt.poly import IntLaurent
-from qalt.qpoly import check_lemma22, q_degree, q_polynomial, q_result
+from qalt.qpoly import check_lemma22, q_degree, q_polynomial
 
 from conftest import random_braid_diagram
 
@@ -79,8 +79,7 @@ def test_low_degree_law():
     rng = random.Random(1)
     for _ in range(25):
         d = random_braid_diagram(rng, 8, 3)
-        r = q_result(d)
-        assert r.q.low_degree() == 1 - r.diagram_components
+        assert q_polynomial(d).low_degree() == 1 - num_components(d)
 
 
 def test_split_factor():
