@@ -17,9 +17,10 @@ from collections import Counter
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Sequence
+from math import inf
+from typing import Callable, Iterable, Sequence
 
-from .errors import MalformedDiagramError, PDParseError
+from .errors import CrossingLimitError, MalformedDiagramError, PDParseError
 
 Crossing = tuple[int, int, int, int]
 
@@ -34,6 +35,15 @@ def _normalize(t: Crossing) -> Crossing:
 class SmoothingKind(Enum):
     A = "A"  # join a-b and c-d
     B = "B"  # join a-d and b-c
+
+
+def _ends_of(crossings: Sequence[Crossing]) -> dict[int, list[tuple[int, int]]]:
+    """arc -> the two (crossing index, slot) positions where it ends, in scan order."""
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for i, t in enumerate(crossings):
+        for s, a in enumerate(t):
+            ends.setdefault(a, []).append((i, s))
+    return ends
 
 
 class PDDiagram:
@@ -63,11 +73,7 @@ class PDDiagram:
     def ends(self) -> dict[int, list[tuple[int, int]]]:
         """arc -> the two (crossing index, slot) positions where it ends."""
         if self._ends is None:
-            ends: dict[int, list[tuple[int, int]]] = {}
-            for i, t in enumerate(self.crossings):
-                for s, a in enumerate(t):
-                    ends.setdefault(a, []).append((i, s))
-            self._ends = ends
+            self._ends = _ends_of(self.crossings)
         return self._ends
 
     def __len__(self) -> int:
@@ -139,13 +145,21 @@ def _connected_pieces(d: PDDiagram) -> list[list[int]]:
     return pieces
 
 
-def _split_pieces(d: PDDiagram) -> list[PDDiagram]:
-    """The connected pieces of `d` as diagrams without free loops; `[d]`
-    itself when `d` is connected and has no free loops."""
+def _expand(d: PDDiagram, memo: dict, loop, connected: Callable):
+    """`loop` per piece or free loop past the first times `connected(piece,
+    memo)` per connected piece, memoized on `piece.key()`: both skein engines
+    split by Q(A u B) = (2x^-1 - 1) Q(A) Q(B) and <A u B> = delta <A><B>."""
     pieces = _connected_pieces(d)
-    if len(pieces) == 1 and not d.free_loops:
-        return [d]
-    return [PDDiagram([d.crossings[i] for i in piece], 0) for piece in pieces]
+    whole = len(pieces) == 1 and not d.free_loops
+    out = loop ** (len(pieces) + d.free_loops - 1)
+    for piece in pieces:
+        p = d if whole else PDDiagram([d.crossings[i] for i in piece])
+        key = p.key()
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = connected(p, memo)
+        out = out * value
+    return out
 
 
 def _faces(d: PDDiagram):
@@ -174,6 +188,17 @@ def _faces(d: PDDiagram):
     if nfaces != len(d.crossings) + 2 * len(_connected_pieces(d)):
         raise MalformedDiagramError("PD code is not planar: no sphere diagram has it")
     return nfaces, face_of
+
+
+def _admit(d: PDDiagram, max_crossings: float = inf):
+    """`_faces(d)`, after the checks every invariant needs: the empty link and a
+    non-planar code raise MalformedDiagramError, more than `max_crossings`
+    crossings CrossingLimitError."""
+    if not (d.crossings or d.free_loops):
+        raise MalformedDiagramError("the empty link has no invariants")
+    if len(d) > max_crossings:
+        raise CrossingLimitError(f"{len(d)} crossings exceed the bound {max_crossings}")
+    return _faces(d)
 
 
 # Two walks follow strands, and they restart differently once a component
@@ -238,18 +263,16 @@ def _walk_code(d: PDDiagram, start: tuple[int, int]):
 # -- parsing / rendering ----------------------------------------------
 
 _TERM_RE = re.compile(r"([XO])\(([^()]*)\)")
+_PD_RE = re.compile(rf"[;,\s]*(?:{_TERM_RE.pattern}[;,\s]*)+")
 
 
 def parse_pd(text: str) -> PDDiagram:
     """Parse `X(a,b,c,d)` terms (and optional `O(n)` free-loop terms)."""
-    stripped = re.sub(r"[;,\s]", "", re.sub(r"\([^()]*\)", "", text))
-    if stripped and not re.fullmatch(r"[XO]*", stripped):
-        raise PDParseError(f"unexpected tokens in PD text: {text!r}")
+    if not _PD_RE.fullmatch(text):
+        raise PDParseError(f"not a list of X(...)/O(...) terms: {text!r}")
     crossings = []
     loops = 0
-    seen_any = False
     for kind, body in _TERM_RE.findall(text):
-        seen_any = True
         try:
             nums = [int(x) for x in body.split(",")] if body.strip() else []
         except ValueError as e:
@@ -262,8 +285,6 @@ def parse_pd(text: str) -> PDDiagram:
             if len(nums) != 1 or nums[0] < 0:
                 raise PDParseError(f"O-term needs one count >= 0, got O({body})")
             loops += nums[0]
-    if not seen_any:
-        raise PDParseError(f"no X(...)/O(...) terms in {text!r}")
     return PDDiagram(crossings, loops)
 
 
@@ -363,10 +384,7 @@ def _find_r1(crossings: list[Crossing]):
 def _find_r2(crossings: list[Crossing]):
     # two distinct crossings joined by an arc that is over at both ends and
     # another that is under at both ends
-    ends: dict[int, list[tuple[int, int]]] = {}
-    for i, t in enumerate(crossings):
-        for s, a in enumerate(t):
-            ends.setdefault(a, []).append((i, s))
+    ends = _ends_of(crossings)
     for arc, ((c1, s1), (c2, s2)) in ends.items():
         if c1 == c2 or s1 % 2 == 0 or s2 % 2 == 0:
             continue  # want an over-over arc between distinct crossings
@@ -439,33 +457,17 @@ def connected_sum(d1: PDDiagram, d2: PDDiagram, arc1: int, arc2: int) -> PDDiagr
     if arc2 not in d2.ends:
         raise MalformedDiagramError(f"arc {arc2} not in second diagram")
 
-    # shift d2 labels into a fresh range
+    # shift d2 labels into a fresh range; the second end of each cut arc
+    # gets a fresh label
     shift = max(d1.ends) + 1
-    d2_crossings = [tuple(a + shift for a in t) for t in d2.crossings]
-    arc2 += shift
-    # cut: second occurrence of each cut arc gets a fresh label
     fresh1 = shift + max(d2.ends) + 1
     fresh2 = fresh1 + 1
-
-    def cut(crossings, arc, fresh):
-        seen = False
-        out = []
-        for t in crossings:
-            row = []
-            for a in t:
-                if a == arc and seen:
-                    row.append(fresh)
-                elif a == arc:
-                    row.append(a)
-                    seen = True
-                else:
-                    row.append(a)
-            out.append(tuple(row))
-        return out
-
-    part1 = cut(list(d1.crossings), arc1, fresh1)
-    part2 = cut(d2_crossings, arc2, fresh2)
-    fusions = [(arc1, arc2), (fresh1, fresh2)]
+    part1 = [list(t) for t in d1.crossings]
+    part2 = [[a + shift for a in t] for t in d2.crossings]
+    for part, d, arc, fresh in ((part1, d1, arc1, fresh1), (part2, d2, arc2, fresh2)):
+        c, s = d.ends[arc][1]
+        part[c][s] = fresh
+    fusions = [(arc1, arc2 + shift), (fresh1, fresh2)]
     return PDDiagram(*_relabel(part1 + part2, fusions, d1.free_loops + d2.free_loops))
 
 

@@ -10,8 +10,8 @@ V is normalized by (-A)^(-3w) and realized in s = t^(1/2) via t = A^-4.
 det(L) = |V_L(-1)| with t = -1 evaluated exactly as s = i.  A Goeritz-form
 determinant over a checkerboard coloring of the faces (`diagram._faces`) is
 included as an independent cross-check that also handles diagrams beyond the
-bracket's crossing bound.  `kauffman_bracket` rejects a non-planar PD code
-with MalformedDiagramError before it expands anything.
+bracket's crossing bound.  `diagram._admit` rejects the empty link and a
+non-planar PD code with MalformedDiagramError before any engine starts.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from fractions import Fraction
 from .diagram import (
     PDDiagram,
     SmoothingKind,
-    _faces,
+    _admit,
+    _expand,
     _find,
     _reduce_r1_r2,
-    _split_pieces,
     _strands,
-    num_components,
     smooth,
 )
 from .errors import (
@@ -96,9 +95,8 @@ def orient(d: PDDiagram, flips: frozenset[int] | set[int] = frozenset()) -> Orie
 
 def bracket_state_sum(d: PDDiagram) -> IntLaurent:
     """<D> by brute force over all 2^n smoothings (reference oracle)."""
+    _admit(d, JONES_MAX_CROSSINGS)
     n = len(d.crossings)
-    if n > JONES_MAX_CROSSINGS:
-        raise CrossingLimitError(f"{n} crossings exceed the bracket bound")
     total = IntLaurent.zero()
     for state in range(1 << n):
         parent: dict[int, int] = {}
@@ -128,30 +126,18 @@ def _bracket(d: PDDiagram, memo: dict) -> IntLaurent:
     factor = IntLaurent.term(
         -1 if len(kinks) % 2 else 1, sum(-3 if s % 2 else 3 for s in kinks)
     )
-    pieces = _split_pieces(d)
-    parts = len(pieces) + d.free_loops
-    if parts == 0:
-        raise MalformedDiagramError("the empty link has no bracket")
-    out = factor * _LOOP ** (parts - 1)
-    for piece in pieces:
-        out = out * _bracket_connected(piece, memo)
-    return out
+    return factor * _expand(d, memo, _LOOP, _bracket_connected)
 
 
 def _bracket_connected(d: PDDiagram, memo: dict) -> IntLaurent:
-    key = d.key()
-    cached = memo.get(key)
-    if cached is None:
-        a = _bracket(smooth(d, 0, SmoothingKind.A), memo)
-        b = _bracket(smooth(d, 0, SmoothingKind.B), memo)
-        cached = IntLaurent.term(1, 1) * a + IntLaurent.term(1, -1) * b
-        memo[key] = cached
-    return cached
+    a = _bracket(smooth(d, 0, SmoothingKind.A), memo)
+    b = _bracket(smooth(d, 0, SmoothingKind.B), memo)
+    return IntLaurent.term(1, 1) * a + IntLaurent.term(1, -1) * b
 
 
 def kauffman_bracket(d: PDDiagram) -> IntLaurent:
     """<D> as a Laurent polynomial in A (memoized skein engine)."""
-    _faces(d)  # rejects a non-planar code
+    _admit(d)
     return _bracket(d, {})
 
 
@@ -176,8 +162,6 @@ def jones_polynomial(
         raise CrossingLimitError(
             f"{len(base)} crossings exceed the bound {max_crossings}"
         )
-    if num_components(base) == 0:
-        raise MalformedDiagramError("the empty link has no Jones polynomial")
     if od is None:
         od = orient(base)
     return _normalize_bracket(kauffman_bracket(base), od.writhe)
@@ -225,11 +209,9 @@ def determinant_goeritz(d: PDDiagram) -> int:
     0.55 s at 3200; reduced random 4-braids take 0.006 s at 292 crossings
     and 0.1 s at 1152.
     """
-    if num_components(d) == 0:
-        raise MalformedDiagramError("the empty link has no determinant")
+    nfaces, face_of = _admit(d)
     if not d.crossings:
-        return 1 if num_components(d) == 1 else 0
-    nfaces, face_of = _faces(d)
+        return 1 if d.free_loops == 1 else 0
     # a planar diagram has n + 2 faces per piece, so more means split
     if nfaces > len(d.crossings) + 2 or d.free_loops:
         return 0

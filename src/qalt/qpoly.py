@@ -5,7 +5,8 @@ The engine walks a diagram once, switches the crossings that are first
 reached on their understrand until the diagram is descending (hence an
 unlink, Q = (2x^-1 - 1)^(k-1)), and expands the skein relation along that
 chain; the two smoothings at each chain step recurse into strictly smaller
-diagrams.  Split pieces factor through Q(A u B) = (2x^-1 - 1) Q(A) Q(B).
+diagrams.  Split pieces factor through Q(A u B) = (2x^-1 - 1) Q(A) Q(B) in
+`diagram._expand`, which the bracket shares; `diagram._admit` checks input.
 
 The memo is keyed on the exact diagram, `PDDiagram.key()`, and not on a
 relabeling-invariant code.  The exact key cannot collide and costs one
@@ -19,14 +20,14 @@ from __future__ import annotations
 from .diagram import (
     PDDiagram,
     SmoothingKind,
-    _faces,
-    _split_pieces,
+    _admit,
+    _expand,
     _strands,
     simplify,
     smooth,
     switch,
 )
-from .errors import CrossingLimitError, MalformedDiagramError
+from .errors import MalformedDiagramError
 from .poly import IntLaurent
 
 DEFAULT_MAX_CROSSINGS = 14
@@ -42,12 +43,8 @@ def q_polynomial(
 ) -> IntLaurent:
     """Q-polynomial of the link presented by `d`.
 
-    A non-planar PD code raises MalformedDiagramError."""
-    if len(d) > max_crossings:
-        raise CrossingLimitError(
-            f"{len(d)} crossings exceed the bound {max_crossings}"
-        )
-    _faces(d)  # rejects a non-planar code
+    The empty link and a non-planar PD code raise MalformedDiagramError."""
+    _admit(d, max_crossings)
     if memo is None:
         memo = {}
     return _q(d, memo)
@@ -71,23 +68,10 @@ def check_lemma22(
 
 
 def _q(d: PDDiagram, memo: dict) -> IntLaurent:
-    d = simplify(d)
-    pieces = _split_pieces(d)
-    parts = len(pieces) + d.free_loops
-    if parts == 0:
-        raise MalformedDiagramError("the empty link has no Q-polynomial")
-    out = _UNLINK ** (parts - 1)
-    for piece in pieces:
-        out = out * _q_connected(piece, memo)
-    return out
+    return _expand(simplify(d), memo, _UNLINK, _q_connected)
 
 
 def _q_connected(d: PDDiagram, memo: dict) -> IntLaurent:
-    key = d.key()
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-
     # switch the crossings first reached on their understrand, in walk order
     strands = _strands(d)
     seen: set[int] = set()

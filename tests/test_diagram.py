@@ -46,7 +46,9 @@ def test_parse_rejects_bad_multiplicity():
 
 
 def test_parse_rejects_syntax():
-    for bad in ["", "X(1,2,3)", "Y(1,2,3,4)", "X(1,2,3,4,5)", "X(a,b,c,d)"]:
+    # stray tokens before, between or after the terms are not dropped
+    stray = ["X(1,2,2,1)(7)", "(5)X(1,2,2,1)", "X(1,2,2,1)X", "XO(1)"]
+    for bad in ["", "X(1,2,3)", "Y(1,2,3,4)", "X(1,2,3,4,5)", "X(a,b,c,d)"] + stray:
         with pytest.raises((PDParseError, MalformedDiagramError)):
             parse_pd(bad)
 

@@ -248,10 +248,18 @@ def test_crossing_limits():
 
 
 def test_empty_link_errors():
-    with pytest.raises(MalformedDiagramError):
-        jones_polynomial(unlink(0))
-    with pytest.raises(MalformedDiagramError):
-        determinant_goeritz(unlink(0))
+    # every entry point admits its input through one gate, with one message
+    entries = (
+        q_polynomial,
+        kauffman_bracket,
+        jones_polynomial,
+        determinant_goeritz,
+        bracket_state_sum,
+        obstruction_check,
+    )
+    for entry in entries:
+        with pytest.raises(MalformedDiagramError, match="the empty link"):
+            entry(PDDiagram((), 0))
 
 
 def test_non_planar_pd_is_rejected():
@@ -267,6 +275,7 @@ def test_non_planar_pd_is_rejected():
         jones_polynomial,
         obstruction_check,
         determinant_goeritz,
+        bracket_state_sum,
     )
     for diagram in (d, beside):
         for entry in entries:
