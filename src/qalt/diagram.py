@@ -5,6 +5,14 @@ counterclockwise, with the understrand occupying positions 0 and 2 (so the
 strand a--c passes under b--d).  Crossingless unknotted components are
 tracked as a bare count, since smoothing routinely produces them.
 
+A tangle diagram also carries `boundary`, the arc labels where it meets the
+boundary circle of its disk, listed counterclockwise from a base point; its
+position p is the index in that tuple.  Every label occurs exactly twice among
+the crossings and the boundary, so an arc that runs from boundary to boundary
+without a crossing sits in the boundary twice.  A link has the empty
+boundary.  `key()`, `smooth`, `switch` and `simplify` keep the boundary, and
+`_strands` walks each arc from its lower position.
+
 Smoothings carry neutral labels: kind A joins a-b and c-d, kind B joins
 a-d and b-c.  At any crossing one of the two merges link components and the
 other splits one.
@@ -37,21 +45,32 @@ class SmoothingKind(Enum):
     B = "B"  # join a-d and b-c
 
 
-def _ends_of(crossings: Sequence[Crossing]) -> dict[int, list[tuple[int, int]]]:
-    """arc -> the two (crossing index, slot) positions where it ends, in scan order."""
+def _ends_of(
+    crossings: Sequence[Crossing], boundary: Sequence[int] = ()
+) -> dict[int, list[tuple[int, int]]]:
+    """arc -> the two (crossing index, slot) positions where it ends, in scan
+    order; an end at boundary position p is (-1, p), after the crossing ends."""
     ends: dict[int, list[tuple[int, int]]] = {}
     for i, t in enumerate(crossings):
         for s, a in enumerate(t):
             ends.setdefault(a, []).append((i, s))
+    for p, a in enumerate(boundary):
+        ends.setdefault(a, []).append((-1, p))
     return ends
 
 
 class PDDiagram:
-    """Immutable planar diagram: crossing tuples plus a free-loop count."""
+    """Immutable planar diagram: crossing tuples, a free-loop count and, for a
+    tangle, its boundary labels."""
 
-    __slots__ = ("crossings", "free_loops", "_ends")
+    __slots__ = ("crossings", "free_loops", "boundary", "_ends")
 
-    def __init__(self, crossings: Iterable[Sequence[int]], free_loops: int = 0):
+    def __init__(
+        self,
+        crossings: Iterable[Sequence[int]],
+        free_loops: int = 0,
+        boundary: Sequence[int] = (),
+    ):
         # rotating a tuple by two is the same crossing; store the smaller form
         self.crossings: tuple[Crossing, ...] = tuple(
             _normalize(tuple(map(int, t))) for t in crossings
@@ -59,7 +78,8 @@ class PDDiagram:
         self.free_loops = int(free_loops)
         if self.free_loops < 0:
             raise MalformedDiagramError("negative free loop count")
-        counts = Counter(chain.from_iterable(self.crossings))
+        self.boundary: tuple[int, ...] = tuple(map(int, boundary))
+        counts = Counter(chain(self.boundary, *self.crossings))
         bad = sorted(a for a, n in counts.items() if n != 2)
         if bad:
             raise MalformedDiagramError(
@@ -73,19 +93,20 @@ class PDDiagram:
     def ends(self) -> dict[int, list[tuple[int, int]]]:
         """arc -> the two (crossing index, slot) positions where it ends."""
         if self._ends is None:
-            self._ends = _ends_of(self.crossings)
+            self._ends = _ends_of(self.crossings, self.boundary)
         return self._ends
 
     def __len__(self) -> int:
         return len(self.crossings)
 
-    def key(self) -> tuple[tuple[Crossing, ...], int]:
-        """(crossings, free loops): equal exactly when the diagrams are equal.
+    def key(self) -> tuple[tuple[Crossing, ...], int, tuple[int, ...]]:
+        """(crossings, free loops, boundary): equal exactly when the diagrams
+        are equal.
 
         The skein engines memoize on this rather than on the diagram itself,
         so a memo keeps no diagram's `ends` table alive.
         """
-        return self.crossings, self.free_loops
+        return self.crossings, self.free_loops, self.boundary
 
     def __eq__(self, other):
         if not isinstance(other, PDDiagram):
@@ -99,7 +120,8 @@ class PDDiagram:
         return f"PDDiagram({render_pd(self)!r})"
 
     def next_end(self, crossing: int, slot: int) -> tuple[int, int]:
-        """Follow the strand through a crossing: entry (c, s) -> next entry."""
+        """Follow the strand through a crossing: entry (c, s) -> next entry,
+        or (-1, p) where it reaches boundary position p."""
         exit_slot = (slot + 2) % 4
         arc = self.crossings[crossing][exit_slot]
         e1, e2 = self.ends[arc]
@@ -148,12 +170,13 @@ def _connected_pieces(d: PDDiagram) -> list[list[int]]:
 def _expand(d: PDDiagram, memo: dict, loop, connected: Callable):
     """`loop` per piece or free loop past the first times `connected(piece,
     memo)` per connected piece, memoized on `piece.key()`: both skein engines
-    split by Q(A u B) = (2x^-1 - 1) Q(A) Q(B) and <A u B> = delta <A><B>."""
-    pieces = _connected_pieces(d)
+    split by Q(A u B) = (2x^-1 - 1) Q(A) Q(B) and <A u B> = delta <A><B>.
+    A tangle is one piece with its free loops split off."""
+    pieces = [range(len(d))] if d.boundary else _connected_pieces(d)
     whole = len(pieces) == 1 and not d.free_loops
     out = loop ** (len(pieces) + d.free_loops - 1)
     for piece in pieces:
-        p = d if whole else PDDiagram([d.crossings[i] for i in piece])
+        p = d if whole else PDDiagram([d.crossings[i] for i in piece], 0, d.boundary)
         key = p.key()
         value = memo.get(key)
         if value is None:
@@ -210,13 +233,31 @@ def _admit(d: PDDiagram, max_crossings: float = inf):
 
 
 def _strands(d: PDDiagram) -> list[list[tuple[int, int]]]:
-    """Each link component of `d` as its list of passes (crossing, entry slot).
+    """Each arc of a tangle, then each closed component of `d`, as its list
+    of passes (crossing, entry slot).
 
-    A component starts at the lowest crossing that still has an unwalked
-    pass, on the over pass (slot 1) before the under pass (slot 0).
+    An arc is walked from its lower boundary position p to its upper one q,
+    the arcs in the order of p, and its list starts with (-1, p) and ends
+    with (-1, q).  A closed component starts at the lowest crossing that
+    still has an unwalked pass, on the over pass (slot 1) before the under
+    pass (slot 0).
     """
     walked = [[False, False] for _ in d.crossings]  # [under, over] per crossing
     strands = []
+    upper: set[int] = set()
+    for p, a in enumerate(d.boundary):
+        if p in upper:
+            continue
+        e1, e2 = d.ends[a]
+        strand = [(-1, p)]
+        c, s = e2 if e1 == (-1, p) else e1
+        while c >= 0:
+            walked[c][s % 2] = True
+            strand.append((c, s))
+            c, s = d.next_end(c, s)
+        strand.append((c, s))
+        upper.add(s)
+        strands.append(strand)
     for c0 in range(len(d.crossings)):
         for s0 in (1, 0):
             strand = []
@@ -312,13 +353,18 @@ def num_components(d: PDDiagram) -> int:
 
 
 def _relabel(
-    kept: list[Crossing], fusions: list[tuple[int, int]], loops: int
-) -> tuple[list[Crossing], int]:
-    """Kept crossings after arc fusions, and the new free-loop count.
+    kept: list[Crossing],
+    fusions: list[tuple[int, int]],
+    loops: int,
+    boundary: Sequence[int] = (),
+) -> tuple[list[Crossing], int, tuple[int, ...]]:
+    """Kept crossings after arc fusions, the new free-loop count and the
+    boundary relabeled.
 
     Fusing two ends of the same (possibly merged) arc closes a circle and
     increments the free-loop count; arc labels are then renumbered densely
-    in order of first appearance, and each tuple is normalized.
+    in order of first appearance, crossings before the boundary, and each
+    tuple is normalized.
     """
     parent: dict[int, int] = {}
     for x, y in fusions:
@@ -340,7 +386,8 @@ def _relabel(
                 label = relabel[r] = len(relabel) + 1
             out.append(label)
         new.append(_normalize(tuple(out)))
-    return new, loops
+    boundary = tuple(relabel.setdefault(root.get(a, a), len(relabel) + 1) for a in boundary)
+    return new, loops, boundary
 
 
 # -- structural moves ---------------------------------------------------
@@ -353,7 +400,7 @@ def smooth(d: PDDiagram, crossing_index: int, kind: SmoothingKind) -> PDDiagram:
     a, b, c, e = d.crossings[crossing_index]
     pairs = [(a, b), (c, e)] if kind is SmoothingKind.A else [(a, e), (b, c)]
     kept = [t for i, t in enumerate(d.crossings) if i != crossing_index]
-    return PDDiagram(*_relabel(kept, pairs, d.free_loops))
+    return PDDiagram(*_relabel(kept, pairs, d.free_loops, d.boundary))
 
 
 def switch(d: PDDiagram, crossing_index: int) -> PDDiagram:
@@ -363,7 +410,7 @@ def switch(d: PDDiagram, crossing_index: int) -> PDDiagram:
     new = list(d.crossings)
     a, b, c, e = new[crossing_index]
     new[crossing_index] = (b, c, e, a)
-    return PDDiagram(new, d.free_loops)
+    return PDDiagram(new, d.free_loops, d.boundary)
 
 
 def mirror(d: PDDiagram) -> PDDiagram:
@@ -385,7 +432,10 @@ def _find_r2(crossings: list[Crossing]):
     # two distinct crossings joined by an arc that is over at both ends and
     # another that is under at both ends
     ends = _ends_of(crossings)
-    for arc, ((c1, s1), (c2, s2)) in ends.items():
+    for arc, arc_ends in ends.items():
+        if len(arc_ends) < 2:
+            continue  # the arc runs to a tangle's boundary
+        (c1, s1), (c2, s2) = arc_ends
         if c1 == c2 or s1 % 2 == 0 or s2 % 2 == 0:
             continue  # want an over-over arc between distinct crossings
         for arc2 in set(crossings[c1]) & set(crossings[c2]):
@@ -405,7 +455,7 @@ def _reduce_r1_r2(d: PDDiagram) -> tuple[PDDiagram, list[int]]:
     work on crossing tuples; one diagram is built at the end, and `d` itself
     is returned when no move applies.
     """
-    crossings, loops = list(d.crossings), d.free_loops
+    crossings, loops, boundary = list(d.crossings), d.free_loops, d.boundary
     kinks: list[int] = []
     moved = False
     while True:
@@ -417,7 +467,7 @@ def _reduce_r1_r2(d: PDDiagram) -> tuple[PDDiagram, list[int]]:
             # fuse the two slots the loop arc does not occupy
             x, y = t[(s + 2) % 4], t[(s + 3) % 4]
             del crossings[i]
-            crossings, loops = _relabel(crossings, [(x, y)], loops)
+            crossings, loops, boundary = _relabel(crossings, [(x, y)], loops, boundary)
             moved = True
             continue
         r2 = _find_r2(crossings)
@@ -433,10 +483,10 @@ def _reduce_r1_r2(d: PDDiagram) -> tuple[PDDiagram, list[int]]:
                 fusions.append((over_arc, over_pair[0]))
                 fusions.append((under_arc, under_pair[0]))
             kept = [t for j, t in enumerate(crossings) if j not in (c1, c2)]
-            crossings, loops = _relabel(kept, fusions, loops)
+            crossings, loops, boundary = _relabel(kept, fusions, loops, boundary)
             moved = True
             continue
-        return (PDDiagram(crossings, loops) if moved else d), kinks
+        return (PDDiagram(crossings, loops, boundary) if moved else d), kinks
 
 
 def simplify(d: PDDiagram) -> PDDiagram:

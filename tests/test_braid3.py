@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -23,6 +24,7 @@ from qalt.diagram import close_braid
 from qalt.errors import HypothesisViolationError, MalformedDiagramError, PDParseError
 from qalt.jones import determinant, determinant_goeritz, jones_polynomial
 from qalt.poly import HalfLaurent, IntLaurent, eval_at_s_equals_i
+from qalt.qpoly import q_degree
 
 
 def eval_minus1(p: IntLaurent) -> int:
@@ -204,6 +206,39 @@ def test_baldwin_classification():
     assert baldwin_is_qa(B3NormalForm.family3(0, -1))
     assert baldwin_is_qa(B3NormalForm.family3(1, -3))
     assert not baldwin_is_qa(B3NormalForm.family3(2, -3))
+
+
+def _baldwin_box():
+    """Family 1 with |n| <= 2 and one or two syllables of exponents 1..4 or
+    three of exponents 1..2, family 2 with |n| <= 2 and |m| <= 6, family 3
+    with |n| <= 2: 1760 forms of up to 28 crossings."""
+    for n in range(-2, 3):
+        for syllables, top in ((1, 4), (2, 4), (3, 2)):
+            for ex in product(range(1, top + 1), repeat=2 * syllables):
+                yield B3NormalForm.family1(n, zip(ex[::2], ex[1::2]))
+        for m in range(-6, 7):
+            yield B3NormalForm.family2(n, m)
+        for m in (-1, -2, -3):
+            yield B3NormalForm.family3(n, m)
+
+
+def test_quasi_alternating_closed_3_braids_satisfy_the_obstruction():
+    # Baldwin (J. Topology 1, 2008) classifies the quasi-alternating closed
+    # 3-braids; the paper's theorem then gives deg Q < det on each of them
+    qa = caught = 0
+    for nf in _baldwin_box():
+        d = close_braid(to_word(nf))
+        det = determinant_goeritz(d)
+        if nf.family == 1:
+            assert det == det_formula(nf), nf
+        deg = q_degree(d, 64)
+        if baldwin_is_qa(nf):
+            qa += 1
+            assert deg < det, nf
+        else:
+            caught += deg >= det
+    assert qa == 1020
+    assert caught == 110  # non-QA forms the obstruction rules out
 
 
 def test_crossing_upper_bound():

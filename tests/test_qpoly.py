@@ -4,7 +4,11 @@ from fractions import Fraction
 import pytest
 
 from qalt.diagram import (
+    PDDiagram,
     SmoothingKind,
+    _connected_pieces,
+    _faces,
+    _relabel,
     close_braid,
     connected_sum,
     figure_eight,
@@ -13,6 +17,7 @@ from qalt.diagram import (
     mirror,
     num_components,
     parse_pd,
+    simplify,
     smooth,
     switch,
     trefoil,
@@ -21,7 +26,17 @@ from qalt.diagram import (
 from qalt.errors import CrossingLimitError, MalformedDiagramError
 from qalt.jones import determinant_goeritz
 from qalt.poly import IntLaurent
-from qalt.qpoly import check_lemma22, q_degree, q_polynomial
+from qalt.qpoly import (
+    SWEEP_WIDTH,
+    _basis,
+    _chain,
+    _q,
+    _sweep,
+    _sweep_steps,
+    check_lemma22,
+    q_degree,
+    q_polynomial,
+)
 
 from conftest import random_braid_diagram
 
@@ -137,15 +152,79 @@ def test_pretzel_degrees():
     assert q_degree(generate_pretzel([5, 4, -3])) == 10
 
 
-def test_memo_key_does_not_collide():
-    # (s1 s2^-1)^8 is a knot; a relabeling-invariant memo key that merged
-    # distinct subdiagrams gave Q(-2) = -863 here
-    d = close_braid([1, -2] * 8, 3)
-    q = q_polynomial(d, 16)
+@pytest.mark.parametrize("k", [8, 13, 50])
+def test_memo_key_does_not_collide(k):
+    # (s1 s2^-1)^k is an alternating knot of 2k crossings; at k = 8 a
+    # relabeling-invariant memo key that merged distinct subdiagrams gave
+    # Q(-2) = -863
+    d = close_braid([1, -2] * k, 3)
+    q = q_polynomial(d, 2 * k)
+    assert q.degree() == 2 * k - 1
+    assert _evaluations(q) == (1, 1, determinant_goeritz(d) ** 2)
 
-    def at(x):
-        return sum(Fraction(x) ** e * v for e, v in q.items())
 
-    assert at(1) == 1
-    assert at(-2) == 1
-    assert at(2) == determinant_goeritz(d) ** 2
+def _evaluations(q):
+    """Q(1), Q(-2) and Q(2): 1, (-2)^(c-1) and det^2 on a c-component link."""
+    return tuple(sum(Fraction(x) ** e * v for e, v in q.items()) for x in (1, -2, 2))
+
+
+def _matchings(points):
+    """Every perfect matching of `points`, as pairs (p, q), p < q, in order of p."""
+    if not points:
+        yield ()
+        return
+    p, rest = points[0], points[1:]
+    for k, q in enumerate(rest):
+        for m in _matchings(rest[:k] + rest[k + 1 :]):
+            yield ((p, q),) + m
+
+
+@pytest.mark.parametrize("width", [2, 4, 6, 8])
+def test_basis_tangles_evaluate_to_their_unit_vectors(width):
+    matchings = list(_matchings(tuple(range(width))))
+    assert len(matchings) == {2: 1, 4: 3, 6: 15, 8: 105}[width]
+    for m in matchings:
+        crossings, boundary = _basis(width, m)
+        assert _q(PDDiagram(crossings, 0, boundary), {}) == {m: 1}
+        # capped outside its disk, the drawing is a planar link diagram
+        caps = list(zip(boundary[::2], boundary[1::2]))
+        _faces(PDDiagram(*_relabel(crossings, caps, 0)))
+
+
+def _sweep_cases():
+    """Seeded 2-6-strand closures, pretzels and connected sums of them."""
+    rng = random.Random(8)
+    for _ in range(60):
+        yield random_braid_diagram(rng, 14, rng.randint(2, 5))
+    for _ in range(15):
+        entries = (-4, -3, -2, -1, 1, 2, 3, 4)
+        yield generate_pretzel([rng.choice(entries) for _ in range(rng.randint(2, 5))])
+    for _ in range(15):
+        d1 = random_braid_diagram(rng, 8, rng.randint(2, 4))
+        d2 = generate_pretzel([rng.choice((-3, -2, 2, 3)) for _ in range(3)])
+        if d1.crossings:
+            yield connected_sum(d1, d2, rng.choice(sorted(d1.ends)), rng.choice(sorted(d2.ends)))
+    # alternating 6-strand closures: their frontier outgrows the cap
+    for k in (2, 3):
+        yield close_braid([1, -2, 3, -4, 5] * k, 6)
+        yield close_braid([1, 3, 5, -2, -4] * k, 6)
+
+
+def test_sweep_equals_the_switch_chain():
+    swept = wide = 0
+    for d in _sweep_cases():
+        q = q_polynomial(d, 64)
+        assert _evaluations(q) == (
+            1, (-2) ** (num_components(d) - 1), determinant_goeritz(d) ** 2
+        )
+        d = simplify(d)
+        for piece in _connected_pieces(d):
+            p = PDDiagram([d.crossings[i] for i in piece])
+            steps = _sweep_steps(p)
+            if steps is None:
+                wide += 1
+            else:
+                swept += 1
+                assert max(width for width, _ in steps) <= SWEEP_WIDTH
+                assert _sweep(steps) == _chain(p, {}), p
+    assert swept > 50 and wide >= 4
