@@ -10,7 +10,7 @@ boundary circle of its disk, listed counterclockwise from a base point; its
 position p is the index in that tuple.  Every label occurs exactly twice among
 the crossings and the boundary, so an arc that runs from boundary to boundary
 without a crossing sits in the boundary twice.  A link has the empty
-boundary.  `key()`, `smooth`, `switch` and `simplify` keep the boundary, and
+boundary.  `key()`, `smooth`, `switch`, `mirror` and `simplify` keep it, and
 `_strands` walks each arc from its lower position.
 
 Smoothings carry neutral labels: kind A joins a-b and c-d, kind B joins
@@ -23,12 +23,14 @@ from __future__ import annotations
 import re
 from collections import Counter
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations, count
 from math import inf
 from typing import Callable, Iterable, Sequence
 
 from .errors import CrossingLimitError, MalformedDiagramError, PDParseError
+from .poly import IntLaurent
 
 Crossing = tuple[int, int, int, int]
 
@@ -117,6 +119,8 @@ class PDDiagram:
         return hash(self.key())
 
     def __repr__(self):
+        if self.boundary:
+            return f"PDDiagram({list(self.crossings)}, {self.free_loops}, {self.boundary})"
         return f"PDDiagram({render_pd(self)!r})"
 
     def next_end(self, crossing: int, slot: int) -> tuple[int, int]:
@@ -167,21 +171,24 @@ def _connected_pieces(d: PDDiagram) -> list[list[int]]:
     return pieces
 
 
-def _expand(d: PDDiagram, memo: dict, loop, connected: Callable):
-    """`loop` per piece or free loop past the first times `connected(piece,
-    memo)` per connected piece, memoized on `piece.key()`: both skein engines
-    split by Q(A u B) = (2x^-1 - 1) Q(A) Q(B) and <A u B> = delta <A><B>.
-    A tangle is one piece with its free loops split off."""
+def _expand(d: PDDiagram, memo: dict, loop, transition: Callable, recursion: Callable):
+    """The `_Vector` of `d` by Q(A u B) = (2x^-1 - 1) Q(A) Q(B) and
+    <A u B> = delta <A><B>: `loop` per piece or free loop past the first times
+    each connected piece's value, memoized on `piece.key()`.  A link piece is
+    swept with `transition`; a tangle (one piece, free loops split off) and a
+    link piece wider than SWEEP_WIDTH go to `recursion(piece, memo)`."""
     pieces = [range(len(d))] if d.boundary else _connected_pieces(d)
     whole = len(pieces) == 1 and not d.free_loops
-    out = loop ** (len(pieces) + d.free_loops - 1)
+    out = _Vector({(): loop ** (len(pieces) + d.free_loops - 1)})
     for piece in pieces:
         p = d if whole else PDDiagram([d.crossings[i] for i in piece], 0, d.boundary)
         key = p.key()
         value = memo.get(key)
         if value is None:
-            value = memo[key] = connected(p, memo)
-        out = out * value
+            steps = None if p.boundary else _sweep_steps(p)
+            value = recursion(p, memo) if steps is None else _sweep(steps, transition)
+            memo[key] = value
+        out = value * out
     return out
 
 
@@ -222,6 +229,148 @@ def _admit(d: PDDiagram, max_crossings: float = inf):
     if len(d) > max_crossings:
         raise CrossingLimitError(f"{len(d)} crossings exceed the bound {max_crossings}")
     return _faces(d)
+
+
+# -- the frontier sweep ----------------------------------------------------
+
+# The widest frontier the sweep keeps: (2k-1)!! descending and Catalan(k)
+# crossingless matchings at width 2k, 105 and 14 at 8.  No link piece of
+# qaltbench's corpora is wider; 15 of qa_scan's reach 8, for Q and the bracket.
+SWEEP_WIDTH = 8
+
+_ONE = IntLaurent.const(1)
+
+
+class _Vector(dict):
+    """{matching: coefficient}: an invariant of a tangle over a basis with one
+    tangle per matching of its boundary positions, the tuple of its pairs
+    (p, q), p < q, in order of p: the descending tangles for Q, the
+    crossingless ones for the bracket.  A link's one matching is ()."""
+
+    def __mul__(self, link: _Vector) -> _Vector:
+        return _Vector({m: c * link[()] for m, c in self.items()})
+
+
+def _run(frontier: list[int], t) -> tuple[int, int, int] | None:
+    """(i, r, s) when slots s, ..., s+r-1 of crossing `t` are its slots on
+    the frontier and meet it at positions i+r-1, ..., i (mod its width), r >= 1;
+    None when no such run exists.  The empty frontier gives (0, 0, 0)."""
+    w = len(frontier)
+    if not w:
+        return 0, 0, 0
+    on = [a in frontier for a in t]
+    r = sum(on)
+    for s in range(4):
+        if on[s] and (r == 4 or not on[s - 1]) and all(on[(s + j) % 4] for j in range(r)):
+            i = frontier.index(t[(s + r - 1) % 4])
+            if all(frontier[(i + k) % w] == t[(s + r - 1 - k) % 4] for k in range(r)):
+                return i, r, s
+    return None
+
+
+def _sweep_steps(d: PDDiagram) -> list[tuple[int, tuple]] | None:
+    """The steps that absorb the connected link diagram `d` into a disk, as
+    (width, glue) arguments of a transition; None when the frontier would
+    grow wider than SWEEP_WIDTH points or no crossing can be absorbed.  The
+    next crossing is the first in PD order whose arcs to the disk meet its
+    boundary, the frontier, in one run, in the reverse of its slot order; two
+    adjacent frontier points with the same label (a kink) are capped at once."""
+    frontier: list[int] = []  # arc labels on the disk's boundary, counterclockwise
+    left = list(range(len(d.crossings)))
+    steps = []
+    while left:
+        for x in left:
+            run = _run(frontier, d.crossings[x])
+            if run is not None:
+                break
+        else:
+            return None
+        i, r, s = run
+        w = len(frontier)
+        if w + 4 - 2 * r > SWEEP_WIDTH:
+            return None
+        steps.append((w, (i, r, s % 2)))
+        t = d.crossings[x]
+        exposed = [t[(s + j) % 4] for j in range(r, 4)]
+        frontier = frontier[max(0, i + r - w) : i] + exposed + frontier[i + r :]
+        left.remove(x)
+        while True:
+            w = len(frontier)
+            i = next((i for i in range(w) if frontier[i] == frontier[(i + 1) % w]), None)
+            if i is None:
+                break
+            steps.append((w, (i, 2, None)))
+            frontier = frontier[max(0, i + 2 - w) : i] + frontier[i + 2 :]
+    return steps
+
+
+def _sweep(steps: list[tuple[int, tuple]], transition: Callable) -> _Vector:
+    """The value of a swept link piece: the state is that of the tangle in the
+    disk, and a step maps each basis tangle to the engine's cached value of
+    `_glued(width, matching, glue)`, `transition(width, matching, glue)`."""
+    state = {(): _ONE}  # the empty disk
+    for width, glue in steps:
+        new: dict = {}
+        for m, c in state.items():
+            for m2, e in transition(width, m, glue).items():
+                new[m2] = new.get(m2, 0) + c * e
+        state = {m: c for m, c in new.items() if c}
+    return _Vector(state)
+
+
+def _basis(width: int, matching) -> tuple[list[Crossing], list[int]]:
+    """Crossings and boundary of the descending tangle of `matching` on
+    `width` points; a noncrossing matching gives a crossingless tangle.
+
+    The points sit at 0, ..., width-1 on the boundary line of the upper
+    half-plane, which runs counterclockwise, and each pair (p, q) is the
+    semicircle over [p, q], walked from p.  The semicircles over [p, q] and
+    [r, t], p < r < q < t, meet once, at abscissa x = (rt - pq)/(r + t - p - q),
+    where the first passes over; counterclockwise there come the under arc
+    in, the over arc out, the under arc out and the over arc in.  Ordered by
+    the exact x, no two crossings on one chord tie for 8 points or fewer.
+    """
+    on: dict = {pair: [] for pair in matching}  # pair -> (x, crossing, slots)
+    k = 0
+    for (p, q), (r, t) in combinations(matching, 2):  # p < r
+        if r < q < t:
+            x = Fraction(r * t - p * q, r + t - p - q)
+            on[(p, q)].append((x, k, (3, 1)))  # over: enters at slot 3, leaves at 1
+            on[(r, t)].append((x, k, (0, 2)))  # under: enters at slot 0, leaves at 2
+            k += 1
+    crossings = [[0] * 4 for _ in range(k)]
+    boundary = [0] * width
+    label = count(1)
+    for (p, q), meets in on.items():
+        arc = boundary[p] = next(label)
+        for _x, k, (enter, leave) in sorted(meets):
+            crossings[k][enter] = arc
+            arc = crossings[k][leave] = next(label)
+        boundary[q] = arc
+    return [tuple(t) for t in crossings], boundary
+
+
+def _glued(width: int, matching, glue) -> PDDiagram:
+    """The basis tangle of `matching` on `width` points glued to one crossing
+    or one cap, with the new frontier as its boundary.  `glue` (i, r, s): a
+    crossing whose slots s, ..., s+r-1 meet positions i+r-1, ..., i (mod
+    width), its other slots becoming new positions in their place, in slot
+    order.  (i, 2, None): a cap joining positions i and i+1 (mod width)."""
+    crossings, boundary = _basis(width, matching)
+    i, r, s = glue
+    run = [boundary[(i + k) % width] for k in range(r)]
+    if s is None:
+        exposed, fusions = [], [tuple(run)]
+    else:
+        fresh = max(boundary, default=0) + 1  # the last chord ends on the largest label
+        exposed = list(range(fresh, fresh + 4 - r))
+        t = [0] * 4
+        for j in range(4):
+            t[(s + j) % 4] = run[r - 1 - j] if j < r else exposed[j - r]
+        crossings.append(tuple(t))
+        fusions = []
+    new = boundary[max(0, i + r - width) : i] + exposed + boundary[i + r :]
+    return PDDiagram(*_relabel(crossings, fusions, 0, new))
 
 
 # Two walks follow strands, and they restart differently once a component
@@ -330,6 +479,9 @@ def parse_pd(text: str) -> PDDiagram:
 
 
 def render_pd(d: PDDiagram) -> str:
+    """PD text of a link; a tangle has no PD text and raises MalformedDiagramError."""
+    if d.boundary:
+        raise MalformedDiagramError("a tangle has no PD text")
     parts = [f"X({a},{b},{c},{e})" for a, b, c, e in d.crossings]
     if d.free_loops:
         parts.append(f"O({d.free_loops})")
@@ -415,9 +567,7 @@ def switch(d: PDDiagram, crossing_index: int) -> PDDiagram:
 
 def mirror(d: PDDiagram) -> PDDiagram:
     """Exchange over/under at every crossing."""
-    return PDDiagram(
-        [(b, c, e, a) for a, b, c, e in d.crossings], d.free_loops
-    )
+    return PDDiagram([(b, c, e, a) for a, b, c, e in d.crossings], d.free_loops, d.boundary)
 
 
 def _find_r1(crossings: list[Crossing]):
@@ -447,22 +597,23 @@ def _find_r2(crossings: list[Crossing]):
     return None
 
 
-def _reduce_r1_r2(d: PDDiagram) -> tuple[PDDiagram, list[int]]:
+def simplify(d: PDDiagram) -> PDDiagram:
     """Remove Reidemeister-I kinks and Reidemeister-II bigons until none remain.
 
-    Returns the reduced diagram and, per removed kink in removal order, the
-    slot s such that the kink's loop arc occupies slots s and s+1.  The moves
-    work on crossing tuples; one diagram is built at the end, and `d` itself
-    is returned when no move applies.
+    The R2 step removes any two crossings joined by an over-over and an
+    under-under arc, also when the two arcs bound no face: such a clasp is a
+    full twist around a 1-1 summand, and removing it is an isotopy that
+    changes the writhe by +-2.  So the output keeps the link type, Q and det,
+    but not the framing: the Kauffman bracket and the writhe must not be
+    computed on it.  The moves work on crossing tuples; one diagram is built
+    at the end, and `d` itself is returned when no move applies.
     """
     crossings, loops, boundary = list(d.crossings), d.free_loops, d.boundary
-    kinks: list[int] = []
     moved = False
     while True:
         r1 = _find_r1(crossings)
         if r1 is not None:
             i, s = r1
-            kinks.append(s)
             t = crossings[i]
             # fuse the two slots the loop arc does not occupy
             x, y = t[(s + 2) % 4], t[(s + 3) % 4]
@@ -486,12 +637,7 @@ def _reduce_r1_r2(d: PDDiagram) -> tuple[PDDiagram, list[int]]:
             crossings, loops, boundary = _relabel(kept, fusions, loops, boundary)
             moved = True
             continue
-        return (PDDiagram(crossings, loops, boundary) if moved else d), kinks
-
-
-def simplify(d: PDDiagram) -> PDDiagram:
-    """Remove Reidemeister-I kinks and Reidemeister-II bigons until none remain."""
-    return _reduce_r1_r2(d)[0]
+        return PDDiagram(crossings, loops, boundary) if moved else d
 
 
 def connected_sum(d1: PDDiagram, d2: PDDiagram, arc1: int, arc2: int) -> PDDiagram:

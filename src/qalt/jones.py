@@ -2,9 +2,13 @@
 deg Q < det obstruction verdict.
 
 The bracket is computed two ways: a literal 2^n state sum (the reference
-oracle) and a memoized two-way skein recursion on the R1/R2 reduction of
-`diagram.py`, each removed kink a factor -A^{+-3} (the default engine;
-equal to the state sum, just fast enough for grid scans).
+oracle) and, by default, the frontier sweep of `diagram.py` that Q shares,
+over the Catalan(k) crossingless matchings of 2k points (Temperley-Lieb;
+Makowsky and Marino 2003).  `_transition` is the bracket of a crossingless
+tangle glued to one crossing or one cap; the tangle engine `_smoothing`
+expands <D> = A <D_A> + A^-1 <D_B> at the first crossing, as does a piece
+wider than SWEEP_WIDTH.  The engine sees the diagram as given: the kinks and
+clasps that `diagram.simplify` removes change the writhe.
 V is normalized by (-A)^(-3w) and realized in s = t^(1/2) via t = A^-4.
 
 det(L) = |V_L(-1)| with t = -1 evaluated exactly as s = i.  A Goeritz-form
@@ -18,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import inf
 
 from .diagram import (
     PDDiagram,
@@ -25,15 +31,13 @@ from .diagram import (
     _admit,
     _expand,
     _find,
-    _reduce_r1_r2,
+    _ONE,
+    _glued,
     _strands,
+    _Vector,
     smooth,
 )
-from .errors import (
-    CrossingLimitError,
-    InternalConsistencyError,
-    MalformedDiagramError,
-)
+from .errors import InternalConsistencyError, MalformedDiagramError
 from .intmat import int_det
 from .poly import HalfLaurent, IntLaurent, breadth_t, eval_at_s_equals_i
 from .qpoly import DEFAULT_MAX_CROSSINGS, q_degree
@@ -41,6 +45,8 @@ from .qpoly import DEFAULT_MAX_CROSSINGS, q_degree
 JONES_MAX_CROSSINGS = 16
 
 _LOOP = IntLaurent({2: -1, -2: -1})  # delta = -A^2 - A^-2
+_A = IntLaurent.term(1, 1)
+_A_INV = IntLaurent.term(1, -1)
 
 
 # -- orientation --------------------------------------------------------
@@ -119,26 +125,35 @@ def bracket_state_sum(d: PDDiagram) -> IntLaurent:
     return total
 
 
-def _bracket(d: PDDiagram, memo: dict) -> IntLaurent:
-    d, kinks = _reduce_r1_r2(d)
-    # a kink's loop arc at slots {0,1}/{2,3} closes under the A-smoothing,
-    # giving -A^3; at {1,2}/{3,0} it closes under B, giving -A^-3
-    factor = IntLaurent.term(
-        -1 if len(kinks) % 2 else 1, sum(-3 if s % 2 else 3 for s in kinks)
-    )
-    return factor * _expand(d, memo, _LOOP, _bracket_connected)
+def _bracket(d: PDDiagram, memo: dict) -> _Vector:
+    return _expand(d, memo, _LOOP, _transition, _smoothing)
 
 
-def _bracket_connected(d: PDDiagram, memo: dict) -> IntLaurent:
+def _smoothing(d: PDDiagram, memo: dict) -> _Vector:
+    """<d> over the crossingless basis by smoothing its first crossing; a
+    crossingless tangle (`_expand` splits off free loops) is the unit vector
+    of its matching."""
+    if not d.crossings:
+        return _Vector({tuple((s[0][1], s[-1][1]) for s in _strands(d)): _ONE})
     a = _bracket(smooth(d, 0, SmoothingKind.A), memo)
     b = _bracket(smooth(d, 0, SmoothingKind.B), memo)
-    return IntLaurent.term(1, 1) * a + IntLaurent.term(1, -1) * b
+    return _Vector(
+        (m, v) for m in {*a, *b} if (v := _A * a.get(m, 0) + _A_INV * b.get(m, 0))
+    )
 
 
-def kauffman_bracket(d: PDDiagram) -> IntLaurent:
-    """<D> as a Laurent polynomial in A (memoized skein engine)."""
-    _admit(d)
-    return _bracket(d, {})
+@lru_cache(maxsize=None)
+def _transition(width: int, matching, glue) -> _Vector:
+    """<`diagram._glued(width, matching, glue)`> over the crossingless basis of
+    the new frontier; callers share each vector and only read it."""
+    return _bracket(_glued(width, matching, glue), {})
+
+
+def kauffman_bracket(d: PDDiagram, max_crossings: float = inf) -> IntLaurent:
+    """<D> as a Laurent polynomial in A, by the frontier sweep; more than
+    `max_crossings` crossings raise CrossingLimitError."""
+    _admit(d, max_crossings)
+    return _bracket(d, {})[()]
 
 
 def _normalize_bracket(bracket: IntLaurent, writhe: int) -> HalfLaurent:
@@ -156,15 +171,9 @@ def jones_polynomial(
     d: PDDiagram | OrientedDiagram, max_crossings: int = JONES_MAX_CROSSINGS
 ) -> HalfLaurent:
     """V_L(t) as a polynomial in s = t^(1/2), normalized to V(unknot) = 1."""
-    od = d if isinstance(d, OrientedDiagram) else None
-    base = d.base if od else d
-    if len(base) > max_crossings:
-        raise CrossingLimitError(
-            f"{len(base)} crossings exceed the bound {max_crossings}"
-        )
-    if od is None:
-        od = orient(base)
-    return _normalize_bracket(kauffman_bracket(base), od.writhe)
+    if not isinstance(d, OrientedDiagram):
+        d = orient(d)
+    return _normalize_bracket(kauffman_bracket(d.base, max_crossings), d.writhe)
 
 
 def _det_from_jones(v: HalfLaurent) -> int:

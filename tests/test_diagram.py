@@ -5,6 +5,7 @@ import pytest
 from qalt.diagram import (
     PDDiagram,
     SmoothingKind,
+    _basis,
     close_braid,
     connected_sum,
     figure_eight,
@@ -144,6 +145,19 @@ def test_mirror_involution():
     for d in [trefoil(), hopf_link(), figure_eight()]:
         assert mirror(mirror(d)) == d
         assert num_components(mirror(d)) == num_components(d)
+
+
+def test_a_tangle_keeps_its_boundary():
+    # the basis tangle of the matching (0, 2), (1, 3): one crossing
+    crossings, boundary = _basis(4, ((0, 2), (1, 3)))
+    tangle = PDDiagram(crossings, 0, boundary)
+    assert tangle.boundary == (1, 3, 2, 4)
+    assert repr(tangle) == "PDDiagram([(3, 2, 4, 1)], 0, (1, 3, 2, 4))"
+    assert mirror(tangle) == PDDiagram([(1, 3, 2, 4)], 0, tangle.boundary)
+    assert mirror(mirror(tangle)) == tangle
+    # PD text has no boundary, so a tangle has none rather than a wrong one
+    with pytest.raises(MalformedDiagramError, match="a tangle has no PD text"):
+        render_pd(tangle)
 
 
 def test_connected_sum_components():

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from qalt import jones
+from qalt import diagram, jones
 from qalt.diagram import (
     PDDiagram,
+    _connected_pieces,
+    _sweep_steps,
     SmoothingKind,
     close_braid,
     connected_sum,
@@ -82,10 +84,55 @@ def test_writhe_and_signs():
     assert orient(close_braid([1, 2] * 4, 3)).writhe == 8
 
 
+def _bracket_cases(rng):
+    """Seeded 2-6-strand closures of up to 14 crossings, some split (a generator
+    that never occurs, or a disjoint union), some with a free loop and some
+    with one crossing smoothed; then two closures wider than the sweep's cap."""
+    for _ in range(30):
+        d = random_braid_diagram(rng, 14, rng.randint(2, 6))
+        if len(d) < 10 and rng.random() < 0.3:
+            other = random_braid_diagram(rng, 4, 2)
+            shift = max(d.ends, default=0)
+            d = PDDiagram(
+                d.crossings + tuple(tuple(a + shift for a in t) for t in other.crossings),
+                d.free_loops + other.free_loops,
+            )
+        if rng.random() < 0.2:
+            d = PDDiagram(d.crossings, d.free_loops + 1)
+        if d.crossings and rng.random() < 0.3:
+            kind = rng.choice((SmoothingKind.A, SmoothingKind.B))
+            d = smooth(d, rng.randrange(len(d)), kind)
+        yield d
+    yield close_braid([1, -2, 3, -4] * 3, 5)
+    yield close_braid([1, -2, 3, -4, 5] * 2, 6)
+
+
 def test_bracket_engines_agree(rng):
-    for _ in range(15):
-        d = random_braid_diagram(rng, 8, 3)
-        assert kauffman_bracket(d) == bracket_state_sum(d)
+    split = wide = 0
+    for d in _bracket_cases(rng):
+        assert kauffman_bracket(d) == bracket_state_sum(d), d
+        pieces = [PDDiagram([d.crossings[i] for i in p]) for p in _connected_pieces(d)]
+        split += len(pieces) + d.free_loops > 1
+        wide += any(_sweep_steps(p) is None for p in pieces)
+    assert split >= 5 and wide >= 2
+
+
+# simplify removes a clasp of two arcs that bound no face, and with it 2 from
+# the writhe; a bracket computed on its output was wrong by A^(+-6)
+CLASPED = [
+    close_braid([1, -1, -1, 4, 3, -1, 2, 4], 5),
+    close_braid([2, 3, -4, 1, -4, -4, 4, 1, 1], 5),
+]
+
+
+@pytest.mark.parametrize("d", CLASPED, ids=render_pd)
+def test_bracket_keeps_the_framing_of_a_clasp(d):
+    from qalt.jones import _normalize_bracket
+
+    assert abs(orient(simplify(d)).writhe - orient(d).writhe) == 2
+    state_sum = bracket_state_sum(d)
+    assert kauffman_bracket(d) == state_sum
+    assert jones_polynomial(d) == _normalize_bracket(state_sum, orient(d).writhe)
 
 
 KINK = parse_pd("X(1,1,2,2)")  # loop arc at slots 0, 1; its mirror at 1, 2
@@ -107,7 +154,8 @@ REDUCER_CASES = [(d, "O(1)") for k in UNKNOT_KINKS for d in (k, mirror(k))] + [
     "d, simplified", REDUCER_CASES, ids=[render_pd(d) for d, _ in REDUCER_CASES]
 )
 def test_reducer_kink_weights(d, simplified):
-    # each removed kink costs -A^3 or -A^-3 depending on its loop arc's slots
+    # simplify removes each kink; the bracket sweeps the kinked diagram
+    # itself, so a kink carries no factor of its own
     assert kauffman_bracket(d) == bracket_state_sum(d)
     assert render_pd(simplify(d)) == simplified
 
@@ -226,15 +274,24 @@ def test_obstruction_verdicts():
 def test_obstruction_check_computes_one_bracket(monkeypatch):
     calls = []
     engine = jones.kauffman_bracket
+    faces = diagram._faces
+    walks = []
 
-    def counted(d):
+    def counted_faces(d):
+        walks.append(d)
+        return faces(d)
+
+    monkeypatch.setattr(diagram, "_faces", counted_faces)
+
+    def counted(d, *bound):
         calls.append(d)
-        return engine(d)
+        return engine(d, *bound)
 
     monkeypatch.setattr(jones, "kauffman_bracket", counted)
     d = generate_pretzel([3, 3, -3])
     v = obstruction_check(d)
     assert len(calls) == 1
+    assert len(walks) == 2  # one entry gate for Q, one for the bracket
     assert (v.det, v.breadth) == (determinant(d), breadth(d))
 
 
@@ -245,6 +302,8 @@ def test_crossing_limits():
     with pytest.raises(CrossingLimitError):
         determinant(big)
     assert determinant_goeritz(big) == 17  # T(2,17), no bracket bound
+    with pytest.raises(CrossingLimitError, match="4 crossings exceed the bound 3"):
+        kauffman_bracket(figure_eight(), 3)
 
 
 def test_empty_link_errors():

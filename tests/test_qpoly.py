@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from qalt import jones
 from qalt.diagram import (
+    SWEEP_WIDTH,
     PDDiagram,
     SmoothingKind,
+    _basis,
     _connected_pieces,
     _faces,
     _relabel,
+    _sweep,
+    _sweep_steps,
     close_braid,
     connected_sum,
     figure_eight,
@@ -27,12 +32,9 @@ from qalt.errors import CrossingLimitError, MalformedDiagramError
 from qalt.jones import determinant_goeritz
 from qalt.poly import IntLaurent
 from qalt.qpoly import (
-    SWEEP_WIDTH,
-    _basis,
     _chain,
     _q,
-    _sweep,
-    _sweep_steps,
+    _transition,
     check_lemma22,
     q_degree,
     q_polynomial,
@@ -183,12 +185,18 @@ def _matchings(points):
 def test_basis_tangles_evaluate_to_their_unit_vectors(width):
     matchings = list(_matchings(tuple(range(width))))
     assert len(matchings) == {2: 1, 4: 3, 6: 15, 8: 105}[width]
+    noncrossing = 0
     for m in matchings:
         crossings, boundary = _basis(width, m)
-        assert _q(PDDiagram(crossings, 0, boundary), {}) == {m: 1}
+        tangle = PDDiagram(crossings, 0, boundary)
+        assert _q(tangle, {}) == {m: 1}
+        if not crossings:  # a crossingless tangle: a basis tangle of the bracket
+            noncrossing += 1
+            assert jones._bracket(tangle, {}) == {m: 1}
         # capped outside its disk, the drawing is a planar link diagram
         caps = list(zip(boundary[::2], boundary[1::2]))
         _faces(PDDiagram(*_relabel(crossings, caps, 0)))
+    assert noncrossing == {2: 1, 4: 2, 6: 5, 8: 14}[width]  # Catalan(width / 2)
 
 
 def _sweep_cases():
@@ -210,21 +218,28 @@ def _sweep_cases():
         yield close_braid([1, 3, 5, -2, -4] * k, 6)
 
 
+def _pieces(d):
+    return [PDDiagram([d.crossings[i] for i in piece]) for piece in _connected_pieces(d)]
+
+
 def test_sweep_equals_the_switch_chain():
+    # Q sweeps the pieces of the reduced diagram, the bracket those of the
+    # diagram itself; each sweep must equal its engine's skein recursion
     swept = wide = 0
     for d in _sweep_cases():
         q = q_polynomial(d, 64)
         assert _evaluations(q) == (
             1, (-2) ** (num_components(d) - 1), determinant_goeritz(d) ** 2
         )
-        d = simplify(d)
-        for piece in _connected_pieces(d):
-            p = PDDiagram([d.crossings[i] for i in piece])
+        for p, transition, recursion in [
+            *((p, _transition, _chain) for p in _pieces(simplify(d))),
+            *((p, jones._transition, jones._smoothing) for p in _pieces(d)),
+        ]:
             steps = _sweep_steps(p)
             if steps is None:
                 wide += 1
             else:
                 swept += 1
                 assert max(width for width, _ in steps) <= SWEEP_WIDTH
-                assert _sweep(steps) == _chain(p, {}), p
-    assert swept > 50 and wide >= 4
+                assert _sweep(steps, transition) == recursion(p, {}), p
+    assert swept > 100 and wide >= 8
