@@ -171,24 +171,29 @@ def _connected_pieces(d: PDDiagram) -> list[list[int]]:
     return pieces
 
 
-def _expand(d: PDDiagram, memo: dict, loop, transition: Callable, recursion: Callable):
-    """The `_Vector` of `d` by Q(A u B) = (2x^-1 - 1) Q(A) Q(B) and
-    <A u B> = delta <A><B>: `loop` per piece or free loop past the first times
-    each connected piece's value, memoized on `piece.key()`.  A link piece is
-    swept with `transition`; a tangle (one piece, free loops split off) and a
+def _expand(d: PDDiagram, memo: dict, loop, engine: Callable, recursion: Callable) -> dict:
+    """The value of `d` as a vector {matching: coefficient} over a basis with
+    one tangle per matching of its boundary positions, the tuple of its pairs
+    (p, q), p < q, in order of p: the descending tangles for Q, the
+    crossingless ones for the bracket.  A link's one matching is ().
+
+    Split by Q(A u B) = (2x^-1 - 1) Q(A) Q(B) and <A u B> = delta <A><B>:
+    `loop` per piece or free loop past the first times each connected piece's
+    value, memoized on `piece.key()`.  A link piece is swept with the
+    transitions of `engine`; a tangle (one piece, free loops split off) and a
     link piece wider than SWEEP_WIDTH go to `recursion(piece, memo)`."""
     pieces = [range(len(d))] if d.boundary else _connected_pieces(d)
     whole = len(pieces) == 1 and not d.free_loops
-    out = _Vector({(): loop ** (len(pieces) + d.free_loops - 1)})
+    out = {(): loop ** (len(pieces) + d.free_loops - 1)}
     for piece in pieces:
         p = d if whole else PDDiagram([d.crossings[i] for i in piece], 0, d.boundary)
         key = p.key()
         value = memo.get(key)
         if value is None:
             steps = None if p.boundary else _sweep_steps(p)
-            value = recursion(p, memo) if steps is None else _sweep(steps, transition)
+            value = recursion(p, memo) if steps is None else _sweep(steps, engine)
             memo[key] = value
-        out = value * out
+        out = {m: c * out[()] for m, c in value.items()}
     return out
 
 
@@ -221,9 +226,11 @@ def _faces(d: PDDiagram):
 
 
 def _admit(d: PDDiagram, max_crossings: float = inf):
-    """`_faces(d)`, after the checks every invariant needs: the empty link and a
-    non-planar code raise MalformedDiagramError, more than `max_crossings`
-    crossings CrossingLimitError."""
+    """`_faces(d)`, after the checks every invariant needs: a tangle, the empty
+    link and a non-planar code raise MalformedDiagramError, more than
+    `max_crossings` crossings CrossingLimitError."""
+    if d.boundary:
+        raise MalformedDiagramError("a tangle has no link invariants")
     if not (d.crossings or d.free_loops):
         raise MalformedDiagramError("the empty link has no invariants")
     if len(d) > max_crossings:
@@ -241,14 +248,15 @@ SWEEP_WIDTH = 8
 _ONE = IntLaurent.const(1)
 
 
-class _Vector(dict):
-    """{matching: coefficient}: an invariant of a tangle over a basis with one
-    tangle per matching of its boundary positions, the tuple of its pairs
-    (p, q), p < q, in order of p: the descending tangles for Q, the
-    crossingless ones for the bracket.  A link's one matching is ()."""
-
-    def __mul__(self, link: _Vector) -> _Vector:
-        return _Vector({m: c * link[()] for m, c in self.items()})
+def _combine(terms: Iterable[tuple[IntLaurent, dict]]) -> dict:
+    """The vector sum of c * v over the pairs (c, v) of `terms`, zero entries
+    dropped."""
+    out: dict = {}
+    for c, v in terms:
+        for m, e in v.items():
+            ce = c * e
+            out[m] = out[m] + ce if m in out else ce
+    return {m: e for m, e in out.items() if e}
 
 
 def _run(frontier: list[int], t) -> tuple[int, int, int] | None:
@@ -304,18 +312,14 @@ def _sweep_steps(d: PDDiagram) -> list[tuple[int, tuple]] | None:
     return steps
 
 
-def _sweep(steps: list[tuple[int, tuple]], transition: Callable) -> _Vector:
-    """The value of a swept link piece: the state is that of the tangle in the
-    disk, and a step maps each basis tangle to the engine's cached value of
-    `_glued(width, matching, glue)`, `transition(width, matching, glue)`."""
+def _sweep(steps: list[tuple[int, tuple]], engine: Callable) -> dict:
+    """The vector of a swept link piece, in the basis convention of `_expand`:
+    the state is that of the tangle in the disk, and a step maps each basis
+    tangle to its glued value, `_transition(engine, width, matching, glue)`."""
     state = {(): _ONE}  # the empty disk
     for width, glue in steps:
-        new: dict = {}
-        for m, c in state.items():
-            for m2, e in transition(width, m, glue).items():
-                new[m2] = new.get(m2, 0) + c * e
-        state = {m: c for m, c in new.items() if c}
-    return _Vector(state)
+        state = _combine((c, _transition(engine, width, m, glue)) for m, c in state.items())
+    return state
 
 
 def _basis(width: int, matching) -> tuple[list[Crossing], list[int]]:
@@ -371,6 +375,13 @@ def _glued(width: int, matching, glue) -> PDDiagram:
         fusions = []
     new = boundary[max(0, i + r - width) : i] + exposed + boundary[i + r :]
     return PDDiagram(*_relabel(crossings, fusions, 0, new))
+
+
+@lru_cache(maxsize=None)
+def _transition(engine: Callable, width: int, matching, glue) -> dict:
+    """The vector of `_glued(width, matching, glue)` by `engine`, cached for the
+    process; callers share each vector and only read it."""
+    return engine(_glued(width, matching, glue), {})
 
 
 # Two walks follow strands, and they restart differently once a component

@@ -4,11 +4,12 @@ deg Q < det obstruction verdict.
 The bracket is computed two ways: a literal 2^n state sum (the reference
 oracle) and, by default, the frontier sweep of `diagram.py` that Q shares,
 over the Catalan(k) crossingless matchings of 2k points (Temperley-Lieb;
-Makowsky and Marino 2003).  `_transition` is the bracket of a crossingless
-tangle glued to one crossing or one cap; the tangle engine `_smoothing`
-expands <D> = A <D_A> + A^-1 <D_B> at the first crossing, as does a piece
-wider than SWEEP_WIDTH.  The engine sees the diagram as given: the kinks and
-clasps that `diagram.simplify` removes change the writhe.
+Makowsky and Marino 2003).  The shared `diagram._transition(_bracket, ...)`
+is the bracket of a crossingless tangle glued to one crossing or one cap; the
+tangle engine `_smoothing` expands <D> = A <D_A> + A^-1 <D_B> at the first
+crossing, as does a piece wider than SWEEP_WIDTH, and the shared
+`diagram._combine` adds the two terms.  The engine sees the diagram as given:
+the kinks and clasps that `diagram.simplify` removes change the writhe.
 V is normalized by (-A)^(-3w) and realized in s = t^(1/2) via t = A^-4.
 
 det(L) = |V_L(-1)| with t = -1 evaluated exactly as s = i.  A Goeritz-form
@@ -22,19 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import inf
 
 from .diagram import (
     PDDiagram,
     SmoothingKind,
     _admit,
+    _combine,
     _expand,
     _find,
     _ONE,
-    _glued,
     _strands,
-    _Vector,
     smooth,
 )
 from .errors import InternalConsistencyError, MalformedDiagramError
@@ -125,28 +124,19 @@ def bracket_state_sum(d: PDDiagram) -> IntLaurent:
     return total
 
 
-def _bracket(d: PDDiagram, memo: dict) -> _Vector:
-    return _expand(d, memo, _LOOP, _transition, _smoothing)
+def _bracket(d: PDDiagram, memo: dict) -> dict:
+    return _expand(d, memo, _LOOP, _bracket, _smoothing)
 
 
-def _smoothing(d: PDDiagram, memo: dict) -> _Vector:
+def _smoothing(d: PDDiagram, memo: dict) -> dict:
     """<d> over the crossingless basis by smoothing its first crossing; a
     crossingless tangle (`_expand` splits off free loops) is the unit vector
     of its matching."""
     if not d.crossings:
-        return _Vector({tuple((s[0][1], s[-1][1]) for s in _strands(d)): _ONE})
+        return {tuple((s[0][1], s[-1][1]) for s in _strands(d)): _ONE}
     a = _bracket(smooth(d, 0, SmoothingKind.A), memo)
     b = _bracket(smooth(d, 0, SmoothingKind.B), memo)
-    return _Vector(
-        (m, v) for m in {*a, *b} if (v := _A * a.get(m, 0) + _A_INV * b.get(m, 0))
-    )
-
-
-@lru_cache(maxsize=None)
-def _transition(width: int, matching, glue) -> _Vector:
-    """<`diagram._glued(width, matching, glue)`> over the crossingless basis of
-    the new frontier; callers share each vector and only read it."""
-    return _bracket(_glued(width, matching, glue), {})
+    return _combine(((_A, a), (_A_INV, b)))
 
 
 def kauffman_bracket(d: PDDiagram, max_crossings: float = inf) -> IntLaurent:

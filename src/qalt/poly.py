@@ -295,7 +295,8 @@ class GaussianInt:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a purely real value equals its int, so it must hash like it
+        return hash((self.re, self.im) if self.im else self.re)
 
     def abs_pure(self) -> int:
         """|a| when a is purely real or purely imaginary; error otherwise."""

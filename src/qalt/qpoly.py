@@ -16,9 +16,11 @@ tangle of its matching, c its closed components.
 
 A connected link piece is swept instead, by the planner and state loop of
 `diagram.py` that the bracket shares; the state holds at most 105 entries at
-SWEEP_WIDTH = 8 points.  `_transition` is the switch chain's value of a basis
-tangle glued to one crossing or one cap, cached for the process.  A wider
-piece goes to the switch chain, whose smaller pieces are swept again.
+SWEEP_WIDTH = 8 points.  The shared `diagram._transition(_q, ...)` is `_q` of a
+basis tangle glued to one crossing or one cap, cached for the process, and
+the shared `diagram._combine` adds the vectors of the sweep and of each skein
+step.  A wider piece goes to the switch chain, whose smaller pieces are swept
+again.
 
 `diagram._expand` splits pieces by Q(A u B) = (2x^-1 - 1) Q(A) Q(B), and
 memoizes on the exact diagram, `PDDiagram.key()`: it cannot collide, and
@@ -28,16 +30,13 @@ every move renumbers arcs densely, so repeated subdiagrams still hit.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .diagram import (
     PDDiagram,
     SmoothingKind,
     _admit,
+    _combine,
     _expand,
-    _glued,
     _strands,
-    _Vector,
     simplify,
     smooth,
     switch,
@@ -48,6 +47,7 @@ from .poly import IntLaurent
 DEFAULT_MAX_CROSSINGS = 14
 
 _X = IntLaurent.x()
+_MINUS_ONE = IntLaurent.const(-1)
 _UNLINK = IntLaurent({-1: 2, 0: -1})  # 2x^-1 - 1, the extra-component factor
 
 
@@ -82,11 +82,11 @@ def check_lemma22(
     return dq <= max(da.degree(), db.degree()) + 1
 
 
-def _q(d: PDDiagram, memo: dict) -> _Vector:
-    return _expand(simplify(d), memo, _UNLINK, _transition, _chain)
+def _q(d: PDDiagram, memo: dict) -> dict:
+    return _expand(simplify(d), memo, _UNLINK, _q, _chain)
 
 
-def _chain(d: PDDiagram, memo: dict) -> _Vector:
+def _chain(d: PDDiagram, memo: dict) -> dict:
     """Q of `d` by the switch chain; every diagram on the chain is memoized."""
     strands = _strands(d)
     seen = {-1}  # crossing -1 marks the boundary ends of an arc
@@ -104,26 +104,14 @@ def _chain(d: PDDiagram, memo: dict) -> _Vector:
         cur = switch(cur, c)
         chain.append(cur)
     matching = tuple((strand[0][1], strand[-1][1]) for strand in strands[:arcs])
-    val = _Vector(
-        {matching: _UNLINK ** (len(strands) + d.free_loops - max(arcs, 1))}
-    )
+    val = {matching: _UNLINK ** (len(strands) + d.free_loops - max(arcs, 1))}
     memo[chain[-1].key()] = val
     for j in range(len(bad) - 1, -1, -1):
         c = bad[j]
         qa = _q(smooth(chain[j], c, SmoothingKind.A), memo)
         qb = _q(smooth(chain[j], c, SmoothingKind.B), memo)
-        # Q(L+) = x (Q(L0) + Q(L-inf)) - Q(L-), one matching at a time
-        val = _Vector(
-            (m, v)
-            for m in {*qa, *qb, *val}
-            if (v := _X * (qa.get(m, 0) + qb.get(m, 0)) - val.get(m, 0))
-        )
+        # Q(L+) = x (Q(L0) + Q(L-inf)) - Q(L-)
+        val = _combine(((_X, qa), (_X, qb), (_MINUS_ONE, val)))
         memo[chain[j].key()] = val
     return val
 
-
-@lru_cache(maxsize=None)
-def _transition(width: int, matching, glue) -> _Vector:
-    """Q of `diagram._glued(width, matching, glue)` over the descending basis
-    of the new frontier; callers share each vector and only read it."""
-    return _chain(simplify(_glued(width, matching, glue)), {})

@@ -5,6 +5,7 @@ import pytest
 from qalt import diagram, jones
 from qalt.diagram import (
     PDDiagram,
+    _basis,
     _connected_pieces,
     _sweep_steps,
     SmoothingKind,
@@ -308,6 +309,7 @@ def test_crossing_limits():
 
 def test_empty_link_errors():
     # every entry point admits its input through one gate, with one message
+    # for the empty link and one for a tangle, before any face walk
     entries = (
         q_polynomial,
         kauffman_bracket,
@@ -316,9 +318,17 @@ def test_empty_link_errors():
         bracket_state_sum,
         obstruction_check,
     )
+    crossings, boundary = _basis(4, ((0, 2), (1, 3)))
+    tangles = (
+        PDDiagram([(1, 1, 2, 3)], 0, (4, 4, 2, 3)),
+        PDDiagram(crossings, 0, boundary),
+    )
     for entry in entries:
         with pytest.raises(MalformedDiagramError, match="the empty link"):
             entry(PDDiagram((), 0))
+        for tangle in tangles:
+            with pytest.raises(MalformedDiagramError, match="a tangle has no link invariants"):
+                entry(tangle)
 
 
 def test_non_planar_pd_is_rejected():

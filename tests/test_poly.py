@@ -109,6 +109,11 @@ def test_constant_hash_matches_int():
         # a constant reached by arithmetic hashes like its int as well
         x = cls({1: 1})
         assert hash((x + 3) - x) == hash(3)
+    # a purely real Gaussian integer equals its int, so it hashes like it too
+    for c in (-3, 0, 1, 3, 10**30):
+        g = GaussianInt(c, 0)
+        assert g == c and hash(g) == hash(c)
+        assert len({g, c}) == 1
 
 
 def test_degree_multiplicative():

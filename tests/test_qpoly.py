@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -9,11 +10,14 @@ from qalt.diagram import (
     PDDiagram,
     SmoothingKind,
     _basis,
+    _combine,
     _connected_pieces,
     _faces,
+    _glued,
     _relabel,
     _sweep,
     _sweep_steps,
+    _transition,
     close_braid,
     connected_sum,
     figure_eight,
@@ -34,7 +38,6 @@ from qalt.poly import IntLaurent
 from qalt.qpoly import (
     _chain,
     _q,
-    _transition,
     check_lemma22,
     q_degree,
     q_polynomial,
@@ -196,6 +199,14 @@ def test_basis_tangles_evaluate_to_their_unit_vectors(width):
         # capped outside its disk, the drawing is a planar link diagram
         caps = list(zip(boundary[::2], boundary[1::2]))
         _faces(PDDiagram(*_relabel(crossings, caps, 0)))
+        if width == 8:  # no glue at 8 points keeps the frontier within the cap
+            continue
+        # the shared transition runs Q's whole engine (`_q`) on the glued
+        # tangle; it must equal the switch chain on the reduced glued tangle
+        glues = [(i, r, s) for i in range(width) for r in range(1, min(width, 4) + 1) for s in (0, 1)]
+        for glue in glues + [(i, 2, None) for i in range(width)]:
+            expected = _chain(simplify(_glued(width, m, glue)), {})
+            assert _transition(_q, width, m, glue) == expected, (m, glue)
     assert noncrossing == {2: 1, 4: 2, 6: 5, 8: 14}[width]  # Catalan(width / 2)
 
 
@@ -231,9 +242,9 @@ def test_sweep_equals_the_switch_chain():
         assert _evaluations(q) == (
             1, (-2) ** (num_components(d) - 1), determinant_goeritz(d) ** 2
         )
-        for p, transition, recursion in [
-            *((p, _transition, _chain) for p in _pieces(simplify(d))),
-            *((p, jones._transition, jones._smoothing) for p in _pieces(d)),
+        for p, engine, recursion in [
+            *((p, _q, _chain) for p in _pieces(simplify(d))),
+            *((p, jones._bracket, jones._smoothing) for p in _pieces(d)),
         ]:
             steps = _sweep_steps(p)
             if steps is None:
@@ -241,5 +252,52 @@ def test_sweep_equals_the_switch_chain():
             else:
                 swept += 1
                 assert max(width for width, _ in steps) <= SWEEP_WIDTH
-                assert _sweep(steps, transition) == recursion(p, {}), p
+                assert _sweep(steps, engine) == recursion(p, {}), p
     assert swept > 100 and wide >= 8
+
+
+def _tangle_sum(t1, t2):
+    """The tangle sum of 4-point tangles: NE and SE of t1 fused to NW and SW of
+    t2 (positions NW 0, SW 1, SE 2, NE 3, counterclockwise)."""
+    shift = max(chain(t1.boundary, *t1.crossings)) + 1
+    c2 = [tuple(a + shift for a in t) for t in t2.crossings]
+    b1, b2 = t1.boundary, [a + shift for a in t2.boundary]
+    fusions = [(b1[3], b2[0]), (b1[2], b2[1])]
+    loops = t1.free_loops + t2.free_loops
+    return PDDiagram(*_relabel(list(t1.crossings) + c2, fusions, loops, (b1[0], b1[1], b2[2], b2[3])))
+
+
+def _numerator(crossings, boundary):
+    """The closure of a 4-point tangle that joins NW to NE and SW to SE."""
+    return PDDiagram(*_relabel(list(crossings), [(boundary[0], boundary[3]), (boundary[1], boundary[2])], 0))
+
+
+def test_four_point_tangle_relations():
+    # the k = 2 relations of Q over the descending basis, "+" the vector sum
+    # and "(+)" the tangle sum: [1] + [-1] = x([0] + [inf]), [1] (+) [-1] = [0],
+    # [inf] (+) [+-1] = [inf] and [inf] (+) [inf] = (2x^-1 - 1)[inf]
+    zero = PDDiagram([], 0, (1, 2, 2, 1))
+    infinity = PDDiagram([], 0, (1, 1, 2, 2))
+    plus = PDDiagram([(1, 2, 3, 4)], 0, (1, 2, 3, 4))
+    minus = switch(plus, 0)
+    x, one = IntLaurent.x(), IntLaurent.const(1)
+
+    def q(t):
+        return _q(t, {})
+
+    assert _combine(((one, q(plus)), (one, q(minus)))) == _combine(((x, q(zero)), (x, q(infinity))))
+    assert q(_tangle_sum(plus, minus)) == q(_tangle_sum(minus, plus)) == q(zero)
+    for twist in (plus, minus):
+        assert q(_tangle_sum(infinity, twist)) == q(_tangle_sum(twist, infinity)) == q(infinity)
+    loop = P("2x^-1-1")
+    assert q(_tangle_sum(infinity, infinity)) == _combine(((loop, q(infinity)),))
+
+    # [n] = [1] (+) ... (+) [1] paired with the numerators of the basis tangles
+    closures = {m: q_polynomial(_numerator(*_basis(4, m))) for m in _matchings((0, 1, 2, 3))}
+    twists = plus
+    for n in range(1, 8):
+        vector = q(twists)
+        paired = sum((c * closures[m] for m, c in vector.items()), IntLaurent.zero())
+        assert paired == q_polynomial(_numerator(twists.crossings, twists.boundary))
+        assert paired == q_polynomial(close_braid([1] * n, 2))
+        twists = _tangle_sum(twists, plus)
