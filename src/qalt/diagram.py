@@ -148,27 +148,18 @@ class PDDiagram:
 
 
 def _connected_pieces(d: PDDiagram) -> list[list[int]]:
-    """Connected components of the 4-valent graph, as crossing index lists."""
-    n = len(d.crossings)
-    seen = [False] * n
-    pieces = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        piece = []
-        while stack:
-            c = stack.pop()
-            piece.append(c)
-            for s in range(4):
-                arc = d.crossings[c][s]
-                for (c2, _s2) in d.ends[arc]:
-                    if not seen[c2]:
-                        seen[c2] = True
-                        stack.append(c2)
-        pieces.append(sorted(piece))
-    return pieces
+    """Connected components of the 4-valent graph, as crossing index lists:
+    each list ascending, the pieces in order of their lowest crossing.
+
+    Each arc joins the crossings at its two ends; a tangle's boundary end
+    (-1, p) joins the union too, but only crossings are grouped."""
+    parent: dict[int, int] = {}
+    for (c1, _), (c2, _) in d.ends.values():
+        parent[_find(parent, c2)] = _find(parent, c1)
+    pieces: dict[int, list[int]] = {}
+    for c in range(len(d.crossings)):
+        pieces.setdefault(_find(parent, c), []).append(c)
+    return list(pieces.values())
 
 
 def _expand(d: PDDiagram, memo: dict, loop, engine: Callable, recursion: Callable) -> dict:
@@ -276,6 +267,13 @@ def _run(frontier: list[int], t) -> tuple[int, int, int] | None:
     return None
 
 
+def _splice(points: list[int], i: int, r: int, new: list[int]) -> list[int]:
+    """The circular list `points` with positions i, ..., i+r-1 (mod its
+    length) replaced by `new`, which starts at position i, or at 0 when the
+    run wraps."""
+    return points[max(0, i + r - len(points)) : i] + new + points[i + r :]
+
+
 def _sweep_steps(d: PDDiagram) -> list[tuple[int, tuple]] | None:
     """The steps that absorb the connected link diagram `d` into a disk, as
     (width, glue) arguments of a transition; None when the frontier would
@@ -300,7 +298,7 @@ def _sweep_steps(d: PDDiagram) -> list[tuple[int, tuple]] | None:
         steps.append((w, (i, r, s % 2)))
         t = d.crossings[x]
         exposed = [t[(s + j) % 4] for j in range(r, 4)]
-        frontier = frontier[max(0, i + r - w) : i] + exposed + frontier[i + r :]
+        frontier = _splice(frontier, i, r, exposed)
         left.remove(x)
         while True:
             w = len(frontier)
@@ -308,7 +306,7 @@ def _sweep_steps(d: PDDiagram) -> list[tuple[int, tuple]] | None:
             if i is None:
                 break
             steps.append((w, (i, 2, None)))
-            frontier = frontier[max(0, i + 2 - w) : i] + frontier[i + 2 :]
+            frontier = _splice(frontier, i, 2, [])
     return steps
 
 
@@ -373,8 +371,7 @@ def _glued(width: int, matching, glue) -> PDDiagram:
             t[(s + j) % 4] = run[r - 1 - j] if j < r else exposed[j - r]
         crossings.append(tuple(t))
         fusions = []
-    new = boundary[max(0, i + r - width) : i] + exposed + boundary[i + r :]
-    return PDDiagram(*_relabel(crossings, fusions, 0, new))
+    return PDDiagram(*_relabel(crossings, fusions, 0, _splice(boundary, i, r, exposed)))
 
 
 @lru_cache(maxsize=None)
@@ -582,16 +579,20 @@ def mirror(d: PDDiagram) -> PDDiagram:
 
 
 def _find_r1(crossings: list[Crossing]):
+    """(removed crossing indices, arc fusions) of the first kink in scan
+    order, an arc joining two adjacent slots of one crossing; None if none."""
     for i, t in enumerate(crossings):
         for s in range(4):
             if t[s] == t[(s + 1) % 4]:
-                return i, s
+                # fuse the two slots the loop arc does not occupy
+                return (i,), [(t[(s + 2) % 4], t[(s + 3) % 4])]
     return None
 
 
 def _find_r2(crossings: list[Crossing]):
-    # two distinct crossings joined by an arc that is over at both ends and
-    # another that is under at both ends
+    """(removed crossing indices, arc fusions) of the first clasp in scan
+    order, two distinct crossings joined by an arc that is over at both ends
+    and another that is under at both ends; None if none."""
     ends = _ends_of(crossings)
     for arc, arc_ends in ends.items():
         if len(arc_ends) < 2:
@@ -604,7 +605,16 @@ def _find_r2(crossings: list[Crossing]):
                 continue
             (d1, t1), (d2, t2) = ends[arc2]
             if {d1, d2} == {c1, c2} and t1 % 2 == 0 and t2 % 2 == 0:
-                return c1, c2, arc, arc2
+                fusions = []
+                for c in (c1, c2):
+                    t = crossings[c]
+                    over_pair = [t[1], t[3]]
+                    under_pair = [t[0], t[2]]
+                    over_pair.remove(arc)
+                    under_pair.remove(arc2)
+                    fusions.append((arc, over_pair[0]))
+                    fusions.append((arc2, under_pair[0]))
+                return (c1, c2), fusions
     return None
 
 
@@ -619,36 +629,12 @@ def simplify(d: PDDiagram) -> PDDiagram:
     computed on it.  The moves work on crossing tuples; one diagram is built
     at the end, and `d` itself is returned when no move applies.
     """
-    crossings, loops, boundary = list(d.crossings), d.free_loops, d.boundary
-    moved = False
-    while True:
-        r1 = _find_r1(crossings)
-        if r1 is not None:
-            i, s = r1
-            t = crossings[i]
-            # fuse the two slots the loop arc does not occupy
-            x, y = t[(s + 2) % 4], t[(s + 3) % 4]
-            del crossings[i]
-            crossings, loops, boundary = _relabel(crossings, [(x, y)], loops, boundary)
-            moved = True
-            continue
-        r2 = _find_r2(crossings)
-        if r2 is not None:
-            c1, c2, over_arc, under_arc = r2
-            fusions = []
-            for c in (c1, c2):
-                t = crossings[c]
-                over_pair = [t[1], t[3]]
-                under_pair = [t[0], t[2]]
-                over_pair.remove(over_arc)
-                under_pair.remove(under_arc)
-                fusions.append((over_arc, over_pair[0]))
-                fusions.append((under_arc, under_pair[0]))
-            kept = [t for j, t in enumerate(crossings) if j not in (c1, c2)]
-            crossings, loops, boundary = _relabel(kept, fusions, loops, boundary)
-            moved = True
-            continue
-        return PDDiagram(crossings, loops, boundary) if moved else d
+    crossings, loops, boundary = d.crossings, d.free_loops, d.boundary
+    while move := _find_r1(crossings) or _find_r2(crossings):
+        removed, fusions = move
+        kept = [t for j, t in enumerate(crossings) if j not in removed]
+        crossings, loops, boundary = _relabel(kept, fusions, loops, boundary)
+    return d if crossings is d.crossings else PDDiagram(crossings, loops, boundary)
 
 
 def connected_sum(d1: PDDiagram, d2: PDDiagram, arc1: int, arc2: int) -> PDDiagram:
@@ -666,7 +652,7 @@ def connected_sum(d1: PDDiagram, d2: PDDiagram, arc1: int, arc2: int) -> PDDiagr
 
     # shift d2 labels into a fresh range; the second end of each cut arc
     # gets a fresh label
-    shift = max(d1.ends) + 1
+    shift = max(d1.ends) - min(d2.ends) + 1
     fresh1 = shift + max(d2.ends) + 1
     fresh2 = fresh1 + 1
     part1 = [list(t) for t in d1.crossings]
@@ -679,6 +665,32 @@ def connected_sum(d1: PDDiagram, d2: PDDiagram, arc1: int, arc2: int) -> PDDiagr
 
 
 # -- generators ---------------------------------------------------------
+
+
+def _braid(
+    letters: Iterable[int], strands: int
+) -> tuple[list[Crossing], list[int], list[int]]:
+    """Crossings of the braid word `letters` on `strands` strands, with the arc
+    labels at its top and bottom ends, listed by position (0-based).
+
+    The strands run down, all oriented the same way; positive sigma_i crosses
+    strand i+1 over strand i.
+    """
+    top = list(range(1, strands + 1))
+    bottom = list(top)
+    nxt = strands + 1
+    crossings: list[Crossing] = []
+    for g in letters:
+        i = abs(g)
+        u, v = bottom[i - 1], bottom[i]  # NW, NE incoming
+        x, y = nxt, nxt + 1  # SW, SE outgoing
+        nxt += 2
+        if g > 0:
+            crossings.append((u, x, y, v))  # under runs NW-SE
+        else:
+            crossings.append((x, y, v, u))  # under runs NE-SW
+        bottom[i - 1], bottom[i] = x, y
+    return crossings, top, bottom
 
 
 def close_braid(word, strands: int | None = None) -> PDDiagram:
@@ -702,24 +714,8 @@ def close_braid(word, strands: int | None = None) -> PDDiagram:
                 f"generator {g} out of range for {strands} strands"
             )
 
-    # current[p] is the arc label hanging at position p (1-based)
-    start = [p for p in range(1, strands + 1)]
-    current = list(start)
-    nxt = strands + 1
-    crossings: list[Crossing] = []
-    for g in letters:
-        i = abs(g)
-        u, v = current[i - 1], current[i]  # NW, NE incoming
-        x, y = nxt, nxt + 1  # SW, SE outgoing
-        nxt += 2
-        if g > 0:
-            crossings.append((u, x, y, v))  # under runs NW-SE
-        else:
-            crossings.append((x, y, v, u))  # under runs NE-SW
-        current[i - 1], current[i] = x, y
-
-    fusions = [(start[p], current[p]) for p in range(strands)]
-    return PDDiagram(*_relabel(crossings, fusions, 0))
+    crossings, top, bottom = _braid(letters, strands)
+    return PDDiagram(*_relabel(crossings, list(zip(top, bottom)), 0))
 
 
 def generate_pretzel(signs: Sequence[int]) -> PDDiagram:
@@ -727,7 +723,8 @@ def generate_pretzel(signs: Sequence[int]) -> PDDiagram:
 
     Entry p_i contributes |p_i| crossings of handedness sign(p_i); the i-th
     region's right strand joins the (i+1)-th region's left strand above and
-    below, cyclically.
+    below, cyclically.  The regions are the braid word
+    sigma_1^p_1 sigma_3^p_2 ... sigma_(2k-1)^p_k on 2k strands.
     """
     entries = list(signs)
     if not entries:
@@ -737,32 +734,11 @@ def generate_pretzel(signs: Sequence[int]) -> PDDiagram:
     if len(entries) < 2:
         raise MalformedDiagramError("pretzel needs at least 2 twist regions")
 
-    crossings: list[Crossing] = []
-    nxt = 1
-    tops: list[tuple[int, int]] = []
-    bottoms: list[tuple[int, int]] = []
-    for p in entries:
-        left, right = nxt, nxt + 1
-        nxt += 2
-        tops.append((left, right))
-        cur = (left, right)
-        for _ in range(abs(p)):
-            u, v = cur
-            x, y = nxt, nxt + 1
-            nxt += 2
-            if p > 0:
-                crossings.append((u, x, y, v))
-            else:
-                crossings.append((x, y, v, u))
-            cur = (x, y)
-        bottoms.append(cur)
-
-    k = len(entries)
-    fusions = []
-    for i in range(k):
-        j = (i + 1) % k
-        fusions.append((tops[i][1], tops[j][0]))  # right top -> next left top
-        fusions.append((bottoms[i][1], bottoms[j][0]))
+    n = 2 * len(entries)  # strands
+    word = [(2 * i + 1) * (p // abs(p)) for i, p in enumerate(entries) for _ in range(abs(p))]
+    crossings, top, bottom = _braid(word, n)
+    # a region's right strand, at odd position q, meets the next region's left one
+    fusions = [(e[q], e[(q + 1) % n]) for q in range(1, n, 2) for e in (top, bottom)]
     return PDDiagram(*_relabel(crossings, fusions, 0))
 
 

@@ -123,13 +123,13 @@ def test_birman_empty_word_is_three_unlink():
 
 
 def test_closed_forms_match_birman():
-    for n in range(-2, 3):
-        for m in range(-3, 4):
-            nf = B3NormalForm.family2(n, m)
+    # families 2 and 3 also against the Goeritz determinant of the closure
+    for n in range(-3, 4):
+        forms = [B3NormalForm.family2(n, m) for m in range(-8, 9)]
+        forms += [B3NormalForm.family3(n, m) for m in (-1, -2, -3)]
+        for nf in forms:
             assert closed_form_jones(nf) == birman_jones(to_word(nf))
-        for m in (-1, -2, -3):
-            nf = B3NormalForm.family3(n, m)
-            assert closed_form_jones(nf) == birman_jones(to_word(nf))
+            assert det_formula(nf) == determinant_goeritz(close_braid(to_word(nf)))
     with pytest.raises(HypothesisViolationError):
         closed_form_jones(B3NormalForm.family1(0, [(1, 1)]))
 

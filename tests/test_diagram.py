@@ -23,6 +23,8 @@ from qalt.diagram import (
     unlink,
 )
 from qalt.errors import MalformedDiagramError, PDParseError
+from qalt.jones import jones_polynomial
+from qalt.qpoly import q_polynomial
 
 TREFOIL_PD = "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"
 TREFOIL_CODES = {trefoil().canonical_code(), mirror(trefoil()).canonical_code()}
@@ -171,6 +173,20 @@ def test_connected_sum_with_unknot():
     s = connected_sum(kink, kink, 1, 1)
     assert simplify(s) == unknot()
     assert connected_sum(trefoil(), unknot(), 1, 0) == trefoil()
+
+
+def test_connected_sum_takes_any_integer_labels():
+    # parse_pd accepts any integer label, so the second operand's shift must
+    # clear its lowest label, not only zero
+    negative = parse_pd("X(-1,-4,-2,-5);X(-3,-6,-4,-1);X(-5,-2,-6,-3)")
+    zero_based = parse_pd("X(0,3,1,4);X(2,5,3,0);X(4,1,5,2)")
+    want = connected_sum(trefoil(), trefoil(), 1, 1)
+    for first in (trefoil(), zero_based):
+        s = connected_sum(first, negative, 1, -1)
+        assert len(s) == 6
+        assert num_components(s) == 1
+        assert q_polynomial(s) == q_polynomial(want)
+        assert jones_polynomial(s) == jones_polynomial(want)
 
 
 def test_connected_sum_with_the_empty_diagram_raises():

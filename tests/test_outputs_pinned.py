@@ -1,12 +1,14 @@
-"""Two digests pin the rendered outputs of the polynomial-time and skein paths
-and of everything that walks a diagram's strands and faces.
+"""Three digests pin the rendered outputs of the polynomial-time and skein
+paths, of everything that walks a diagram's strands and faces, and of the
+pretzel diagrams' PD text.
 
 Each digest is sha256 over the rendered text of every result, never
 ``hash()``, so it does not depend on the interpreter's hash seed.  A change
-that is meant to keep every output byte-identical must leave both equal.
+that is meant to keep every output byte-identical must leave all three equal.
 """
 
 import hashlib
+import itertools
 import random
 
 from qalt.braid3 import BraidWord, birman_jones
@@ -14,6 +16,7 @@ from qalt.diagram import (
     PDDiagram,
     SmoothingKind,
     close_braid,
+    generate_pretzel,
     num_components,
     render_pd,
     simplify,
@@ -26,6 +29,7 @@ from qalt.qpoly import q_polynomial
 
 PINNED = "c5ef25d225cc6d9324a527790c4d7439e8e67706245887fb3412de304cab1990"
 WALK_PINNED = "b0abd01bc5f760f494684b1287344b9ad19d75f8f44af2be0b1fafb00673ea51"
+PRETZEL_PINNED = "49176c5e27defa68a5a84ea501bf2b14e02b0c616ccd94facb34557b03252df2"
 
 
 def _word(rng: random.Random, strands: int, lo: int, hi: int) -> list[int]:
@@ -94,6 +98,15 @@ def _walk_lines():
             yield repr(jones_polynomial(d))
 
 
+def _pretzel_lines():
+    """PD text of every pretzel with 2, 3 or 4 entries in [-4, -1] u [1, 4]:
+    4672 diagrams."""
+    entries = [p for p in range(-4, 5) if p]
+    for k in (2, 3, 4):
+        for e in itertools.product(entries, repeat=k):
+            yield render_pd(generate_pretzel(e))
+
+
 def _digest(lines) -> str:
     h = hashlib.sha256()
     for line in lines:
@@ -116,3 +129,7 @@ def test_outputs_are_pinned():
 
 def test_walk_outputs_are_pinned():
     assert walk_digest() == WALK_PINNED
+
+
+def test_pretzel_outputs_are_pinned():
+    assert _digest(_pretzel_lines()) == PRETZEL_PINNED
