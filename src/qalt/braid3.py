@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import HypothesisViolationError, MalformedDiagramError, PDParseError
-from .intmat import int_det
+from .intmat import laplacian_det
 from .poly import HalfLaurent, IntLaurent
 
 
@@ -318,19 +318,7 @@ def tutte_graph(pairs) -> Multigraph:
 
 def spanning_tree_count(g: Multigraph) -> int:
     """Matrix-tree theorem: determinant of the reduced integer Laplacian."""
-    n = g.vertices
-    if n == 0:
-        return 0
-    lap = [[0] * n for _ in range(n)]
-    for u, v, m in g.edges:
-        if u == v:
-            continue  # self-loops never occur in spanning trees
-        lap[u][v] -= m
-        lap[v][u] -= m
-        lap[u][u] += m
-        lap[v][v] += m
-    minor = [row[1:] for row in lap[1:]]
-    return int_det(minor)
+    return laplacian_det(g.vertices, g.edges)
 
 
 # -- classification and crossing bounds -----------------------------------

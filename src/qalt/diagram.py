@@ -138,8 +138,10 @@ class PDDiagram:
 
         Lexicographically minimal walk encoding per connected piece, pieces
         sorted; equal codes mean equal diagrams up to arc/crossing
-        relabeling and tuple rotation by two.
+        relabeling and tuple rotation by two; a tangle raises MalformedDiagramError.
         """
+        if self.boundary:
+            raise MalformedDiagramError("a tangle has no canonical code")
         codes = sorted(
             min(_walk_code(self, (c, s)) for c in piece for s in range(4))
             for piece in _connected_pieces(self)

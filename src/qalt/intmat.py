@@ -1,10 +1,10 @@
-"""Exact integer matrix determinant by sparse fraction-free elimination.
+"""Exact integer determinants by sparse fraction-free elimination.
 
-Rows are kept as ``{column: value}`` maps without zeros.  Step s takes the
-remaining row with the fewest nonzeros as pivot row (lowest index on ties)
-and pivots on its diagonal entry when that is nonzero, else on its lowest
-column.  Every other row with a nonzero in the pivot column is updated by
-Bareiss' rule
+`int_det` takes rows as ``{column: value}`` maps and keeps them without
+zeros.  Step s takes the remaining row with the fewest nonzeros as pivot row
+(lowest index on ties) and pivots on its diagonal entry when that is nonzero,
+else on its lowest column.  Every other row with a nonzero in the pivot
+column is updated by Bareiss' rule
 
     row <- (p_s * row - row[c] * pivot_row) / p_{s-1},
 
@@ -23,12 +23,17 @@ remainder; they are applied to the product, never to a ratio of pivots.
 The last pivot is the determinant of the permuted matrix; the sign of the
 row order times the sign of the column order turns it into det A.
 
-On sparse matrices, such as the Goeritz and Laplacian minors of planar
-diagrams, a pivot row meets few other rows and fill stays small, so the
-cost is far below the n^3 of dense elimination.
+On sparse matrices a pivot row meets few other rows and fill stays small, so
+the cost is far below the n^3 of dense elimination.  `laplacian_det` builds
+such minors for the Goeritz determinant (`jones`) and the matrix-tree count
+(`braid3`).  A Laplacian's rows and columns sum to zero, so every principal
+cofactor is equal (Kirchhoff); it deletes the vertex with the most
+neighbours, the densest row and column, so the minor stays sparse.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 
 def _parity(order: list[int]) -> int:
@@ -49,12 +54,13 @@ def _parity(order: list[int]) -> int:
     return sign
 
 
-def int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, exactly."""
+def int_det(rows: list[dict[int, int]]) -> int:
+    """Determinant of the n x n integer matrix whose row i is the map rows[i]
+    from column to entry, exactly; a column outside 0..n-1 raises ValueError."""
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    active = {i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(rows)}
+    if any(not 0 <= j < n for r in rows for j in r):
+        raise ValueError(f"a column lies outside 0..{n - 1}")
+    active = {i: {j: v for j, v in r.items() if v} for i, r in enumerate(rows)}
     level = dict.fromkeys(active, 0)  # the step each row was last updated at
     piv = [1]
     row_order: list[int] = []
@@ -84,3 +90,20 @@ def int_det(rows: list[list[int]]) -> int:
             level[k] = step
         piv.append(p)
     return _parity(row_order) * _parity(col_order) * piv[-1]
+
+
+def laplacian_det(n: int, edges: Iterable[tuple[int, int, int]]) -> int:
+    """A principal cofactor of the Laplacian of the multigraph on vertices
+    0..n-1, each edge (u, v, weight) adding its weight; loops add nothing.
+    Every such cofactor is equal; n = 0 gives 0."""
+    if n == 0:
+        return 0
+    lap: list[dict[int, int]] = [{} for _ in range(n)]
+    for u, v, w in edges:
+        if u != v:
+            for a, b in ((u, v), (v, u)):
+                lap[a][a] = lap[a].get(a, 0) + w
+                lap[a][b] = lap[a].get(b, 0) - w
+    hub = max(range(n), key=lambda i: len(lap[i]))
+    del lap[hub]
+    return int_det([{j - (j > hub): v for j, v in r.items() if j != hub} for r in lap])

@@ -12,11 +12,14 @@ crossing, as does a piece wider than SWEEP_WIDTH, and the shared
 the kinks and clasps that `diagram.simplify` removes change the writhe.
 V is normalized by (-A)^(-3w) and realized in s = t^(1/2) via t = A^-4.
 
-det(L) = |V_L(-1)| with t = -1 evaluated exactly as s = i.  A Goeritz-form
-determinant over a checkerboard coloring of the faces (`diagram._faces`) is
-included as an independent cross-check that also handles diagrams beyond the
-bracket's crossing bound.  `diagram._admit` rejects the empty link and a
-non-planar PD code with MalformedDiagramError before any engine starts.
+det(L) = |V_L(-1)| with t = -1 evaluated exactly as s = i.  The Goeritz
+determinant checks it at every size: |det G| = det(L) (Gordon and Litherland
+1978) for G the Laplacian of the white faces, with one edge per crossing.
+Corner k of crossing c is white when k + flip[c] is even; `diagram._faces`
+puts corners (c, s) and (c2, s2 + 1) in one face when an arc joins slot s of
+c to slot s2 of c2, so one walk over the arcs sets flip[c2] = flip[c] + s +
+s2 + 1 (mod 2).  `diagram._admit` rejects the empty link and a non-planar PD
+code with MalformedDiagramError before any engine starts.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .diagram import (
     smooth,
 )
 from .errors import InternalConsistencyError, MalformedDiagramError
-from .intmat import int_det
+from .intmat import laplacian_det
 from .poly import HalfLaurent, IntLaurent, breadth_t, eval_at_s_equals_i
 from .qpoly import DEFAULT_MAX_CROSSINGS, q_degree
 
@@ -202,11 +205,11 @@ def determinant_goeritz(d: PDDiagram) -> int:
 
     Works for any number of crossings; split diagrams return 0 and
     non-planar codes raise MalformedDiagramError.  The time goes to
-    :func:`~qalt.intmat.int_det` on a sparse minor.  Measured on a 2-core
-    Xeon with Python 3.11 (CPU time): the reduced closure of (s1 s2^-1)^k
-    takes 0.006 s at 200 crossings, 0.05 s at 800, 0.17 s at 1600 and
-    0.55 s at 3200; reduced random 4-braids take 0.006 s at 292 crossings
-    and 0.1 s at 1152.
+    :func:`~qalt.intmat.laplacian_det` on a sparse minor.  Measured on a
+    2-core Xeon with Python 3.11 (CPU time): the reduced closure of
+    (s1 s2^-1)^k takes 0.003 s at 200 crossings, 0.02 s at 800, 0.08 s at
+    1600 and 0.27 s at 3200; reduced random 4-braids take 0.008 s at 264
+    crossings, 0.02 s at 550 and 0.08 s at 1118.
     """
     nfaces, face_of = _admit(d)
     if not d.crossings:
@@ -214,48 +217,27 @@ def determinant_goeritz(d: PDDiagram) -> int:
     # a planar diagram has n + 2 faces per piece, so more means split
     if nfaces > len(d.crossings) + 2 or d.free_loops:
         return 0
-    # 2-color faces: corners k and k+1 at a crossing see opposite colors
-    color = [-1] * nfaces
-    color[face_of[(0, 0)]] = 0
-    stack = [face_of[(0, 0)]]
-    adj: dict[int, set[int]] = {i: set() for i in range(nfaces)}
-    for c in range(len(d.crossings)):
-        for k in range(4):
-            f1 = face_of[(c, k)]
-            f2 = face_of[(c, (k + 1) % 4)]
-            adj[f1].add(f2)
-            adj[f2].add(f1)
+    flip = {0: 0}  # corner k of crossing c is white when k + flip[c] is even
+    stack = [0]
     while stack:
-        f = stack.pop()
-        for g in adj[f]:
-            if color[g] == -1:
-                color[g] = 1 - color[f]
-                stack.append(g)
-            elif color[g] == color[f]:
+        c = stack.pop()
+        for s, arc in enumerate(d.crossings[c]):
+            e1, e2 = d.ends[arc]
+            c2, s2 = e2 if e1 == (c, s) else e1
+            f = (flip[c] + s + s2 + 1) % 2
+            if c2 not in flip:
+                flip[c2] = f
+                stack.append(c2)
+            elif flip[c2] != f:
                 raise MalformedDiagramError("diagram is not checkerboard colorable")
-    white = [i for i in range(nfaces) if color[i] == 0]
-    index = {f: i for i, f in enumerate(white)}
-    m = len(white)
-    g = [[0] * m for _ in range(m)]
-    for c in range(len(d.crossings)):
-        corners = [face_of[(c, k)] for k in range(4)]
-        if color[corners[0]] == 0:
-            w1, w2 = corners[0], corners[2]
-            eta = 1
-        else:
-            w1, w2 = corners[1], corners[3]
-            eta = -1
-        i, j = index[w1], index[w2]
-        if i != j:
-            g[i][j] -= eta
-            g[j][i] -= eta
-            g[i][i] += eta
-            g[j][j] += eta
-    # g has zero row sums, so every principal cofactor has the same |det|;
-    # deleting the face with the most neighbours keeps the minor sparse
-    k = index[max(white, key=lambda f: len(adj[f]))]
-    minor = [row[:k] + row[k + 1 :] for i, row in enumerate(g) if i != k]
-    return abs(int_det(minor))
+    # crossing c joins its white corners k and k + 2, k = flip[c], with eta = 1 - 2k
+    index: dict[int, int] = {}
+    edges = []
+    for c, k in flip.items():
+        u = index.setdefault(face_of[(c, k)], len(index))
+        v = index.setdefault(face_of[(c, k + 2)], len(index))
+        edges.append((u, v, 1 - 2 * k))
+    return abs(laplacian_det(len(index), edges))
 
 
 # -- the obstruction ------------------------------------------------------

@@ -83,6 +83,9 @@ def check_lemma22(
 
 
 def _q(d: PDDiagram, memo: dict) -> dict:
+    # A link sweep closes its frontier by a crossing that meets all 4 points;
+    # that transition sweeps the glued link, and unless R1/R2 shrink it, that
+    # sweep ends on closing transitions that ask for each other forever.
     return _expand(simplify(d), memo, _UNLINK, _q, _chain)
 
 

@@ -160,6 +160,10 @@ def test_a_tangle_keeps_its_boundary():
     # PD text has no boundary, so a tangle has none rather than a wrong one
     with pytest.raises(MalformedDiagramError, match="a tangle has no PD text"):
         render_pd(tangle)
+    # the code walks strands through crossings, and a boundary end is none
+    for t in (tangle, PDDiagram([(1, 1, 2, 3)], 0, (2, 3))):
+        with pytest.raises(MalformedDiagramError, match="a tangle has no canonical code"):
+            t.canonical_code()
 
 
 def test_connected_sum_components():

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from qalt.intmat import int_det
+from qalt.intmat import int_det, laplacian_det
 
 
 def fraction_det(m: list[list[int]]) -> int:
@@ -28,6 +28,11 @@ def fraction_det(m: list[list[int]]) -> int:
     return int(det)
 
 
+def sparse(m: list[list[int]]) -> list[dict[int, int]]:
+    """The rows of a dense matrix as {column: value} maps, zeros kept."""
+    return [dict(enumerate(row)) for row in m]
+
+
 def test_random_matrices_match_fraction_elimination():
     rng = random.Random(20140603)
     singular = 0
@@ -42,7 +47,7 @@ def test_random_matrices_match_fraction_elimination():
             m[rng.randrange(n)] = list(m[rng.randrange(n)])  # often singular
         expected = fraction_det(m)
         singular += expected == 0
-        assert int_det(m) == expected, m
+        assert int_det(sparse(m)) == expected, m
     assert singular > 50
 
 
@@ -53,17 +58,18 @@ def test_permutation_matrices_give_their_sign():
             inversions = sum(
                 perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
             )
-            assert int_det(m) == (-1) ** inversions
+            assert int_det(sparse(m)) == (-1) ** inversions
 
 
 def test_shapes():
     assert int_det([]) == 1
-    assert int_det([[5]]) == 5
-    assert int_det([[0]]) == 0
-    with pytest.raises(ValueError):
-        int_det([[1, 2]])
-    with pytest.raises(ValueError):
-        int_det([[1, 2], [3]])
+    assert int_det([{0: 5}]) == 5
+    assert int_det([{0: 0}]) == 0
+    assert int_det([{}, {1: 3}]) == 0
+    assert int_det([{1: 2, 0: 0}, {0: 3}]) == -6
+    for rows in ([{1: 2}], [{0: 1}, {2: 3}], [{-1: 1}, {1: 1}]):
+        with pytest.raises(ValueError):
+            int_det(rows)
 
 
 def reduced_laplacian(vertices: int, edges, keep_first: bool = False):
@@ -95,11 +101,46 @@ def test_wheel_spanning_trees_with_the_dense_hub_row():
     edges = [(0, i) for i in range(1, n + 1)]
     edges += [(i, i % n + 1) for i in range(1, n + 1)]
     minor = reduced_laplacian(n + 1, edges, keep_first=True)
-    assert int_det(minor) == lucas(2 * n) - 2
+    assert int_det(sparse(minor)) == lucas(2 * n) - 2
+    assert laplacian_det(n + 1, [(u, v, 1) for u, v in edges]) == lucas(2 * n) - 2
 
 
 def test_complete_graph_spanning_trees():
     # Cayley: K_n has n^(n-2) spanning trees; every entry of the minor is nonzero
     n = 40
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    assert int_det(reduced_laplacian(n, edges)) == n ** (n - 2)
+    assert int_det(sparse(reduced_laplacian(n, edges))) == n ** (n - 2)
+    assert laplacian_det(n, [(u, v, 1) for u, v in edges]) == n ** (n - 2)
+
+
+def test_laplacian_det_is_every_principal_cofactor():
+    # random weighted multigraphs: negative weights, parallel edges whose
+    # weights cancel, loops, and disconnected graphs (every cofactor 0)
+    rng = random.Random(20140605)
+    zero = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        edges = [
+            (rng.randrange(n), rng.randrange(n), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(rng.randint(0, 14))
+        ]
+        if edges and rng.random() < 0.3:
+            u, v, w = rng.choice(edges)
+            edges.append((v, u, -w))  # cancels an edge
+        lap = [[0] * n for _ in range(n)]
+        for u, v, w in edges:
+            if u != v:
+                lap[u][u] += w
+                lap[v][v] += w
+                lap[u][v] -= w
+                lap[v][u] -= w
+        value = laplacian_det(n, edges)
+        zero += value == 0
+        for k in range(n):
+            minor = [[x for j, x in enumerate(row) if j != k] for i, row in enumerate(lap) if i != k]
+            assert int_det(sparse(minor)) == value, (n, edges, k)
+    assert 50 < zero < 250  # singular and nonsingular alike
+    assert laplacian_det(0, []) == 0
+    assert laplacian_det(1, []) == laplacian_det(1, [(0, 0, 5)]) == 1
+    assert laplacian_det(2, [(0, 1, 2), (1, 0, 3)]) == 5
+    assert laplacian_det(2, [(0, 1, 2), (0, 1, -2)]) == 0

@@ -62,7 +62,7 @@ def _lines():
             [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
             for _ in range(n)
         ]
-        yield str(int_det(m))
+        yield str(int_det([dict(enumerate(row)) for row in m]))
 
 
 def _walk_diagrams():

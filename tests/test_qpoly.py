@@ -34,6 +34,7 @@ from qalt.diagram import (
 )
 from qalt.errors import CrossingLimitError, MalformedDiagramError
 from qalt.jones import determinant_goeritz
+from qalt.kanenobu import KANENOBU_DET, Q_8_8, Q_8_9
 from qalt.poly import IntLaurent
 from qalt.qpoly import (
     _chain,
@@ -71,9 +72,22 @@ def test_trefoil_and_hopf():
 
 
 def test_q_8_8_catalog_value():
-    # Kanenobu's Q(8_8); the diagram comes from the braid word
-    # (checked against the determinant/degree published for 8_8)
-    pytest.skip("8_8 fixture lands with the catalog module")
+    # a 9-crossing closed 4-braid diagram of 8_8 gives Kanenobu's Q(8_8) and det
+    d = close_braid([1, 1, 1, 2, -1, -3, 2, -3, -3], 4)
+    assert len(d) == 9
+    assert q_polynomial(d) == Q_8_8
+    assert determinant_goeritz(d) == KANENOBU_DET
+
+
+def test_q_8_9_from_a_braid_diagram():
+    # the closed 3-braid s1^3 s2^-1 s1 s2^-3 is 8_9: Kanenobu's Q(8_9), det 25,
+    # and, 8_9 being amphichiral, a Jones polynomial symmetric under t -> 1/t
+    d = close_braid([1, 1, 1, -2, 1, -2, -2, -2], 3)
+    assert len(d) == 8
+    assert q_polynomial(d) == Q_8_9
+    assert determinant_goeritz(d) == KANENOBU_DET
+    v = jones.jones_polynomial(d)
+    assert {-e: c for e, c in v.items()} == dict(v.items())
 
 
 def test_diagram_independence():
@@ -208,6 +222,25 @@ def test_basis_tangles_evaluate_to_their_unit_vectors(width):
             expected = _chain(simplify(_glued(width, m, glue)), {})
             assert _transition(_q, width, m, glue) == expected, (m, glue)
     assert noncrossing == {2: 1, 4: 2, 6: 5, 8: 14}[width]  # Catalan(width / 2)
+
+
+def test_closing_transitions_equal_the_skein_recursion():
+    # A link sweep closes its frontier by a crossing that meets all 4 points,
+    # and that transition runs the engine on the glued link; `_q` reduces it
+    # first (without R1/R2 it would ask for closing transitions forever).
+    # Each must equal the engine's own recursion on the glued link.
+    closing = [(i, 4, s) for i in range(4) for s in (0, 1)]
+    cases = 0
+    for engine, recursion in ((_q, _chain), (jones._bracket, jones._smoothing)):
+        for m in _matchings(tuple(range(4))):
+            if engine is jones._bracket and _basis(4, m)[0]:
+                continue  # the bracket's basis holds the crossingless tangles only
+            for glue in closing:
+                glued = _glued(4, m, glue)
+                assert not glued.boundary
+                assert _transition(engine, 4, m, glue) == recursion(glued, {}), (m, glue)
+                cases += 1
+    assert cases == 24 + 16
 
 
 def _sweep_cases():
