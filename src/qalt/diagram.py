@@ -25,6 +25,7 @@ from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import chain, combinations, count
 from math import inf
 from typing import Callable, Iterable, Sequence
@@ -514,9 +515,24 @@ def num_components(d: PDDiagram) -> int:
     return len(_strands(d)) + d.free_loops
 
 
+def _merge(fusions: Iterable[tuple[int, int]]) -> tuple[dict[int, int], int]:
+    """Arc -> root for each arc the fusions join below another (an arc not in
+    the map is its own root), and the number of fusions that join two ends
+    of one (possibly merged) arc."""
+    parent: dict[int, int] = {}
+    closed = 0
+    for x, y in fusions:
+        rx, ry = _find(parent, x), _find(parent, y)
+        if rx == ry:
+            closed += 1
+        else:
+            parent[ry] = rx
+    return {a: _find(parent, a) for a in parent}, closed
+
+
 def _relabel(
     kept: list[Crossing],
-    fusions: list[tuple[int, int]],
+    fusions: Iterable[tuple[int, int]],
     loops: int,
     boundary: Sequence[int] = (),
 ) -> tuple[list[Crossing], int, tuple[int, ...]]:
@@ -528,15 +544,8 @@ def _relabel(
     in order of first appearance, crossings before the boundary, and each
     tuple is normalized.
     """
-    parent: dict[int, int] = {}
-    for x, y in fusions:
-        rx, ry = _find(parent, x), _find(parent, y)
-        if rx == ry:
-            loops += 1
-        else:
-            parent[ry] = rx
-    root = {a: _find(parent, a) for a in parent}
-
+    root, closed = _merge(fusions)
+    loops += closed
     relabel: dict[int, int] = {}
     new = []
     for t in kept:
@@ -580,43 +589,25 @@ def mirror(d: PDDiagram) -> PDDiagram:
     return PDDiagram([(b, c, e, a) for a, b, c, e in d.crossings], d.free_loops, d.boundary)
 
 
-def _find_r1(crossings: list[Crossing]):
-    """(removed crossing indices, arc fusions) of the first kink in scan
-    order, an arc joining two adjacent slots of one crossing; None if none."""
-    for i, t in enumerate(crossings):
-        for s in range(4):
-            if t[s] == t[(s + 1) % 4]:
-                # fuse the two slots the loop arc does not occupy
-                return (i,), [(t[(s + 2) % 4], t[(s + 3) % 4])]
-    return None
+def _has_kink(t: Sequence[int]) -> bool:
+    """An arc joins two adjacent slots of the crossing: a Reidemeister-I kink."""
+    return t[0] == t[1] or t[1] == t[2] or t[2] == t[3] or t[3] == t[0]
 
 
-def _find_r2(crossings: list[Crossing]):
-    """(removed crossing indices, arc fusions) of the first clasp in scan
-    order, two distinct crossings joined by an arc that is over at both ends
-    and another that is under at both ends; None if none."""
-    ends = _ends_of(crossings)
-    for arc, arc_ends in ends.items():
-        if len(arc_ends) < 2:
-            continue  # the arc runs to a tangle's boundary
-        (c1, s1), (c2, s2) = arc_ends
-        if c1 == c2 or s1 % 2 == 0 or s2 % 2 == 0:
-            continue  # want an over-over arc between distinct crossings
-        for arc2 in set(crossings[c1]) & set(crossings[c2]):
-            if arc2 == arc:
-                continue
-            (d1, t1), (d2, t2) = ends[arc2]
-            if {d1, d2} == {c1, c2} and t1 % 2 == 0 and t2 % 2 == 0:
-                fusions = []
-                for c in (c1, c2):
-                    t = crossings[c]
-                    over_pair = [t[1], t[3]]
-                    under_pair = [t[0], t[2]]
-                    over_pair.remove(arc)
-                    under_pair.remove(arc2)
-                    fusions.append((arc, over_pair[0]))
-                    fusions.append((arc2, under_pair[0]))
-                return (c1, c2), fusions
+def _clasp(cross: Sequence[Sequence[int]], ends, c1: int):
+    """(c2, over arc, under arc) of the first clasp, in the slot order of c1,
+    whose lower crossing is c1: an arc over at c1 and at some c2 > c1, and one
+    under at both; None if there is none.  `ends` maps an arc to its ends
+    (crossing, slot); a tangle's boundary end (-1, p) never matches."""
+    t = cross[c1]
+    for s in (1, 3):
+        es = ends[t[s]]
+        c2, s2 = es[0] if es[-1] == (c1, s) else es[-1]
+        if c2 > c1 and s2 % 2:
+            for u in (0, 2):
+                es = ends[t[u]]
+                if (es[0] if es[-1] == (c1, u) else es[-1]) in ((c2, 0), (c2, 2)):
+                    return c2, t[s], t[u]
     return None
 
 
@@ -628,15 +619,109 @@ def simplify(d: PDDiagram) -> PDDiagram:
     full twist around a 1-1 summand, and removing it is an isotopy that
     changes the writhe by +-2.  So the output keeps the link type, Q and det,
     but not the framing: the Kauffman bracket and the writhe must not be
-    computed on it.  The moves work on crossing tuples; one diagram is built
-    at the end, and `d` itself is returned when no move applies.
+    computed on it.  `d` itself is returned when no move applies.
+
+    The moves and the output are those of the plain loop that, after each
+    move, relabels the arcs densely by first appearance, normalizes each
+    tuple and rescans from crossing 0: remove the kink at the lowest
+    crossing, else the clasp whose over arc comes first in scan order
+    (crossing, slot).  Relabeling turns a crossing by two exactly when
+    (first(t[2]), first(t[3])) < (first(t[0]), first(t[1])), first(a) being
+    the lowest (crossing, slot) end of arc a; the turns set the next
+    relabeling and the slot order in which a crossing meets its clasps.
+
+    So the arc-end table is built once, and each crossing is kept in its
+    current turn, with min-heaps of the crossings that may hold a kink and
+    of those that may be the lower crossing of a clasp.  A move rewrites
+    the arcs it fuses and pushes the crossings on them.  Its turns are
+    decided once a next move is found, all before any is applied: every
+    crossing after the first move; after a later one, the crossings on a
+    fused arc and those next to a crossing that turned.  The last move's
+    turns are left to the one `_relabel` call at the end.  A move costs
+    O(log n) plus the turns it sets off, so m moves on n crossings take
+    about O(n + m log n) time, where rescanning took O(m n).
     """
-    crossings, loops, boundary = d.crossings, d.free_loops, d.boundary
-    while move := _find_r1(crossings) or _find_r2(crossings):
-        removed, fusions = move
-        kept = [t for j, t in enumerate(crossings) if j not in removed]
-        crossings, loops, boundary = _relabel(kept, fusions, loops, boundary)
-    return d if crossings is d.crossings else PDDiagram(crossings, loops, boundary)
+    crossings = d.crossings
+    n = len(crossings)
+    kinks = [i for i, t in enumerate(crossings) if _has_kink(t)]
+    # a clasp's lower crossing is the first end of an arc that is over at both
+    # ends; an arc's ends are listed in scan order
+    lower = sorted({c1 for (c1, s1), (c2, s2) in d.ends.values() if c1 < c2 and s1 & s2 & 1})
+    clasps = lower if kinks else [c for c in lower if _clasp(crossings, d.ends, c)]
+    if not (kinks or clasps):
+        return d
+    cross = [list(t) for t in crossings]
+    ends = dict(d.ends)  # each arc's crossing ends in order; a move replaces lists
+    for a in d.boundary:
+        ends[a] = [e for e in ends[a] if e[0] >= 0]
+    alive = [True] * n
+    loops, boundary = d.free_loops, d.boundary
+    pending = None  # the crossings whose turn the last move left to decide
+    while True:
+        while kinks and not (alive[kinks[0]] and _has_kink(cross[kinks[0]])):
+            heappop(kinks)
+        if not kinks:
+            while clasps and not (alive[clasps[0]] and _clasp(cross, ends, clasps[0])):
+                heappop(clasps)
+            if not clasps:
+                break
+        if pending is not None:  # decided only now that another move follows
+            turned = [c for c in pending if alive[c] and _turns(cross[c], ends)]
+            for c in turned:
+                _turn(cross, ends, c)
+            pending = {j for c in turned for a in cross[c] for j, _ in ends[a]}
+        if kinks:
+            i = kinks[0]
+            t = cross[i]
+            s = next(s for s in range(4) if t[s] == t[s - 3])
+            removed, fusions = (i,), [(t[s - 2], t[s - 1])]  # fuse the two other slots
+        else:
+            c1 = clasps[0]
+            c2, over, under = _clasp(cross, ends, c1)  # in c1's slot order after the turns
+            removed, fusions = (c1, c2), []
+            for a, b, c, e in (cross[c1], cross[c2]):
+                fusions.append((over, e if b == over else b))
+                fusions.append((under, c if a == under else a))
+        for c in removed:
+            alive[c] = False
+        root, closed = _merge(fusions)
+        loops += closed
+        boundary = [root.get(a, a) for a in boundary]
+        fused: dict[int, list[tuple[int, int]]] = {}
+        for c in removed:
+            for a in cross[c]:
+                es = ends.pop(a, None)
+                if es is not None:
+                    fused.setdefault(root.get(a, a), []).extend([e for e in es if alive[e[0]]])
+        touched = set()
+        for a, es in fused.items():
+            if es:
+                es.sort()
+                ends[a] = es
+                for c, s in es:
+                    cross[c][s] = a
+                    touched.add(c)
+        for c in touched:
+            if _has_kink(cross[c]):
+                heappush(kinks, c)
+            if _clasp(cross, ends, c):
+                heappush(clasps, c)
+        pending = set(range(n)) if pending is None else pending | touched
+    kept = [tuple(t) for t, live in zip(cross, alive) if live]
+    return PDDiagram(*_relabel(kept, (), loops, boundary))
+
+
+def _turns(t: Sequence[int], ends) -> bool:
+    """Whether relabeling by first appearance turns `t` by two."""
+    return (ends[t[2]][0], ends[t[3]][0]) < (ends[t[0]][0], ends[t[1]][0])
+
+
+def _turn(cross: list[list[int]], ends, c: int) -> None:
+    """Turn crossing c by two and move its ends in the arc-end table."""
+    t = cross[c]
+    cross[c] = t[2:] + t[:2]
+    for a in set(t):
+        ends[a] = sorted((j, s ^ 2) if j == c else (j, s) for j, s in ends[a])
 
 
 def connected_sum(d1: PDDiagram, d2: PDDiagram, arc1: int, arc2: int) -> PDDiagram:

@@ -12,6 +12,17 @@ def random_braid_diagram(rng: random.Random, max_letters: int = 8, strands: int 
     return close_braid(word, strands)
 
 
+def matchings(points):
+    """Every perfect matching of `points`, as pairs (p, q), p < q, in order of p."""
+    if not points:
+        yield ()
+        return
+    p, rest = points[0], points[1:]
+    for k, q in enumerate(rest):
+        for m in matchings(rest[:k] + rest[k + 1 :]):
+            yield ((p, q),) + m
+
+
 @pytest.fixture
 def rng():
     return random.Random(20140602)

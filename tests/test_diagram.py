@@ -6,6 +6,9 @@ from qalt.diagram import (
     PDDiagram,
     SmoothingKind,
     _basis,
+    _ends_of,
+    _glued,
+    _relabel,
     close_braid,
     connected_sum,
     figure_eight,
@@ -25,6 +28,8 @@ from qalt.diagram import (
 from qalt.errors import MalformedDiagramError, PDParseError
 from qalt.jones import jones_polynomial
 from qalt.qpoly import q_polynomial
+
+from conftest import matchings
 
 TREFOIL_PD = "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"
 TREFOIL_CODES = {trefoil().canonical_code(), mirror(trefoil()).canonical_code()}
@@ -141,6 +146,90 @@ def test_simplify_preserves_components():
         word = [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randint(0, 8))]
         d = close_braid(word, 4)
         assert num_components(simplify(d)) == num_components(d)
+
+
+# The reference for `simplify`: find the first kink, else the first clasp, by a
+# scan from crossing 0, relabel every crossing, and repeat.  It costs O(m n)
+# for m moves on n crossings; the worklist reducer must return its output byte
+# for byte.
+
+
+def _find_r1(crossings):
+    for i, t in enumerate(crossings):
+        for s in range(4):
+            if t[s] == t[(s + 1) % 4]:
+                return (i,), [(t[(s + 2) % 4], t[(s + 3) % 4])]
+    return None
+
+
+def _find_r2(crossings):
+    ends = _ends_of(crossings)
+    for arc, arc_ends in ends.items():
+        if len(arc_ends) < 2:
+            continue  # the arc runs to a tangle's boundary
+        (c1, s1), (c2, s2) = arc_ends
+        if c1 == c2 or s1 % 2 == 0 or s2 % 2 == 0:
+            continue
+        for arc2 in set(crossings[c1]) & set(crossings[c2]):
+            if arc2 == arc:
+                continue
+            (d1, t1), (d2, t2) = ends[arc2]
+            if {d1, d2} == {c1, c2} and t1 % 2 == 0 and t2 % 2 == 0:
+                fusions = []
+                for c in (c1, c2):
+                    t = crossings[c]
+                    over_pair = [t[1], t[3]]
+                    under_pair = [t[0], t[2]]
+                    over_pair.remove(arc)
+                    under_pair.remove(arc2)
+                    fusions.append((arc, over_pair[0]))
+                    fusions.append((arc2, under_pair[0]))
+                return (c1, c2), fusions
+    return None
+
+
+def _rescanning_simplify(d):
+    crossings, loops, boundary = d.crossings, d.free_loops, d.boundary
+    while move := _find_r1(crossings) or _find_r2(crossings):
+        removed, fusions = move
+        kept = [t for j, t in enumerate(crossings) if j not in removed]
+        crossings, loops, boundary = _relabel(kept, fusions, loops, boundary)
+    return d if crossings is d.crossings else PDDiagram(crossings, loops, boundary)
+
+
+def _reducer_inputs():
+    """Seeded 2-6-strand closures of 0-60 letters, a third of them with one
+    crossing smoothed; every glued basis tangle of width 6 or less; a closure
+    whose output one relabel after all the moves gets wrong; and a diagram
+    with a meridian loop, whose crossings turn only because a neighbour did."""
+    rng = random.Random(20140606)
+    for _ in range(2000):
+        strands = rng.randint(2, 6)
+        gens = [g for i in range(1, strands) for g in (i, -i)]
+        d = close_braid([rng.choice(gens) for _ in range(rng.randint(0, 60))], strands)
+        if d.crossings and rng.random() < 1 / 3:
+            d = smooth(d, rng.randrange(len(d)), rng.choice((SmoothingKind.A, SmoothingKind.B)))
+        yield d
+    for width in (2, 4, 6):
+        glues = [(i, r, s) for i in range(width) for r in range(1, min(width, 4) + 1) for s in range(4)]
+        glues += [(i, 2, None) for i in range(width)]
+        for m in matchings(tuple(range(width))):
+            for glue in glues:
+                yield _glued(width, m, glue)
+    yield close_braid([4, 4, -3, 2, 4, -1, 2, 1, 3, 3, 1, 4], 5)
+    yield parse_pd(
+        "X(18,9,15,17);X(17,10,6,8);X(14,2,2,7);X(11,12,1,11);X(10,3,8,4);"
+        "X(14,13,4,16);X(12,1,7,5);X(9,18,3,15);X(16,6,13,5)"
+    )
+
+
+def test_simplify_matches_the_rescanning_reducer():
+    for d in _reducer_inputs():
+        want = _rescanning_simplify(d)
+        got = simplify(d)
+        assert got.key() == want.key(), d.key()
+        assert (got is d) == (want is d)
+        assert d.ends == _ends_of(d.crossings, d.boundary)  # its table is shared, not changed
 
 
 def test_mirror_involution():

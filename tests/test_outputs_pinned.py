@@ -1,10 +1,10 @@
-"""Three digests pin the rendered outputs of the polynomial-time and skein
-paths, of everything that walks a diagram's strands and faces, and of the
-pretzel diagrams' PD text.
+"""Four digests pin the rendered outputs of the polynomial-time and skein
+paths, of everything that walks a diagram's strands and faces, of the
+pretzel diagrams' PD text, and of `simplify` on long braid closures.
 
 Each digest is sha256 over the rendered text of every result, never
 ``hash()``, so it does not depend on the interpreter's hash seed.  A change
-that is meant to keep every output byte-identical must leave all three equal.
+that is meant to keep every output byte-identical must leave all four equal.
 """
 
 import hashlib
@@ -30,6 +30,7 @@ from qalt.qpoly import q_polynomial
 PINNED = "c5ef25d225cc6d9324a527790c4d7439e8e67706245887fb3412de304cab1990"
 WALK_PINNED = "b0abd01bc5f760f494684b1287344b9ad19d75f8f44af2be0b1fafb00673ea51"
 PRETZEL_PINNED = "49176c5e27defa68a5a84ea501bf2b14e02b0c616ccd94facb34557b03252df2"
+BIG_PINNED = "d36b9d3943be282d58ba5da9672dc513ef8f68d5fff0f96c05275721e256934c"
 
 
 def _word(rng: random.Random, strands: int, lo: int, hi: int) -> list[int]:
@@ -107,6 +108,19 @@ def _pretzel_lines():
             yield render_pd(generate_pretzel(e))
 
 
+def _big_lines():
+    """`simplify` and the Goeritz det of its output on 12 seeded 3- and
+    4-strand closures of 200-2000 letters, where hundreds of moves interact."""
+    rng = random.Random(20140605)
+    for letters in (200, 250, 300, 350, 400, 450, 500, 600, 700, 800, 1000, 2000):
+        strands = rng.randint(3, 4)
+        d = close_braid(_word(rng, strands, letters, letters), strands)
+        reduced = simplify(d)
+        yield f"{len(d)} -> {len(reduced)}"
+        yield render_pd(reduced)
+        yield str(determinant_goeritz(reduced))
+
+
 def _digest(lines) -> str:
     h = hashlib.sha256()
     for line in lines:
@@ -133,3 +147,7 @@ def test_walk_outputs_are_pinned():
 
 def test_pretzel_outputs_are_pinned():
     assert _digest(_pretzel_lines()) == PRETZEL_PINNED
+
+
+def test_big_simplify_outputs_are_pinned():
+    assert _digest(_big_lines()) == BIG_PINNED

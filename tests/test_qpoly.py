@@ -44,7 +44,7 @@ from qalt.qpoly import (
     q_polynomial,
 )
 
-from conftest import random_braid_diagram
+from conftest import matchings, random_braid_diagram
 
 P = IntLaurent.parse
 
@@ -187,23 +187,12 @@ def _evaluations(q):
     return tuple(sum(Fraction(x) ** e * v for e, v in q.items()) for x in (1, -2, 2))
 
 
-def _matchings(points):
-    """Every perfect matching of `points`, as pairs (p, q), p < q, in order of p."""
-    if not points:
-        yield ()
-        return
-    p, rest = points[0], points[1:]
-    for k, q in enumerate(rest):
-        for m in _matchings(rest[:k] + rest[k + 1 :]):
-            yield ((p, q),) + m
-
-
 @pytest.mark.parametrize("width", [2, 4, 6, 8])
 def test_basis_tangles_evaluate_to_their_unit_vectors(width):
-    matchings = list(_matchings(tuple(range(width))))
-    assert len(matchings) == {2: 1, 4: 3, 6: 15, 8: 105}[width]
+    basis = list(matchings(tuple(range(width))))
+    assert len(basis) == {2: 1, 4: 3, 6: 15, 8: 105}[width]
     noncrossing = 0
-    for m in matchings:
+    for m in basis:
         crossings, boundary = _basis(width, m)
         tangle = PDDiagram(crossings, 0, boundary)
         assert _q(tangle, {}) == {m: 1}
@@ -232,7 +221,7 @@ def test_closing_transitions_equal_the_skein_recursion():
     closing = [(i, 4, s) for i in range(4) for s in (0, 1)]
     cases = 0
     for engine, recursion in ((_q, _chain), (jones._bracket, jones._smoothing)):
-        for m in _matchings(tuple(range(4))):
+        for m in matchings(tuple(range(4))):
             if engine is jones._bracket and _basis(4, m)[0]:
                 continue  # the bracket's basis holds the crossingless tangles only
             for glue in closing:
@@ -326,7 +315,7 @@ def test_four_point_tangle_relations():
     assert q(_tangle_sum(infinity, infinity)) == _combine(((loop, q(infinity)),))
 
     # [n] = [1] (+) ... (+) [1] paired with the numerators of the basis tangles
-    closures = {m: q_polynomial(_numerator(*_basis(4, m))) for m in _matchings((0, 1, 2, 3))}
+    closures = {m: q_polynomial(_numerator(*_basis(4, m))) for m in matchings((0, 1, 2, 3))}
     twists = plus
     for n in range(1, 8):
         vector = q(twists)
