@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import HypothesisViolationError, MalformedDiagramError, PDParseError
 from .intmat import laplacian_det
@@ -146,8 +145,6 @@ def to_word(nf: B3NormalForm) -> BraidWord:
 
 # -- Burau representation ------------------------------------------------
 
-_T = IntLaurent.x()  # the Burau variable t
-
 
 @dataclass(frozen=True)
 class BurauMatrix:
@@ -173,27 +170,64 @@ class BurauMatrix:
         return BurauMatrix(one, zero, zero, one)
 
 
-_BURAU = {
-    1: BurauMatrix(-_T, IntLaurent.const(1), IntLaurent.zero(), IntLaurent.const(1)),
-    2: BurauMatrix(IntLaurent.const(1), IntLaurent.zero(), _T, -_T),
-    # exact inverses (det psi(s_i) = -t)
-    -1: BurauMatrix(
-        IntLaurent({-1: -1}), IntLaurent({-1: 1}), IntLaurent.zero(), IntLaurent.const(1)
-    ),
-    -2: BurauMatrix(
-        IntLaurent.const(1), IntLaurent.zero(), IntLaurent.const(1), IntLaurent({-1: -1})
-    ),
-}
-
-
 def burau(w: BraidWord) -> BurauMatrix:
-    """Reduced Burau matrix of a 3-strand word, entries in Z[t, t^-1]."""
+    """Reduced Burau matrix of a 3-strand word, entries in Z[t, t^-1].
+
+    psi(s1) = [-t, 1; 0, 1] and psi(s2) = [1, 0; t, -t].  The product runs
+    on packed integers: evaluation at t = X = 2^B is a ring homomorphism
+    Z[t] -> Z, so each entry is one Python int, with exact carries, and
+    only the final decode needs the bound.  For a polynomial product every
+    inverse letter is taken times t, t psi(s1^-1) = [-1, 1; 0, t] and
+    t psi(s2^-1) = [t, 0; t, -1]; with k inverse letters the result is
+    t^-k times the decoded matrix.  Right-multiplying by a letter is a
+    column operation on (a, b) and on (c, d), e.g. (a, b) -> (-aX, a + b)
+    for s1.  Multiplying by +-t^j keeps the sum of the absolute
+    coefficients, so the recurrence nb += na, nd += nc (s1^+-1) and
+    na += nb, nc += nd (s2^+-1) bounds every coefficient; B is the bit
+    length of that bound plus a sign bit, rounded up to a whole byte, and
+    each entry is decoded to balanced base-X digits from one ``to_bytes``.
+    Cost: about 4 big-int shifts or adds per letter, on ints of at most
+    (len(w) + 1) B bits.
+    """
     if w.strands != 3:
         raise MalformedDiagramError("the 2x2 Burau matrices are for 3-strand words")
-    out = BurauMatrix.identity()
-    for g in w.letters:
-        out = out * _BURAU[g]
-    return out
+    letters = w.letters
+    na, nb, nc, nd = 1, 0, 0, 1
+    for g in letters:
+        if g in (1, -1):
+            nb += na
+            nd += nc
+        else:
+            na += nb
+            nc += nd
+    width = -(-(max(na, nb, nc, nd).bit_length() + 1) // 8)  # B / 8
+    B = 8 * width
+    a, b, c, d = 1, 0, 0, 1
+    for g in letters:
+        if g == 1:
+            a, b, c, d = -(a << B), a + b, -(c << B), c + d
+        elif g == 2:
+            a, b, c, d = a + (b << B), -(b << B), c + (d << B), -(d << B)
+        elif g == -1:
+            a, b, c, d = -a, a + (b << B), -c, c + (d << B)
+        else:
+            a, b, c, d = (a + b) << B, -b, (c + d) << B, -d
+    k = sum(1 for g in letters if g < 0)
+    digits = len(letters) + 1
+    half = 1 << (B - 1)
+    # half added to every digit makes each one nonnegative and below X
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * digits, "little")
+
+    def decode(v: int) -> IntLaurent:
+        raw = (v + offset).to_bytes(width * digits, "little")
+        coeffs = {}
+        for i in range(digits):
+            digit = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
+            if digit:
+                coeffs[i - k] = digit
+        return IntLaurent(coeffs)
+
+    return BurauMatrix(decode(a), decode(b), decode(c), decode(d))
 
 
 def _neg_sqrt_t_power(e: int) -> HalfLaurent:
@@ -235,12 +269,17 @@ def closed_form_jones(nf: B3NormalForm) -> HalfLaurent:
 def _family1_tree_count(pairs) -> int:
     """Spanning trees of the hub-and-cycle graph, by the displayed sum.
 
-    The hub attaches at cumulative positions on a q-cycle (syllable i just
-    before its own q_i block, as in :func:`tutte_graph`); each choice of
-    attachment subset contributes the product of its parallel-edge counts
-    times the product of the cyclic gaps between consecutive chosen points.
+    The hub attaches at cumulative positions cum_i on a q-cycle (syllable i
+    just before its own q_i block, as in :func:`tutte_graph`); each nonempty
+    subset of syllables contributes the product of its parallel-edge counts
+    p_i times the product of the cyclic gaps between consecutive chosen
+    points (q for a single point).  The sum runs as a chain over the subsets
+    with first element i0: f[i0] = p_i0 and, for j > i0,
+    f[j] = p_j sum_{i0 <= i < j} f[i] (cum_j - cum_i), so f[j] sums the
+    chains from i0 to j; each closes with the wrap-around gap
+    q - (cum_j - cum_i0).  Two running sums (of f[i] and of f[i] cum_i)
+    give each f[j] in O(1), so the count takes O(s^2) for s syllables.
     """
-    s = len(pairs)
     q = sum(qi for _, qi in pairs)
     cum = []
     acc = 0
@@ -248,18 +287,14 @@ def _family1_tree_count(pairs) -> int:
         cum.append(acc)
         acc += qi
     total = 0
-    for k in range(1, s + 1):
-        for subset in combinations(range(s), k):
-            term = 1
-            for i in subset:
-                term *= pairs[i][0]
-            if k == 1:
-                term *= q
-            else:
-                for r in range(k):
-                    a, b = subset[r], subset[(r + 1) % k]
-                    term *= (cum[b] - cum[a]) % q
-            total += term
+    for i0, (p0, _) in enumerate(pairs):
+        f_sum, fc_sum = p0, p0 * cum[i0]
+        total += p0 * q
+        for j in range(i0 + 1, len(pairs)):
+            f = pairs[j][0] * (cum[j] * f_sum - fc_sum)
+            f_sum += f
+            fc_sum += f * cum[j]
+            total += f * (q - cum[j] + cum[i0])
     return total
 
 

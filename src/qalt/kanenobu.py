@@ -17,17 +17,20 @@ Q_8_8 = IntLaurent.parse("2x^7+8x^6+4x^5-14x^4-10x^3+6x^2+4x+1")
 Q_8_9 = IntLaurent.parse("2x^7+8x^6+4x^5-16x^4-10x^3+16x^2+4x-7")
 
 
+# the two factors of kanenobu_q that do not depend on p and q
+_Q_8_9_MINUS_1 = Q_8_9 - 1
+_Q_8_8_MINUS_1_OVER_X = IntLaurent.term(1, -1) * (Q_8_8 - 1)
+
+
 def kanenobu_q(p: int, q: int) -> IntLaurent:
     """Q of K(p, q):
     -sigma_p sigma_q (Q(8_9)-1) + x^-1 (sigma_{p+1} sigma_{q+1}
     + sigma_{p-1} sigma_{q-1}) (Q(8_8)-1) + 1."""
-    one = IntLaurent.const(1)
-    x_inv = IntLaurent.term(1, -1)
-    first = -(sigma(p) * sigma(q)) * (Q_8_9 - one)
-    second = x_inv * (
+    first = -(sigma(p) * sigma(q)) * _Q_8_9_MINUS_1
+    second = (
         sigma(p + 1) * sigma(q + 1) + sigma(p - 1) * sigma(q - 1)
-    ) * (Q_8_8 - one)
-    return first + second + one
+    ) * _Q_8_8_MINUS_1_OVER_X
+    return first + second + 1
 
 
 def kanenobu_degree(p: int, q: int) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
@@ -116,6 +117,10 @@ class IntLaurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self._c:
+            return self
+        if not other._c:
+            return other
         # a monomial factor shifts and scales the other one: nothing cancels
         mono, poly = (other, self) if len(other._c) == 1 else (self, other)
         if len(mono._c) == 1:
@@ -270,6 +275,7 @@ def chebyshev_S(k: int) -> IntLaurent:
     )
 
 
+@lru_cache(maxsize=256)  # the values are immutable, so callers may share them
 def sigma(n: int) -> IntLaurent:
     """sigma_0 = 0, sigma_n = sign(n) * S_{|n|-1}."""
     if n == 0:

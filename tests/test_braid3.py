@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -29,6 +29,56 @@ from qalt.qpoly import q_degree
 
 def eval_minus1(p: IntLaurent) -> int:
     return sum(v if e % 2 == 0 else -v for e, v in p.items())
+
+
+_T = IntLaurent.x()
+# the reduced Burau generators and their exact inverses (det psi(s_i) = -t)
+BURAU_TABLE = {
+    1: BurauMatrix(-_T, IntLaurent.const(1), IntLaurent.zero(), IntLaurent.const(1)),
+    2: BurauMatrix(IntLaurent.const(1), IntLaurent.zero(), _T, -_T),
+    -1: BurauMatrix(
+        IntLaurent({-1: -1}), IntLaurent({-1: 1}), IntLaurent.zero(), IntLaurent.const(1)
+    ),
+    -2: BurauMatrix(
+        IntLaurent.const(1), IntLaurent.zero(), IntLaurent.const(1), IntLaurent({-1: -1})
+    ),
+}
+
+
+def burau_by_letters(letters) -> BurauMatrix:
+    """The Burau matrix as the letter-by-letter product of the table."""
+    out = BurauMatrix.identity()
+    for g in letters:
+        out = out * BURAU_TABLE[g]
+    return out
+
+
+def subset_tree_count(pairs) -> int:
+    """The displayed sum over every nonempty subset of syllables: the product
+    of the chosen p_i times the cyclic gaps between consecutive chosen
+    cumulative positions (q for a single one)."""
+    s = len(pairs)
+    q = sum(qi for _, qi in pairs)
+    cum = [sum(qi for _, qi in pairs[:i]) for i in range(s)]
+    total = 0
+    for k in range(1, s + 1):
+        for subset in combinations(range(s), k):
+            term = 1
+            for i in subset:
+                term *= pairs[i][0]
+            if k == 1:
+                term *= q
+            else:
+                for r in range(k):
+                    a, b = subset[r], subset[(r + 1) % k]
+                    term *= (cum[b] - cum[a]) % q
+            total += term
+    return total
+
+
+def random_family1(rng: random.Random, syllables: int, top: int) -> B3NormalForm:
+    pairs = [(rng.randint(1, top), rng.randint(1, top)) for _ in range(syllables)]
+    return B3NormalForm.family1(rng.randint(-2, 2), pairs)
 
 
 def test_braid_word_validation():
@@ -111,6 +161,32 @@ def test_burau_at_minus_one_displayed_matrix():
             assert eval_minus1(mat.d) == 1
 
 
+def test_burau_of_each_letter_is_its_table_matrix():
+    for g, mat in BURAU_TABLE.items():
+        assert burau(BraidWord(3, (g,))) == mat
+
+
+def test_burau_equals_the_letter_by_letter_product():
+    rng = random.Random(1406)
+    gens = (1, -1, 2, -2)
+    words = [()] + [
+        tuple(rng.choice(gens) for _ in range(rng.randint(0, 120))) for _ in range(500)
+    ]
+    for letters in words:
+        assert burau(BraidWord(3, letters)) == burau_by_letters(letters), letters
+
+
+def test_burau_with_wide_coefficients():
+    # trace coefficients of both signs beyond 2^300: wide digits, and negative
+    # ones that borrow from the next digit in the balanced decode
+    letters = (1, -2) * 300
+    mat = burau(BraidWord(3, letters))
+    assert mat == burau_by_letters(letters)
+    coeffs = [v for _, v in mat.trace().items()]
+    assert max(abs(v) for v in coeffs).bit_length() > 300
+    assert min(coeffs) < 0 < max(coeffs)
+
+
 def test_burau_requires_three_strands():
     with pytest.raises(MalformedDiagramError):
         burau(BraidWord(4, (3,)))
@@ -165,6 +241,30 @@ def test_det_formula_matches_goeritz_on_non_palindromic_forms():
         nf = B3NormalForm.family1(n, pairs)
         assert det_formula(nf) == determinant_goeritz(close_braid(to_word(nf)))
     assert det_formula(B3NormalForm.family1(-1, [(1, 1), (2, 3), (3, 1)] * 4)) == 126202756
+
+
+def test_tree_count_equals_the_subset_sum():
+    rng = random.Random(279)
+    for _ in range(300):
+        nf = random_family1(rng, rng.randint(1, 10), 5)
+        trees = subset_tree_count(nf.pairs)
+        assert det_formula(nf) == trees + (4 if nf.n % 2 else 0), nf
+
+
+def test_det_formula_equals_matrix_tree_at_paper_scale():
+    # far beyond the subset sum: 2^40 subsets at s = 40
+    rng = random.Random(1406)
+    for s in range(20, 41, 4):
+        nf = random_family1(rng, s, 4)
+        trees = spanning_tree_count(tutte_graph(nf.pairs))
+        assert det_formula(nf) == trees + (4 if nf.n % 2 else 0), nf
+
+
+def test_det_formula_equals_goeritz_at_paper_scale():
+    rng = random.Random(2014)
+    for s in range(20, 25):
+        nf = random_family1(rng, s, 3)
+        assert det_formula(nf) == determinant_goeritz(close_braid(to_word(nf))), nf
 
 
 def test_tutte_graph_and_matrix_tree():

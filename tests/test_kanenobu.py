@@ -39,9 +39,23 @@ def test_symmetry():
 
 
 def test_degree_formula_vs_expansion():
-    for p in range(-4, 5):
-        for q in range(-4, 5):
+    # the whole qa_candidate_scan box
+    for p in range(-20, 21):
+        for q in range(-20, 21):
             assert kanenobu_q(p, q).degree() == kanenobu_degree(p, q)
+
+
+def test_kanenobu_q_equals_its_formula():
+    x_inv = IntLaurent.term(1, -1)
+    for p in range(-25, 26):
+        for q in range(-25, 26):
+            expected = (
+                -sigma(p) * sigma(q) * (Q_8_9 - 1)
+                + x_inv * sigma(p + 1) * sigma(q + 1) * (Q_8_8 - 1)
+                + x_inv * sigma(p - 1) * sigma(q - 1) * (Q_8_8 - 1)
+                + 1
+            )
+            assert kanenobu_q(p, q) == expected, (p, q)
 
 
 def test_degree_examples():

@@ -197,6 +197,17 @@ def test_rings_stay_apart():
     assert type(HalfLaurent.zero()) is HalfLaurent
 
 
+def test_zero_factor():
+    zero, p = IntLaurent.zero(), IntLaurent.parse("3x^2-x+x^-4")
+    assert zero * p == p * zero == 0 * p == p * 0 == zero
+    h = HalfLaurent({3: 2, -1: 1})
+    assert type(HalfLaurent.zero() * h) is type(h * HalfLaurent.zero()) is HalfLaurent
+    assert (h * 0).is_zero()
+    for mul in (lambda: zero * h, lambda: HalfLaurent.zero() * p, lambda: h * zero):
+        with pytest.raises(TypeError):
+            mul()
+
+
 def test_rendering_is_pinned():
     assert repr(HalfLaurent({2: -1, 1: -1})) == "HalfLaurent('-t-t^(1/2)')"
     assert HalfLaurent({2: -1, 1: -1}).render_t() == "-t-t^(1/2)"
