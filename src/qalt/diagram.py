@@ -31,7 +31,7 @@ from math import inf
 from typing import Callable, Iterable, Sequence
 
 from .errors import CrossingLimitError, MalformedDiagramError, PDParseError
-from .poly import IntLaurent
+from .poly import IntLaurent, combine as _combine
 
 Crossing = tuple[int, int, int, int]
 
@@ -62,11 +62,23 @@ def _ends_of(
     return ends
 
 
+_UNPLANNED = object()  # `PDDiagram._plan` before the first `plan`
+
+
 class PDDiagram:
     """Immutable planar diagram: crossing tuples, a free-loop count and, for a
-    tangle, its boundary labels."""
+    tangle, its boundary labels.
 
-    __slots__ = ("crossings", "free_loops", "boundary", "_ends")
+    Four tables derived from the code are computed on first use and kept on
+    the object, which never changes: `ends`, the connected `pieces`, the face
+    walk `faces` and, for a connected link, the sweep `plan`.  So Q and the
+    bracket of one diagram object walk its faces, split its pieces and plan
+    its sweep once between them.  Every move builds a new diagram, with none
+    of the tables; a face walk that finds the code non-planar raises and
+    keeps nothing, so it raises again on every later use.
+    """
+
+    __slots__ = ("crossings", "free_loops", "boundary", "_ends", "_pieces", "_faces", "_plan")
 
     def __init__(
         self,
@@ -89,6 +101,9 @@ class PDDiagram:
                 f"arc identifiers {bad} do not occur exactly twice"
             )
         self._ends: dict[int, list[tuple[int, int]]] | None = None
+        self._pieces: list[list[int]] | None = None
+        self._faces: tuple[int, dict[tuple[int, int], int]] | None = None
+        self._plan = _UNPLANNED
 
     # -- basic structure ---------------------------------------------
 
@@ -98,6 +113,29 @@ class PDDiagram:
         if self._ends is None:
             self._ends = _ends_of(self.crossings, self.boundary)
         return self._ends
+
+    @property
+    def pieces(self) -> list[list[int]]:
+        """`_connected_pieces(self)`; callers share the lists and only read them."""
+        if self._pieces is None:
+            self._pieces = _connected_pieces(self)
+        return self._pieces
+
+    @property
+    def faces(self) -> tuple[int, dict[tuple[int, int], int]]:
+        """`_faces(self)`: (number of faces, face id per corner); a non-planar
+        code raises MalformedDiagramError on every access."""
+        if self._faces is None:
+            self._faces = _faces(self)
+        return self._faces
+
+    @property
+    def plan(self) -> list[tuple[int, tuple]] | None:
+        """`_sweep_steps(self)` of a connected link: its sweep steps, or None
+        when it is too wide to sweep."""
+        if self._plan is _UNPLANNED:
+            self._plan = _sweep_steps(self)
+        return self._plan
 
     def __len__(self) -> int:
         return len(self.crossings)
@@ -145,7 +183,7 @@ class PDDiagram:
             raise MalformedDiagramError("a tangle has no canonical code")
         codes = sorted(
             min(_walk_code(self, (c, s)) for c in piece for s in range(4))
-            for piece in _connected_pieces(self)
+            for piece in self.pieces
         )
         return tuple(codes), self.free_loops
 
@@ -175,8 +213,9 @@ def _expand(d: PDDiagram, memo: dict, loop, engine: Callable, recursion: Callabl
     `loop` per piece or free loop past the first times each connected piece's
     value, memoized on `piece.key()`.  A link piece is swept with the
     transitions of `engine`; a tangle (one piece, free loops split off) and a
-    link piece wider than SWEEP_WIDTH go to `recursion(piece, memo)`."""
-    pieces = [range(len(d))] if d.boundary else _connected_pieces(d)
+    link piece wider than SWEEP_WIDTH go to `recursion(piece, memo)`.  The
+    split is `d.pieces` and each link piece's plan its `plan`, both kept."""
+    pieces = [range(len(d))] if d.boundary else d.pieces
     whole = len(pieces) == 1 and not d.free_loops
     out = {(): loop ** (len(pieces) + d.free_loops - 1)}
     for piece in pieces:
@@ -184,7 +223,7 @@ def _expand(d: PDDiagram, memo: dict, loop, engine: Callable, recursion: Callabl
         key = p.key()
         value = memo.get(key)
         if value is None:
-            steps = None if p.boundary else _sweep_steps(p)
+            steps = None if p.boundary else p.plan
             value = recursion(p, memo) if steps is None else _sweep(steps, engine)
             memo[key] = value
         out = {m: c * out[()] for m, c in value.items()}
@@ -214,22 +253,23 @@ def _faces(d: PDDiagram):
                 c2, s2 = e2 if e1 == (c, s) else e1
                 c, s = c2, (s2 + 1) % 4
             nfaces += 1
-    if nfaces != len(d.crossings) + 2 * len(_connected_pieces(d)):
+    if nfaces != len(d.crossings) + 2 * len(d.pieces):
         raise MalformedDiagramError("PD code is not planar: no sphere diagram has it")
     return nfaces, face_of
 
 
 def _admit(d: PDDiagram, max_crossings: float = inf):
-    """`_faces(d)`, after the checks every invariant needs: a tangle, the empty
+    """`d.faces`, after the checks every invariant needs: a tangle, the empty
     link and a non-planar code raise MalformedDiagramError, more than
-    `max_crossings` crossings CrossingLimitError."""
+    `max_crossings` crossings CrossingLimitError.  The checks run on every
+    call; only the face walk is kept on `d`."""
     if d.boundary:
         raise MalformedDiagramError("a tangle has no link invariants")
     if not (d.crossings or d.free_loops):
         raise MalformedDiagramError("the empty link has no invariants")
     if len(d) > max_crossings:
         raise CrossingLimitError(f"{len(d)} crossings exceed the bound {max_crossings}")
-    return _faces(d)
+    return d.faces
 
 
 # -- the frontier sweep ----------------------------------------------------
@@ -240,17 +280,6 @@ def _admit(d: PDDiagram, max_crossings: float = inf):
 SWEEP_WIDTH = 8
 
 _ONE = IntLaurent.const(1)
-
-
-def _combine(terms: Iterable[tuple[IntLaurent, dict]]) -> dict:
-    """The vector sum of c * v over the pairs (c, v) of `terms`, zero entries
-    dropped."""
-    out: dict = {}
-    for c, v in terms:
-        for m, e in v.items():
-            ce = c * e
-            out[m] = out[m] + ce if m in out else ce
-    return {m: e for m, e in out.items() if e}
 
 
 def _run(frontier: list[int], t) -> tuple[int, int, int] | None:
@@ -541,8 +570,9 @@ def _relabel(
 
     Fusing two ends of the same (possibly merged) arc closes a circle and
     increments the free-loop count; arc labels are then renumbered densely
-    in order of first appearance, crossings before the boundary, and each
-    tuple is normalized.
+    in order of first appearance, crossings before the boundary.  The
+    tuples are left as the fusions make them: `PDDiagram` normalizes each
+    one, once.
     """
     root, closed = _merge(fusions)
     loops += closed
@@ -556,7 +586,7 @@ def _relabel(
             if label is None:
                 label = relabel[r] = len(relabel) + 1
             out.append(label)
-        new.append(_normalize(tuple(out)))
+        new.append(tuple(out))
     boundary = tuple(relabel.setdefault(root.get(a, a), len(relabel) + 1) for a in boundary)
     return new, loops, boundary
 

@@ -8,7 +8,8 @@ Makowsky and Marino 2003).  The shared `diagram._transition(_bracket, ...)`
 is the bracket of a crossingless tangle glued to one crossing or one cap; the
 tangle engine `_smoothing` expands <D> = A <D_A> + A^-1 <D_B> at the first
 crossing, as does a piece wider than SWEEP_WIDTH, and the shared
-`diagram._combine` adds the two terms.  The engine sees the diagram as given:
+`diagram._combine` adds the two terms and the sweep's products, in place,
+one exponent map per matching.  The engine sees the diagram as given:
 the kinks and clasps that `diagram.simplify` removes change the writhe.
 V is normalized by (-A)^(-3w) and realized in s = t^(1/2) via t = A^-4.
 
@@ -19,7 +20,10 @@ Corner k of crossing c is white when k + flip[c] is even; `diagram._faces`
 puts corners (c, s) and (c2, s2 + 1) in one face when an arc joins slot s of
 c to slot s2 of c2, so one walk over the arcs sets flip[c2] = flip[c] + s +
 s2 + 1 (mod 2).  `diagram._admit` rejects the empty link and a non-planar PD
-code with MalformedDiagramError before any engine starts.
+code with MalformedDiagramError before any engine starts.  The face walk, the
+piece split and the sweep plan are kept on the diagram object, so
+`obstruction_check` derives each once for Q and the bracket together when
+`simplify` leaves the diagram as it is.
 """
 
 from __future__ import annotations

@@ -263,6 +263,46 @@ class IntLaurent:
         return IntLaurent(out)
 
 
+def combine(terms: Iterable[tuple[IntLaurent, Mapping]]) -> dict:
+    """The vector sum of c * v over the pairs (c, v) of `terms`, a vector
+    being a dict from any key to ring elements; zero entries are dropped.
+
+    The products accumulate in place: each term product of c and v[m] is
+    added into one exponent -> coefficient dict per key m, and each nonzero
+    sum becomes a ring element once, at the end, so no product or partial
+    sum is ever an object.  Every c and every entry must be of one ring
+    class: mixing IntLaurent with HalfLaurent raises TypeError, as their
+    product does.
+    """
+    sums: dict = {}
+    ring = None
+    for c, v in terms:
+        if ring is None:
+            ring = type(c) if isinstance(c, IntLaurent) else IntLaurent
+        for x in (c, *v.values()):
+            if type(x) is not ring:
+                raise TypeError(f"cannot combine {ring.__name__} with {type(x).__name__}")
+        cc = c._c
+        for m, e in v.items():
+            acc = sums.get(m)
+            if acc is None:
+                acc = sums[m] = {}
+            # the shorter factor in the outer loop: most products have a monomial
+            short, long = (cc, e._c) if len(cc) <= len(e._c) else (e._c, cc)
+            for e1, v1 in short.items():
+                for e2, v2 in long.items():
+                    k = e1 + e2
+                    acc[k] = acc.get(k, 0) + v1 * v2
+    out = {}
+    for m, acc in sums.items():
+        c = {k: v for k, v in acc.items() if v}
+        if c:
+            p = out[m] = object.__new__(ring)
+            p._c = c
+            p._hash = None
+    return out
+
+
 def chebyshev_S(k: int) -> IntLaurent:
     """S_{-1} = 0, S_0 = 1, S_k = x*S_{k-1} - S_{k-2}, in closed form:
 

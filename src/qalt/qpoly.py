@@ -19,13 +19,15 @@ A connected link piece is swept instead, by the planner and state loop of
 SWEEP_WIDTH = 8 points.  The shared `diagram._transition(_q, ...)` is `_q` of a
 basis tangle glued to one crossing or one cap, cached for the process, and
 the shared `diagram._combine` adds the vectors of the sweep and of each skein
-step.  A wider piece goes to the switch chain, whose smaller pieces are swept
-again.
+step, accumulating the products in place, one exponent map per matching.  A
+wider piece goes to the switch chain, whose smaller pieces are swept again.
 
 `diagram._expand` splits pieces by Q(A u B) = (2x^-1 - 1) Q(A) Q(B), and
 memoizes on the exact diagram, `PDDiagram.key()`: it cannot collide, and
 every move renumbers arcs densely, so repeated subdiagrams still hit.
-`diagram._admit` checks the input.
+`diagram._admit` checks the input.  The face walk of the gate, the piece
+split and the sweep plan are kept on the diagram object; `simplify` returns
+a reduced diagram itself, so the bracket of the same object reuses them.
 """
 
 from __future__ import annotations

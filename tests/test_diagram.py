@@ -6,9 +6,12 @@ from qalt.diagram import (
     PDDiagram,
     SmoothingKind,
     _basis,
+    _connected_pieces,
     _ends_of,
+    _faces,
     _glued,
     _relabel,
+    _sweep_steps,
     close_braid,
     connected_sum,
     figure_eight,
@@ -189,12 +192,12 @@ def _find_r2(crossings):
 
 
 def _rescanning_simplify(d):
-    crossings, loops, boundary = d.crossings, d.free_loops, d.boundary
-    while move := _find_r1(crossings) or _find_r2(crossings):
+    out = d
+    while move := _find_r1(out.crossings) or _find_r2(out.crossings):
         removed, fusions = move
-        kept = [t for j, t in enumerate(crossings) if j not in removed]
-        crossings, loops, boundary = _relabel(kept, fusions, loops, boundary)
-    return d if crossings is d.crossings else PDDiagram(crossings, loops, boundary)
+        kept = [t for j, t in enumerate(out.crossings) if j not in removed]
+        out = PDDiagram(*_relabel(kept, fusions, out.free_loops, out.boundary))  # normalizes
+    return out
 
 
 def _reducer_inputs():
@@ -230,6 +233,26 @@ def test_simplify_matches_the_rescanning_reducer():
         assert got.key() == want.key(), d.key()
         assert (got is d) == (want is d)
         assert d.ends == _ends_of(d.crossings, d.boundary)  # its table is shared, not changed
+
+
+def _tables(d):
+    return d.ends, d.pieces, d.faces, d.plan
+
+
+def test_moves_build_diagrams_with_their_own_tables():
+    d = close_braid([1, 1, 1, 2], 3)  # a trefoil with a kink
+    tables = _tables(d)
+    assert tables == (_ends_of(d.crossings), _connected_pieces(d), _faces(d), _sweep_steps(d))
+    assert all(a is b for a, b in zip(_tables(d), tables))  # computed once, then kept
+    outputs = (switch(d, 0), mirror(d), smooth(d, 3, SmoothingKind.A), simplify(d))
+    for out in outputs:
+        mine = _tables(out)
+        assert mine == (_ends_of(out.crossings), _connected_pieces(out), _faces(out), _sweep_steps(out))
+        assert all(a is not b for a, b in zip(mine, tables)), out
+    # a reduced diagram is its own simplification, tables and all
+    reduced = outputs[-1]
+    assert simplify(reduced) is reduced
+    assert all(a is b for a, b in zip(_tables(simplify(reduced)), _tables(reduced)))
 
 
 def test_mirror_involution():

@@ -273,16 +273,22 @@ def test_obstruction_verdicts():
 
 
 def test_obstruction_check_computes_one_bracket(monkeypatch):
+    # a first check fills the transition cache, so the counted one derives the
+    # tables of its own diagram only
+    obstruction_check(generate_pretzel([3, 3, -3]))
     calls = []
     engine = jones.kauffman_bracket
-    faces = diagram._faces
-    walks = []
+    runs = {name: [] for name in ("_faces", "_connected_pieces", "_sweep_steps")}
 
-    def counted_faces(d):
-        walks.append(d)
-        return faces(d)
+    def counting(fn, seen):
+        def counted(d):
+            seen.append(d)
+            return fn(d)
 
-    monkeypatch.setattr(diagram, "_faces", counted_faces)
+        return counted
+
+    for name, seen in runs.items():
+        monkeypatch.setattr(diagram, name, counting(getattr(diagram, name), seen))
 
     def counted(d, *bound):
         calls.append(d)
@@ -292,7 +298,10 @@ def test_obstruction_check_computes_one_bracket(monkeypatch):
     d = generate_pretzel([3, 3, -3])
     v = obstruction_check(d)
     assert len(calls) == 1
-    assert len(walks) == 2  # one entry gate for Q, one for the bracket
+    # P(3,3,-3) is reduced and connected: Q and the bracket share one face
+    # walk, one piece split and one sweep plan, all kept on `d`
+    for name, seen in runs.items():
+        assert len(seen) == 1 and seen[0] is d, name
     assert (v.det, v.breadth) == (determinant(d), breadth(d))
 
 
@@ -350,6 +359,44 @@ def test_non_planar_pd_is_rejected():
         for entry in entries:
             with pytest.raises(MalformedDiagramError):
                 entry(diagram)
+
+
+def test_a_non_planar_code_raises_on_every_call():
+    # a failed face walk is not kept: the second call walks and raises again
+    d = parse_pd("X(1,1,2,3);X(2,4,3,4)")
+    for _ in range(2):
+        for entry in (q_polynomial, kauffman_bracket, determinant_goeritz):
+            with pytest.raises(MalformedDiagramError, match="not planar"):
+                entry(d)
+        with pytest.raises(MalformedDiagramError, match="not planar"):
+            d.faces
+
+
+# (s1 s2^-1 s3 s4^-1)^4 closed: its frontier grows past SWEEP_WIDTH in PD order
+WIDE_Q = IntLaurent.parse(
+    "78x^15+508x^14+964x^13-296x^12-2682x^11-1384x^10+2646x^9+2092x^8-1334x^7"
+    "-1224x^6+402x^5+396x^4-72x^3-120x^2-2x+29"
+)
+WIDE_BRACKET = IntLaurent.parse(
+    "x^32-8x^28+32x^24-86x^20+177x^16-292x^12+407x^8-491x^4+521-491x^-4+407x^-8"
+    "-292x^-12+177x^-16-86x^-20+32x^-24-8x^-28+x^-32"
+)
+
+
+def test_a_piece_too_wide_to_sweep_falls_back_once_planned(monkeypatch):
+    d = close_braid([1, -2, 3, -4] * 4, 5)
+    planned = []
+
+    def counted(p):
+        planned.append(p)
+        return _sweep_steps(p)
+
+    monkeypatch.setattr(diagram, "_sweep_steps", counted)
+    assert d.plan is None
+    # the kept None sends Q to the switch chain and the bracket to smoothing
+    assert q_polynomial(d, 16) == WIDE_Q
+    assert kauffman_bracket(d) == WIDE_BRACKET
+    assert sum(p is d for p in planned) == 1
 
 
 def test_split_diagrams_are_planar():

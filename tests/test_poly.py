@@ -9,6 +9,7 @@ from qalt.poly import (
     IntLaurent,
     breadth_t,
     chebyshev_S,
+    combine,
     eval_at_s_equals_i,
     sigma,
 )
@@ -213,3 +214,60 @@ def test_rendering_is_pinned():
     assert HalfLaurent({2: -1, 1: -1}).render_t() == "-t-t^(1/2)"
     assert IntLaurent.parse("2x^-1-1").render() == "-1+2x^-1"
     assert repr(IntLaurent.parse("2x^-1-1")) == "IntLaurent('-1+2x^-1')"
+
+
+def _plain_combination(terms):
+    """The reference for `combine`: each entry as sum(c * e), zero ones dropped."""
+    keys = dict.fromkeys(m for _, v in terms for m in v)
+    sums = {m: sum((c * v[m] for c, v in terms if m in v), IntLaurent.zero()) for m in keys}
+    return {m: e for m, e in sums.items() if e}
+
+
+def _rand_factor(rng):
+    kind = rng.choice(("monomial", "constant", "dense", "zero"))
+    if kind == "monomial":
+        return IntLaurent.term(rng.choice((-3, -1, 1, 2)), rng.randint(-6, 6))
+    if kind == "constant":
+        return IntLaurent.const(rng.randint(-4, 4))
+    if kind == "dense":
+        return rand_poly(rng, max_terms=9)
+    return IntLaurent.zero()
+
+
+def test_combine_matches_the_plain_sum():
+    rng = random.Random(20150720)
+    keys = [(), ((0, 1),), ((0, 1), (2, 3)), ((0, 3), (1, 2))]
+    for _ in range(400):
+        terms = [
+            (_rand_factor(rng), {m: _rand_factor(rng) for m in rng.sample(keys, rng.randint(0, 4))})
+            for _ in range(rng.randint(0, 5))
+        ]
+        if terms and rng.random() < 0.3:
+            c, v = rng.choice(terms)
+            terms.append((-c, v))  # every entry of v cancels
+        want = _plain_combination(terms)
+        got = combine(iter(terms))
+        assert got == want, terms
+        assert all(type(e) is IntLaurent and all(v for _, v in e.items()) for e in got.values())
+
+
+def test_combine_drops_what_cancels():
+    x, one = IntLaurent.x(), IntLaurent.const(1)
+    v = {"a": P("x+1"), "b": P("x^2-x^-1")}
+    assert combine([(x, v), (-x, v)]) == {}
+    assert combine([(x, v), (-x, {"a": P("x+1")})]) == {"b": P("x^3-1")}
+    # one exponent cancels inside an entry: its coefficient leaves the map
+    (e,) = combine([(x, {"a": one}), (one, {"a": P("2-x")})]).values()
+    assert e == 2 and dict(e.items()) == {0: 2}
+    assert combine([]) == {} and combine([(x, {})]) == {}
+
+
+def test_combine_keeps_the_rings_apart():
+    x, s = IntLaurent.x(), HalfLaurent.s_term(1, 1)
+    halves = combine([(s, {"a": s}), (s, {"a": HalfLaurent.const(2)})])
+    assert halves == {"a": HalfLaurent({2: 1, 1: 2})} and type(halves["a"]) is HalfLaurent
+    for terms in ([(x, {"a": s})], [(s, {"a": x})], [(x, {"a": x}), (s, {"a": s})]):
+        with pytest.raises(TypeError):
+            _plain_combination(terms)
+        with pytest.raises(TypeError):
+            combine(terms)
