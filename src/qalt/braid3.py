@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import HypothesisViolationError, MalformedDiagramError, PDParseError
 from .intmat import laplacian_det
-from .poly import HalfLaurent, IntLaurent
+from .poly import HalfLaurent, IntLaurent, unpack
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def burau(w: BraidWord) -> BurauMatrix:
     coefficients, so the recurrence nb += na, nd += nc (s1^+-1) and
     na += nb, nc += nd (s2^+-1) bounds every coefficient; B is the bit
     length of that bound plus a sign bit, rounded up to a whole byte, and
-    each entry is decoded to balanced base-X digits from one ``to_bytes``.
+    each entry is decoded to balanced base-X digits by ``poly.unpack``.
     Cost: about 4 big-int shifts or adds per letter, on ints of at most
     (len(w) + 1) B bits.
     """
@@ -213,21 +213,7 @@ def burau(w: BraidWord) -> BurauMatrix:
         else:
             a, b, c, d = (a + b) << B, -b, (c + d) << B, -d
     k = sum(1 for g in letters if g < 0)
-    digits = len(letters) + 1
-    half = 1 << (B - 1)
-    # half added to every digit makes each one nonnegative and below X
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * digits, "little")
-
-    def decode(v: int) -> IntLaurent:
-        raw = (v + offset).to_bytes(width * digits, "little")
-        coeffs = {}
-        for i in range(digits):
-            digit = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
-            if digit:
-                coeffs[i - k] = digit
-        return IntLaurent(coeffs)
-
-    return BurauMatrix(decode(a), decode(b), decode(c), decode(d))
+    return BurauMatrix(*(unpack(v, width, -k) for v in (a, b, c, d)))
 
 
 def _neg_sqrt_t_power(e: int) -> HalfLaurent:

@@ -31,7 +31,7 @@ from math import inf
 from typing import Callable, Iterable, Sequence
 
 from .errors import CrossingLimitError, MalformedDiagramError, PDParseError
-from .poly import IntLaurent, combine as _combine
+from .poly import pack, unpack
 
 Crossing = tuple[int, int, int, int]
 
@@ -69,16 +69,19 @@ class PDDiagram:
     """Immutable planar diagram: crossing tuples, a free-loop count and, for a
     tangle, its boundary labels.
 
-    Four tables derived from the code are computed on first use and kept on
-    the object, which never changes: `ends`, the connected `pieces`, the face
-    walk `faces` and, for a connected link, the sweep `plan`.  So Q and the
-    bracket of one diagram object walk its faces, split its pieces and plan
-    its sweep once between them.  Every move builds a new diagram, with none
-    of the tables; a face walk that finds the code non-planar raises and
-    keeps nothing, so it raises again on every later use.
+    Five tables derived from the code are computed on first use and kept on
+    the object, which never changes: `ends`, the connected `pieces`, their
+    sub-diagrams `parts`, the face walk `faces` and, for a connected link,
+    the sweep `plan`.  So Q and the bracket of one diagram object walk its
+    faces, split its pieces and plan the sweep of each once between them.
+    Every move builds a new diagram, with none of the tables; a face walk
+    that finds the code non-planar raises and keeps nothing, so it raises
+    again on every later use.
     """
 
-    __slots__ = ("crossings", "free_loops", "boundary", "_ends", "_pieces", "_faces", "_plan")
+    __slots__ = (
+        "crossings", "free_loops", "boundary", "_ends", "_pieces", "_parts", "_faces", "_plan"
+    )
 
     def __init__(
         self,
@@ -102,6 +105,7 @@ class PDDiagram:
             )
         self._ends: dict[int, list[tuple[int, int]]] | None = None
         self._pieces: list[list[int]] | None = None
+        self._parts: list[PDDiagram] | None = None
         self._faces: tuple[int, dict[tuple[int, int], int]] | None = None
         self._plan = _UNPLANNED
 
@@ -120,6 +124,20 @@ class PDDiagram:
         if self._pieces is None:
             self._pieces = _connected_pieces(self)
         return self._pieces
+
+    @property
+    def parts(self) -> list[PDDiagram]:
+        """The connected pieces as diagrams without the free loops, in the
+        order of `pieces`; a tangle is one piece.  `[self]` when that is all
+        of `self`, else sub-diagrams kept on `self`, each with its own tables."""
+        pieces = [range(len(self))] if self.boundary else self.pieces
+        if len(pieces) == 1 and not self.free_loops:
+            return [self]
+        if self._parts is None:
+            self._parts = [
+                PDDiagram([self.crossings[i] for i in piece], 0, self.boundary) for piece in pieces
+            ]
+        return self._parts
 
     @property
     def faces(self) -> tuple[int, dict[tuple[int, int], int]]:
@@ -212,14 +230,14 @@ def _expand(d: PDDiagram, memo: dict, loop, engine: Callable, recursion: Callabl
     Split by Q(A u B) = (2x^-1 - 1) Q(A) Q(B) and <A u B> = delta <A><B>:
     `loop` per piece or free loop past the first times each connected piece's
     value, memoized on `piece.key()`.  A link piece is swept with the
-    transitions of `engine`; a tangle (one piece, free loops split off) and a
-    link piece wider than SWEEP_WIDTH go to `recursion(piece, memo)`.  The
-    split is `d.pieces` and each link piece's plan its `plan`, both kept."""
-    pieces = [range(len(d))] if d.boundary else d.pieces
-    whole = len(pieces) == 1 and not d.free_loops
-    out = {(): loop ** (len(pieces) + d.free_loops - 1)}
-    for piece in pieces:
-        p = d if whole else PDDiagram([d.crossings[i] for i in piece], 0, d.boundary)
+    transitions of `engine`, on packed integers decoded once per piece
+    (`_sweep`); a tangle (one piece, free loops split off) and a link piece
+    wider than SWEEP_WIDTH go to `recursion(piece, memo)`.  The pieces are
+    `d.parts` and the plan of each its `plan`, all kept, so Q and the
+    bracket of one diagram plan each piece once."""
+    parts = d.parts
+    out = {(): loop ** (len(parts) + d.free_loops - 1)}
+    for p in parts:
         key = p.key()
         value = memo.get(key)
         if value is None:
@@ -279,7 +297,10 @@ def _admit(d: PDDiagram, max_crossings: float = inf):
 # qaltbench's corpora is wider; 15 of qa_scan's reach 8, for Q and the bracket.
 SWEEP_WIDTH = 8
 
-_ONE = IntLaurent.const(1)
+# Bytes per coefficient on a sweep's first pass.  The largest coefficient
+# bound of qaltbench's corpora and ramps has 28 bits; wider ones cost a
+# second pass.
+_SWEEP_BYTES = 8
 
 
 def _run(frontier: list[int], t) -> tuple[int, int, int] | None:
@@ -345,11 +366,72 @@ def _sweep_steps(d: PDDiagram) -> list[tuple[int, tuple]] | None:
 def _sweep(steps: list[tuple[int, tuple]], engine: Callable) -> dict:
     """The vector of a swept link piece, in the basis convention of `_expand`:
     the state is that of the tangle in the disk, and a step maps each basis
-    tangle to its glued value, `_transition(engine, width, matching, glue)`."""
-    state = {(): _ONE}  # the empty disk
+    tangle to its glued value, `_transition(engine, width, matching, glue)`.
+
+    The state runs on packed integers (`_packed_sweep`), one per entry, at
+    x = X = 2^(8 nbytes) with nbytes = _SWEEP_BYTES, and each entry carries a
+    bound on the sum of the absolute values of its coefficients.  Every
+    coefficient of an entry whose bound is below X/2 lies in [-X/2, X/2), so
+    `poly.unpack` recovers it exactly from its balanced digits, once per
+    piece.  When a final bound is not below X/2, the piece is swept again
+    with a byte for every 8 bits of the bound plus a sign bit.  A wider pass
+    drops every entry that a narrower one drops, so its bounds are at most
+    those of the first pass, and it decodes.
+    """
+    nbytes = _SWEEP_BYTES
+    while True:
+        low, state = _packed_sweep(steps, engine, nbytes)
+        top = max((bound for _, bound in state.values()), default=0).bit_length()
+        if top < 8 * nbytes:
+            return {m: unpack(v, nbytes, low) for m, (v, _) in state.items() if v}
+        nbytes = top // 8 + 1
+
+
+def _packed_sweep(steps: list[tuple[int, tuple]], engine: Callable, nbytes: int):
+    """One pass of `_sweep` at X = 2^(8 nbytes): (low, {matching: [value,
+    bound]}), the entry of a matching being x^low times the polynomial whose
+    value at X is `value`.
+
+    A step multiplies each entry by each entry of its transition
+    (`_pack_row`), one big-int product and shift per pair, the state entry
+    first shifted from its transition's lowest exponent to the step's
+    lowest one, which becomes part of `low`.  The bound of a new entry is
+    the sum of l1(c) l1(t) over the products that form it, so it is at
+    least the sum of the absolute values of its coefficients.  An entry
+    whose value is 0 is dropped when its bound is below X/2, which makes it
+    the zero polynomial; with a larger bound it may be a nonzero polynomial
+    that vanishes at X, and it stays, so the bound stays true.
+    """
+    b = 8 * nbytes
+    half = 1 << (b - 1)
+    low = 0
+    state = {(): [1, 1]}  # the empty disk
     for width, glue in steps:
-        state = _combine((c, _transition(engine, width, m, glue)) for m, c in state.items())
-    return state
+        table = _packed(engine, width, glue, nbytes)
+        rows = []
+        for m, entry in state.items():
+            row = table.get(m)
+            if row is None:
+                row = table[m] = _pack_row(_transition(engine, width, m, glue), nbytes)
+            rows.append((row, entry))
+        shift = min((lo for (lo, _), _ in rows), default=0)
+        new: dict = {}
+        for (lo, row), (v, bound) in rows:
+            if lo != shift:
+                v <<= b * (lo - shift)
+            for m, (tv, tb, k) in row.items():
+                p = v * tv
+                if k:
+                    p <<= k
+                acc = new.get(m)
+                if acc is None:
+                    new[m] = [p, bound * tb]
+                else:
+                    acc[0] += p
+                    acc[1] += bound * tb
+        low += shift
+        state = {m: acc for m, acc in new.items() if acc[0] or acc[1] >= half}
+    return low, state
 
 
 def _basis(width: int, matching) -> tuple[list[Crossing], list[int]]:
@@ -411,6 +493,30 @@ def _transition(engine: Callable, width: int, matching, glue) -> dict:
     """The vector of `_glued(width, matching, glue)` by `engine`, cached for the
     process; callers share each vector and only read it."""
     return engine(_glued(width, matching, glue), {})
+
+
+@lru_cache(maxsize=None)
+def _packed(engine: Callable, width: int, glue, nbytes: int) -> dict:
+    """matching -> `_pack_row` of `_transition(engine, width, matching, glue)`
+    at `nbytes`, filled by `_packed_sweep` one matching at a time and kept
+    for the process."""
+    return {}
+
+
+def _pack_row(vec: dict, nbytes: int) -> tuple[int, dict]:
+    """(low, {matching: (value, l1, k)}) for a transition vector: its lowest
+    exponent and, per entry, `poly.pack` at the entry's own lowest exponent,
+    the sum of the absolute values of its coefficients, and the bits k by
+    which the entry's lowest exponent lies above `low`.  A monomial entry so
+    packs to its coefficient, and a product with it is a small multiply and
+    a shift, not a multiply by a k-bit integer."""
+    low = min((p.low_degree() for p in vec.values()), default=0)
+    b = 8 * nbytes
+    row = {}
+    for m, p in vec.items():
+        lo = p.low_degree()
+        row[m] = pack(p, nbytes, lo), sum(abs(v) for _, v in p.items()), b * (lo - low)
+    return low, row
 
 
 # Two walks follow strands, and they restart differently once a component

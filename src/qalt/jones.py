@@ -7,10 +7,12 @@ over the Catalan(k) crossingless matchings of 2k points (Temperley-Lieb;
 Makowsky and Marino 2003).  The shared `diagram._transition(_bracket, ...)`
 is the bracket of a crossingless tangle glued to one crossing or one cap; the
 tangle engine `_smoothing` expands <D> = A <D_A> + A^-1 <D_B> at the first
-crossing, as does a piece wider than SWEEP_WIDTH, and the shared
-`diagram._combine` adds the two terms and the sweep's products, in place,
-one exponent map per matching.  The engine sees the diagram as given:
-the kinks and clasps that `diagram.simplify` removes change the writhe.
+crossing, as does a piece wider than SWEEP_WIDTH, and `poly.combine` adds
+the two terms, in place, one exponent map per matching.  The sweep's state
+is packed as for Q: one int per entry, its value at A = 2^B, with a bound
+on its coefficients that makes the one decode per piece exact
+(`diagram._sweep`).  The engine sees the diagram as given: the kinks and
+clasps that `diagram.simplify` removes change the writhe.
 V is normalized by (-A)^(-3w) and realized in s = t^(1/2) via t = A^-4.
 
 det(L) = |V_L(-1)| with t = -1 evaluated exactly as s = i.  The Goeritz
@@ -21,9 +23,9 @@ puts corners (c, s) and (c2, s2 + 1) in one face when an arc joins slot s of
 c to slot s2 of c2, so one walk over the arcs sets flip[c2] = flip[c] + s +
 s2 + 1 (mod 2).  `diagram._admit` rejects the empty link and a non-planar PD
 code with MalformedDiagramError before any engine starts.  The face walk, the
-piece split and the sweep plan are kept on the diagram object, so
-`obstruction_check` derives each once for Q and the bracket together when
-`simplify` leaves the diagram as it is.
+piece split, the piece sub-diagrams and their sweep plans are kept on the
+diagram object, so `obstruction_check` derives each once for Q and the
+bracket together when `simplify` leaves the diagram as it is.
 """
 
 from __future__ import annotations
@@ -36,16 +38,14 @@ from .diagram import (
     PDDiagram,
     SmoothingKind,
     _admit,
-    _combine,
     _expand,
     _find,
-    _ONE,
     _strands,
     smooth,
 )
 from .errors import InternalConsistencyError, MalformedDiagramError
 from .intmat import laplacian_det
-from .poly import HalfLaurent, IntLaurent, breadth_t, eval_at_s_equals_i
+from .poly import HalfLaurent, IntLaurent, breadth_t, combine, eval_at_s_equals_i
 from .qpoly import DEFAULT_MAX_CROSSINGS, q_degree
 
 JONES_MAX_CROSSINGS = 16
@@ -53,6 +53,7 @@ JONES_MAX_CROSSINGS = 16
 _LOOP = IntLaurent({2: -1, -2: -1})  # delta = -A^2 - A^-2
 _A = IntLaurent.term(1, 1)
 _A_INV = IntLaurent.term(1, -1)
+_ONE = IntLaurent.const(1)
 
 
 # -- orientation --------------------------------------------------------
@@ -143,7 +144,7 @@ def _smoothing(d: PDDiagram, memo: dict) -> dict:
         return {tuple((s[0][1], s[-1][1]) for s in _strands(d)): _ONE}
     a = _bracket(smooth(d, 0, SmoothingKind.A), memo)
     b = _bracket(smooth(d, 0, SmoothingKind.B), memo)
-    return _combine(((_A, a), (_A_INV, b)))
+    return combine(((_A, a), (_A_INV, b)))
 
 
 def kauffman_bracket(d: PDDiagram, max_crossings: float = inf) -> IntLaurent:

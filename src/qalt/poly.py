@@ -9,6 +9,10 @@ powers of t (and monomials like (-sqrt(t))^e) are honest monomials.  Jones
 polynomials live there.  The two rings stay apart: mixing them in arithmetic
 raises TypeError, and they never compare equal.
 
+`pack` and `unpack` evaluate a polynomial at x = 2^B and read it back from
+balanced base-2^B digits; `braid3.burau` and the frontier sweep of
+`diagram.py` multiply such packed integers and decode once.
+
 Everything is immutable and hashable; there is no floating point anywhere.
 """
 
@@ -301,6 +305,40 @@ def combine(terms: Iterable[tuple[IntLaurent, Mapping]]) -> dict:
             p._c = c
             p._hash = None
     return out
+
+
+def pack(p: IntLaurent, nbytes: int, low: int) -> int:
+    """The value of x^-low p at x = X = 2^(8 nbytes), `low` at most the
+    lowest exponent of p.
+
+    Evaluation at X is a ring homomorphism Z[x] -> Z (Kronecker
+    substitution), so sums and products of packed values are exact big-int
+    arithmetic at any X; only `unpack` needs the coefficients bounded.
+    """
+    b = 8 * nbytes
+    return sum(v << b * (e - low) for e, v in p._c.items())
+
+
+def unpack(v: int, nbytes: int, low: int = 0) -> IntLaurent:
+    """x^low times the polynomial whose coefficients are the balanced digits
+    of v in base X = 2^(8 nbytes), each in [-X/2, X/2).
+
+    Every integer has exactly one such expansion, so this inverts `pack`
+    whenever each coefficient of the packed polynomial has absolute value
+    below X/2: it is then the digit.  Adding X/2 to every digit makes each
+    one a byte string of `nbytes` bytes, so one `to_bytes` splits them all;
+    bit_length // 8 nbytes + 2 digits hold any v.
+    """
+    digits = v.bit_length() // (8 * nbytes) + 2
+    half = 1 << (8 * nbytes - 1)
+    offset = int.from_bytes((bytes(nbytes - 1) + b"\x80") * digits, "little")
+    raw = (v + offset).to_bytes(nbytes * digits, "little")
+    coeffs = {}
+    for i in range(digits):
+        digit = int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") - half
+        if digit:
+            coeffs[i + low] = digit
+    return IntLaurent(coeffs)
 
 
 def chebyshev_S(k: int) -> IntLaurent:

@@ -17,17 +17,24 @@ tangle of its matching, c its closed components.
 A connected link piece is swept instead, by the planner and state loop of
 `diagram.py` that the bracket shares; the state holds at most 105 entries at
 SWEEP_WIDTH = 8 points.  The shared `diagram._transition(_q, ...)` is `_q` of a
-basis tangle glued to one crossing or one cap, cached for the process, and
-the shared `diagram._combine` adds the vectors of the sweep and of each skein
-step, accumulating the products in place, one exponent map per matching.  A
+basis tangle glued to one crossing or one cap, cached for the process.  The
+state runs on packed integers: an entry is one Python int, its value at
+x = X = 2^B (B = 64 on the first pass), with a low exponent and a bound on
+the sum of the absolute values of its coefficients, the sum of l1(c) l1(t)
+over the products that form it.  A coefficient whose entry's bound is below
+X/2 is one balanced base-X digit, so the sweep decodes each piece once,
+exactly, when every final bound is below X/2, and otherwise sweeps the piece
+again at the width the largest bound needs.  `poly.combine` adds the
+vectors of each skein step, in place, one exponent map per matching.  A
 wider piece goes to the switch chain, whose smaller pieces are swept again.
 
 `diagram._expand` splits pieces by Q(A u B) = (2x^-1 - 1) Q(A) Q(B), and
 memoizes on the exact diagram, `PDDiagram.key()`: it cannot collide, and
 every move renumbers arcs densely, so repeated subdiagrams still hit.
 `diagram._admit` checks the input.  The face walk of the gate, the piece
-split and the sweep plan are kept on the diagram object; `simplify` returns
-a reduced diagram itself, so the bracket of the same object reuses them.
+split, the piece sub-diagrams and the sweep plan of each are kept on the
+diagram object; `simplify` returns a reduced diagram itself, so the bracket
+of the same object reuses them.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .diagram import (
     PDDiagram,
     SmoothingKind,
     _admit,
-    _combine,
     _expand,
     _strands,
     simplify,
@@ -44,7 +50,7 @@ from .diagram import (
     switch,
 )
 from .errors import MalformedDiagramError
-from .poly import IntLaurent
+from .poly import IntLaurent, combine
 
 DEFAULT_MAX_CROSSINGS = 14
 
@@ -116,7 +122,7 @@ def _chain(d: PDDiagram, memo: dict) -> dict:
         qa = _q(smooth(chain[j], c, SmoothingKind.A), memo)
         qb = _q(smooth(chain[j], c, SmoothingKind.B), memo)
         # Q(L+) = x (Q(L0) + Q(L-inf)) - Q(L-)
-        val = _combine(((_X, qa), (_X, qb), (_MINUS_ONE, val)))
+        val = combine(((_X, qa), (_X, qb), (_MINUS_ONE, val)))
         memo[chain[j].key()] = val
     return val
 

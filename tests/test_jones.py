@@ -305,6 +305,29 @@ def test_obstruction_check_computes_one_bracket(monkeypatch):
     assert (v.det, v.breadth) == (determinant(d), breadth(d))
 
 
+def test_obstruction_check_plans_each_piece_of_a_split_diagram_once(monkeypatch):
+    # a trefoil, a figure-eight and a free loop: reduced, so Q and the bracket
+    # expand the same object, and each piece is planned once between them
+    def split():
+        shifted = tuple(tuple(a + 100 for a in t) for t in figure_eight().crossings)
+        return PDDiagram(trefoil().crossings + shifted, 1)
+
+    obstruction_check(split())  # fills the transition cache
+    planned = []
+
+    def counted(p):
+        planned.append(p)
+        return _sweep_steps(p)
+
+    monkeypatch.setattr(diagram, "_sweep_steps", counted)
+    d = split()
+    assert simplify(d) is d
+    v = obstruction_check(d)
+    assert len(d.parts) == 2 and [p.free_loops for p in d.parts] == [0, 0]
+    assert len(planned) == 2 and all(p is q for p, q in zip(planned, d.parts))
+    assert v.det == determinant_goeritz(d) == 0
+
+
 def test_crossing_limits():
     big = close_braid([1] * 17, 2)
     with pytest.raises(CrossingLimitError):

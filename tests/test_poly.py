@@ -11,7 +11,9 @@ from qalt.poly import (
     chebyshev_S,
     combine,
     eval_at_s_equals_i,
+    pack,
     sigma,
+    unpack,
 )
 
 P = IntLaurent.parse
@@ -271,3 +273,30 @@ def test_combine_keeps_the_rings_apart():
             _plain_combination(terms)
         with pytest.raises(TypeError):
             combine(terms)
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 8, 9])
+def test_unpack_inverts_pack(nbytes):
+    half = 1 << (8 * nbytes - 1)
+    top = half - 1  # the largest absolute coefficient that decodes
+    cases = [
+        IntLaurent.zero(),
+        IntLaurent({-5: top, -4: -top, -2: top, 0: -top, 3: top}),
+        IntLaurent({-3: -top, -2: -top, -1: -top}),
+        # X^2 - 1 is all 1 bits: its low digit -1 borrows from the top one
+        IntLaurent({-7: -1, -5: 1}),
+        IntLaurent({0: -1, 1: -top, 2: 1}),
+    ]
+    rng = random.Random(nbytes)
+    for _ in range(200):
+        cases.append(
+            IntLaurent({rng.randint(-9, 9): rng.randint(-top, top) for _ in range(rng.randint(1, 8))})
+        )
+    for p in cases:
+        for low in (-12, p.low_degree() - 1 if p else -1, p.low_degree() if p else 0):
+            v = pack(p, nbytes, low)
+            assert v == sum(c * (1 << 8 * nbytes * (e - low)) for e, c in p.items())
+            assert unpack(v, nbytes, low) == p, (p, low)
+    assert pack(IntLaurent.zero(), nbytes, 3) == 0 and unpack(0, nbytes, -3) == 0
+    # a digit of X/2 is out of the balanced range: it reads as -X/2 plus a carry
+    assert unpack(pack(IntLaurent.const(half), nbytes, 0), nbytes) == IntLaurent({0: -half, 1: 1})

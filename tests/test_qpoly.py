@@ -1,16 +1,16 @@
+import math
 import random
 from fractions import Fraction
 from itertools import chain
 
 import pytest
 
-from qalt import jones
+from qalt import diagram, jones
 from qalt.diagram import (
     SWEEP_WIDTH,
     PDDiagram,
     SmoothingKind,
     _basis,
-    _combine,
     _connected_pieces,
     _faces,
     _glued,
@@ -35,7 +35,7 @@ from qalt.diagram import (
 from qalt.errors import CrossingLimitError, MalformedDiagramError
 from qalt.jones import determinant_goeritz
 from qalt.kanenobu import KANENOBU_DET, Q_8_8, Q_8_9
-from qalt.poly import IntLaurent
+from qalt.poly import IntLaurent, combine as _combine
 from qalt.qpoly import (
     _chain,
     _q,
@@ -276,6 +276,65 @@ def test_sweep_equals_the_switch_chain():
                 assert max(width for width, _ in steps) <= SWEEP_WIDTH
                 assert _sweep(steps, engine) == recursion(p, {}), p
     assert swept > 100 and wide >= 8
+
+
+def _combining_sweep(steps, engine):
+    """The reference for `_sweep`: the state as IntLaurent vectors, each step
+    summed by `combine`."""
+    state = {(): IntLaurent.const(1)}
+    for width, glue in steps:
+        state = _combine((c, _transition(engine, width, m, glue)) for m, c in state.items())
+    return state
+
+
+def _counting_passes(monkeypatch):
+    """The byte widths of the packed passes of every sweep from here on."""
+    passes = []
+    packed = diagram._packed_sweep
+
+    def counted(steps, engine, nbytes):
+        passes.append(nbytes)
+        return packed(steps, engine, nbytes)
+
+    monkeypatch.setattr(diagram, "_packed_sweep", counted)
+    return passes
+
+
+@pytest.mark.parametrize("k, q_bits", [(50, 77), (100, 156)])
+def test_wide_coefficients_sweep_again_at_their_width(k, q_bits, monkeypatch):
+    # the reduced alternating closure of (s1 s2^-1)^k is one piece, swept
+    d = close_braid([1, -2] * k, 3)
+    q = q_polynomial(d, math.inf)
+    bracket = jones.kauffman_bracket(d)
+    assert max(abs(v) for _, v in q.items()).bit_length() == q_bits
+    assert _evaluations(q) == (1, (-2) ** (num_components(d) - 1), determinant_goeritz(d) ** 2)
+    passes = _counting_passes(monkeypatch)
+    for engine, value in ((_q, q), (jones._bracket, bracket)):
+        passes.clear()
+        swept = _sweep(d.plan, engine)
+        assert swept == _combining_sweep(d.plan, engine) == {(): value}
+        # coefficients past 63 bits: the 8-byte pass cannot decode them
+        assert passes[0] == 8 and len(passes) == 2 and passes[1] > 8
+
+
+def test_a_pass_too_narrow_keeps_entries_that_pack_to_zero(monkeypatch):
+    # each transition times x - 256: at X = 2^8 every packed entry is 0, yet
+    # no entry is the zero polynomial, and their bounds of 257 and more keep them
+    factor = IntLaurent({1: 1, 0: -256})
+
+    def skewed(d, memo):
+        return {m: c * factor for m, c in _q(d, memo).items()}
+
+    steps = trefoil().plan
+    low, state = diagram._packed_sweep(steps, skewed, 1)
+    assert state and all(v == 0 and bound >= 1 << 7 for v, bound in state.values())
+    monkeypatch.setattr(diagram, "_SWEEP_BYTES", 1)
+    passes = _counting_passes(monkeypatch)
+    swept = _sweep(steps, skewed)
+    want = _combining_sweep(steps, skewed)
+    assert swept == want == {(): Q_TREFOIL * factor ** len(steps)}
+    assert passes[0] == 1 and len(passes) == 2
+    assert max(abs(v) for _, v in want[()].items()).bit_length() < 8 * passes[1]
 
 
 def _tangle_sum(t1, t2):
