@@ -861,17 +861,19 @@ def _turn(cross: list[list[int]], ends, c: int) -> None:
 
 
 def connected_sum(d1: PDDiagram, d2: PDDiagram, arc1: int, arc2: int) -> PDDiagram:
-    """Cut arc1 and arc2 and cross-join the four ends."""
+    """Cut arc1 and arc2 and cross-join the four ends; the arc of an operand
+    without crossings, one of its free loops, is not checked."""
+    if d1.boundary or d2.boundary:
+        raise MalformedDiagramError("cannot sum a tangle")
     if not (d1.crossings or d1.free_loops) or not (d2.crossings or d2.free_loops):
         raise MalformedDiagramError("cannot sum with the empty diagram")
+    for d, arc, which in ((d1, arc1, "first"), (d2, arc2, "second")):
+        if d.crossings and arc not in d.ends:
+            raise MalformedDiagramError(f"arc {arc} not in {which} diagram")
     if not d2.crossings:
         return PDDiagram(d1.crossings, d1.free_loops + d2.free_loops - 1)
     if not d1.crossings:
         return connected_sum(d2, d1, arc2, arc1)
-    if arc1 not in d1.ends:
-        raise MalformedDiagramError(f"arc {arc1} not in first diagram")
-    if arc2 not in d2.ends:
-        raise MalformedDiagramError(f"arc {arc2} not in second diagram")
 
     # shift d2 labels into a fresh range; the second end of each cut arc
     # gets a fresh label

@@ -7,8 +7,8 @@ over the Catalan(k) crossingless matchings of 2k points (Temperley-Lieb;
 Makowsky and Marino 2003).  The shared `diagram._transition(_bracket, ...)`
 is the bracket of a crossingless tangle glued to one crossing or one cap; the
 tangle engine `_smoothing` expands <D> = A <D_A> + A^-1 <D_B> at the first
-crossing, as does a piece wider than SWEEP_WIDTH, and `poly.combine` adds
-the two terms, in place, one exponent map per matching.  The sweep's state
+crossing, as does a piece wider than SWEEP_WIDTH, and `poly.combine` sums
+the two terms with the ring's own `*` and `+`.  The sweep's state
 is packed as for Q: one int per entry, its value at A = 2^B, with a bound
 on its coefficients that makes the one decode per piece exact
 (`diagram._sweep`).  The engine sees the diagram as given: the kinks and
@@ -89,11 +89,16 @@ def orient(d: PDDiagram, flips: frozenset[int] | set[int] = frozenset()) -> Orie
     the listed walk-components.
 
     Components are numbered in the order `diagram._strands` lists them;
-    the canonical orientation is the one with no flips.
+    the canonical orientation is the one with no flips.  A flip past the
+    last of them, or below 0, raises MalformedDiagramError.
     """
+    strands = _strands(d)
+    bad = sorted(i for i in flips if not 0 <= i < len(strands))
+    if bad:
+        raise MalformedDiagramError(f"flips {bad} name none of the {len(strands)} walk-components")
     under = [0] * len(d.crossings)
     over = [0] * len(d.crossings)
-    for comp, strand in enumerate(_strands(d)):
+    for comp, strand in enumerate(strands):
         turn = 2 if comp in flips else 0
         for c, s in strand:
             (over if s % 2 else under)[c] = (s + turn) % 4

@@ -150,7 +150,9 @@ def corollary26_obstruction(tangles, beta: int, l: int, k: int) -> Corollary26Re
 
 
 def standard_form_check(m: MontesinosPresentation) -> bool:
-    """The reduced standard-form inequalities, as exact comparisons."""
+    """The reduced standard-form inequalities, as exact comparisons: each
+    a_i/(a_i - b_i) is at most every other a_j/b_j and a/b.  So b_i/a_i + b/a
+    <= 1 for every i, which is the final tangle's a/(a - b) <= min a_i/b_i."""
     a, b = m.final_tangle
     if not 0 < b < a:
         return False
@@ -161,8 +163,6 @@ def standard_form_check(m: MontesinosPresentation) -> bool:
         bound = min(others + [final_ratio])
         if Fraction(ai, ai - bi) > bound:
             return False
-    if ratios and Fraction(a, a - b) > min(ratios):
-        return False
     return True
 
 

@@ -33,20 +33,10 @@ class IntLaurent:
     equality/hashing are structural.
     """
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        c: dict[int, int] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for e, v in items:
-            if v:
-                nv = c.get(e, 0) + v
-                if nv:
-                    c[e] = nv
-                else:
-                    del c[e]
-        self._c = c
-        self._hash: int | None = None
+    def __init__(self, coeffs: Mapping[int, int] = {}):  # only read, never stored
+        self._c = {e: v for e, v in coeffs.items() if v}
 
     # -- constructors ------------------------------------------------
 
@@ -94,7 +84,6 @@ class IntLaurent:
                 c.pop(e, None)
         out = object.__new__(type(self))
         out._c = c
-        out._hash = None
         return out
 
     __radd__ = __add__
@@ -102,7 +91,6 @@ class IntLaurent:
     def __neg__(self):
         out = object.__new__(type(self))
         out._c = {e: -v for e, v in self._c.items()}
-        out._hash = None
         return out
 
     def __sub__(self, other):
@@ -133,7 +121,6 @@ class IntLaurent:
                 return poly
             out = object.__new__(type(self))
             out._c = {e + e0: v * v0 for e, v in poly._c.items()}
-            out._hash = None
             return out
         c: dict[int, int] = {}
         for e1, v1 in self._c.items():
@@ -146,7 +133,6 @@ class IntLaurent:
                     del c[e]
         out = object.__new__(type(self))
         out._c = c
-        out._hash = None
         return out
 
     __rmul__ = __mul__
@@ -200,11 +186,8 @@ class IntLaurent:
 
     def __hash__(self):
         # a constant equals its int, so it must hash like it
-        if self._hash is None:
-            c = self._c
-            key = c.get(0, 0) if c.keys() <= {0} else tuple(sorted(c.items()))
-            self._hash = hash(key)
-        return self._hash
+        c = self._c
+        return hash(c.get(0, 0) if c.keys() <= {0} else tuple(sorted(c.items())))
 
     def __bool__(self):
         return bool(self._c)
@@ -271,40 +254,14 @@ def combine(terms: Iterable[tuple[IntLaurent, Mapping]]) -> dict:
     """The vector sum of c * v over the pairs (c, v) of `terms`, a vector
     being a dict from any key to ring elements; zero entries are dropped.
 
-    The products accumulate in place: each term product of c and v[m] is
-    added into one exponent -> coefficient dict per key m, and each nonzero
-    sum becomes a ring element once, at the end, so no product or partial
-    sum is ever an object.  Every c and every entry must be of one ring
-    class: mixing IntLaurent with HalfLaurent raises TypeError, as their
-    product does.
+    The ring's own `*` and `+` form every entry, so mixing IntLaurent with
+    HalfLaurent raises TypeError, as their product or sum does.
     """
-    sums: dict = {}
-    ring = None
+    out: dict = {}
     for c, v in terms:
-        if ring is None:
-            ring = type(c) if isinstance(c, IntLaurent) else IntLaurent
-        for x in (c, *v.values()):
-            if type(x) is not ring:
-                raise TypeError(f"cannot combine {ring.__name__} with {type(x).__name__}")
-        cc = c._c
         for m, e in v.items():
-            acc = sums.get(m)
-            if acc is None:
-                acc = sums[m] = {}
-            # the shorter factor in the outer loop: most products have a monomial
-            short, long = (cc, e._c) if len(cc) <= len(e._c) else (e._c, cc)
-            for e1, v1 in short.items():
-                for e2, v2 in long.items():
-                    k = e1 + e2
-                    acc[k] = acc.get(k, 0) + v1 * v2
-    out = {}
-    for m, acc in sums.items():
-        c = {k: v for k, v in acc.items() if v}
-        if c:
-            p = out[m] = object.__new__(ring)
-            p._c = c
-            p._hash = None
-    return out
+            out[m] = out[m] + c * e if m in out else c * e
+    return {m: e for m, e in out.items() if e}
 
 
 def pack(p: IntLaurent, nbytes: int, low: int) -> int:

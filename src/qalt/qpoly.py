@@ -24,9 +24,9 @@ the sum of the absolute values of its coefficients, the sum of l1(c) l1(t)
 over the products that form it.  A coefficient whose entry's bound is below
 X/2 is one balanced base-X digit, so the sweep decodes each piece once,
 exactly, when every final bound is below X/2, and otherwise sweeps the piece
-again at the width the largest bound needs.  `poly.combine` adds the
-vectors of each skein step, in place, one exponent map per matching.  A
-wider piece goes to the switch chain, whose smaller pieces are swept again.
+again at the width the largest bound needs.  A wider piece goes to the
+switch chain, whose smaller pieces are swept again; `poly.combine` sums the
+vectors of each skein step with the ring's own `*` and `+`.
 
 `diagram._expand` splits pieces by Q(A u B) = (2x^-1 - 1) Q(A) Q(B), and
 memoizes on the exact diagram, `PDDiagram.key()`: it cannot collide, and

@@ -120,8 +120,13 @@ def test_normal_form_validation():
         B3NormalForm.family3(0, -4)
     with pytest.raises(HypothesisViolationError):
         B3NormalForm(4, 0)
+    with pytest.raises(HypothesisViolationError, match="family 2 takes no pairs"):
+        B3NormalForm(2, 0, ((1, 1),))
     nf = normal_form_from_dict({"family": 1, "n": 1, "pairs": [[2, 1]]})
     assert nf.pairs == ((2, 1),)
+    # families 2 and 3 are given by n and m alone
+    assert normal_form_from_dict({"family": 2, "n": -1, "m": 4}) == B3NormalForm.family2(-1, 4)
+    assert normal_form_from_dict({"family": 3, "n": 2, "m": -2}) == B3NormalForm.family3(2, -2)
 
 
 def test_burau_generators_and_inverses():
@@ -280,6 +285,12 @@ def test_tutte_graph_and_matrix_tree():
     assert spanning_tree_count(quad) == 4
     split = Multigraph.from_edges(4, [(0, 1), (2, 3)])
     assert spanning_tree_count(split) == 0
+    for edge in ((0, 3), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            Multigraph.from_edges(3, [(0, 1), edge])
+    for pairs in ([], [(0, 1)], [(2, 1), (1, 0)]):
+        with pytest.raises(HypothesisViolationError):
+            tutte_graph(pairs)
 
 
 def test_three_way_determinant_small_grid():
@@ -350,6 +361,7 @@ def test_crossing_upper_bound():
     assert crossing_upper_bound(B3NormalForm.family1(0, [(2, 3)])) == 5
     assert crossing_upper_bound(B3NormalForm.family1(0, [(1, 4)])) == 4
     assert crossing_upper_bound(B3NormalForm.family1(0, [(1, 1)])) == 0
+    assert crossing_upper_bound(B3NormalForm.family1(0, [(3, 1)])) == 3  # q1 = 1: p1
     with pytest.raises(HypothesisViolationError):
         crossing_upper_bound(B3NormalForm.family1(2, [(1, 1)]))
     with pytest.raises(HypothesisViolationError):
@@ -360,3 +372,5 @@ def test_word_inverse_and_product():
     w = parse_braid_word("1 2 -1")
     assert (w * w.inverse()).exponent_sum == 0
     assert w.inverse().letters == (1, -2, -1)
+    with pytest.raises(MalformedDiagramError, match="strand counts differ"):
+        w * BraidWord(4, (3,))

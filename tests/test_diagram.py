@@ -49,6 +49,24 @@ def test_parse_free_loops():
     assert len(d) == 0
     assert num_components(d) == 1
     assert num_components(parse_pd("O(3)")) == 3
+    with pytest.raises(PDParseError, match="O-term needs one count >= 0"):
+        parse_pd("O(-1)")
+
+
+def test_diagram_constructor_rejects_bad_input():
+    with pytest.raises(MalformedDiagramError, match="not a 4-tuple"):
+        PDDiagram([(1, 2, 3)])
+    with pytest.raises(MalformedDiagramError, match="negative free loop count"):
+        PDDiagram([], -1)
+
+
+def test_equal_diagrams_hash_alike_and_a_link_repr_is_its_pd_text():
+    d, same = trefoil(), parse_pd(TREFOIL_PD)
+    assert d is not same and d == same and hash(d) == hash(same)
+    assert len({d, same, mirror(d)}) == 2
+    assert d != TREFOIL_PD
+    assert repr(d) == f"PDDiagram({TREFOIL_PD!r})"
+    assert repr(parse_pd("O(2)")) == "PDDiagram('O(2)')"
 
 
 def test_parse_rejects_bad_multiplicity():
@@ -118,6 +136,9 @@ def test_switch_involution():
     for i in range(3):
         assert switch(switch(d, i), i) == d
         assert num_components(switch(d, i)) == num_components(d)
+    for i in (-1, 3):
+        with pytest.raises(MalformedDiagramError, match="out of range"):
+            switch(d, i)
 
 
 def test_switch_unknots_trefoil():
@@ -289,6 +310,7 @@ def test_connected_sum_with_unknot():
     s = connected_sum(kink, kink, 1, 1)
     assert simplify(s) == unknot()
     assert connected_sum(trefoil(), unknot(), 1, 0) == trefoil()
+    assert connected_sum(unknot(), trefoil(), 0, 1) == trefoil()
 
 
 def test_connected_sum_takes_any_integer_labels():
@@ -309,6 +331,24 @@ def test_connected_sum_with_the_empty_diagram_raises():
     empty = PDDiagram((), 0)
     for d1, d2 in ((empty, unknot()), (unknot(), empty), (empty, trefoil())):
         with pytest.raises(MalformedDiagramError):
+            connected_sum(d1, d2, 1, 1)
+
+
+def test_connected_sum_checks_every_arc_and_rejects_tangles():
+    # an operand without crossings must not let a missing arc of the other through
+    cases = [
+        (trefoil(), unknot(), 999, 0, "first"),
+        (unknot(), trefoil(), 5, 999, "second"),
+        (trefoil(), trefoil(), 999, 1, "first"),
+        (trefoil(), trefoil(), 1, 999, "second"),
+    ]
+    for d1, d2, arc1, arc2, which in cases:
+        with pytest.raises(MalformedDiagramError, match=f"arc 999 not in {which} diagram"):
+            connected_sum(d1, d2, arc1, arc2)
+    crossings, boundary = _basis(4, ((0, 2), (1, 3)))
+    tangle = PDDiagram(crossings, 0, boundary)
+    for d1, d2 in ((tangle, trefoil()), (trefoil(), tangle), (unknot(), tangle)):
+        with pytest.raises(MalformedDiagramError, match="cannot sum a tangle"):
             connected_sum(d1, d2, 1, 1)
 
 
@@ -335,6 +375,11 @@ def test_close_braid_validation():
         close_braid([2], 2)
     with pytest.raises(MalformedDiagramError):
         close_braid([0], 2)
+    # a plain letter list carries no strand count
+    with pytest.raises(MalformedDiagramError, match="strand count required"):
+        close_braid([1, 2])
+    with pytest.raises(MalformedDiagramError, match="at least one strand"):
+        close_braid([], 0)
 
 
 def test_pretzel_counts():
@@ -348,6 +393,8 @@ def test_pretzel_counts():
         generate_pretzel([])
     with pytest.raises(MalformedDiagramError):
         generate_pretzel([2, 0, 2])
+    with pytest.raises(MalformedDiagramError, match="at least 2 twist regions"):
+        generate_pretzel([3])
 
 
 def test_pretzel_trefoil_code():

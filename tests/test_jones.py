@@ -85,6 +85,16 @@ def test_writhe_and_signs():
     assert orient(close_braid([1, 2] * 4, 3)).writhe == 8
 
 
+def test_orient_rejects_flips_that_name_no_component():
+    # reversing one of the two components negates the sign of both clasp crossings
+    assert orient(hopf_link()).writhe == -2
+    assert orient(hopf_link(), flips={1}).writhe == 2
+    assert orient(hopf_link(), flips={0, 1}).writhe == -2
+    for flips in ({5}, {-1}, {2}, {0, 2}):
+        with pytest.raises(MalformedDiagramError, match="name none of the 2 walk-components"):
+            orient(hopf_link(), flips=flips)
+
+
 def _bracket_cases(rng):
     """Seeded 2-6-strand closures of up to 14 crossings, some split (a generator
     that never occurs, or a disjoint union), some with a free loop and some

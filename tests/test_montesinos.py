@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 
@@ -25,6 +27,9 @@ def test_continued_fraction():
     assert continued_fraction(7, 2) == [3, 2]
     assert continued_fraction(3, 1) == [3]
     assert sum(continued_fraction(5, 2)) == 4
+    for b in (0, -2):
+        with pytest.raises(HypothesisViolationError, match="positive denominator"):
+            continued_fraction(5, b)
 
 
 def test_presentation_validation():
@@ -34,6 +39,9 @@ def test_presentation_validation():
         MontesinosPresentation.make(1, [(2, 1)], (3, 3))  # final not coprime
     with pytest.raises(HypothesisViolationError):
         MontesinosPresentation.make(1, [(1, 1)], (5, 2))  # a_i < 2
+    for final in ((0, 1), (-3, 1), (3, 0)):
+        with pytest.raises(HypothesisViolationError, match="needs a >= 1 and b != 0"):
+            MontesinosPresentation.make(1, [(2, 1)], final)
     MontesinosPresentation.make(0, [(5, 1), (4, 1)], (3, -1))  # pretzel-style
 
 
@@ -45,6 +53,10 @@ def test_montesinos_det_examples():
         assert montesinos_det(m2) == 4
     with pytest.raises(HypothesisViolationError):
         montesinos_det(MontesinosPresentation.make(0, [(2, 1)], (5, 2)))
+    # 27 * (-1 + 1/3 + 1/3 + 1/3) = 0, and 27 * (-1 + 1/3 + 1/3 - 1/3) = -18
+    assert montesinos_det(MontesinosPresentation.make(1, [(3, 1), (3, 1)], (3, 1))) == 0
+    with pytest.raises(HypothesisViolationError, match="negative value -18"):
+        montesinos_det(MontesinosPresentation.make(1, [(3, 1), (3, 1)], (3, -1)))
 
 
 def test_both_determinant_expressions_agree_when_sum_is_one():
@@ -101,6 +113,16 @@ def test_corollary26():
         corollary26_obstruction([(2, 1)], beta=1, l=0, k=3)  # sum = 1/2
     with pytest.raises(HypothesisViolationError):
         corollary26_obstruction([(2, 1), (2, 1)], beta=2, l=0, k=3)  # never coprime
+    bad = [
+        ({"beta": 0, "l": 0, "k": 1}, "need beta >= 1"),
+        ({"beta": 3, "l": 3, "k": 1}, "need beta >= 1"),
+        ({"beta": 3, "l": -1, "k": 1}, "need beta >= 1"),
+        ({"beta": 4, "l": 2, "k": 1}, r"2 \+ k\*4 is never coprime"),
+        ({"beta": 3, "l": 1, "k": 0}, "need k >= 1"),
+    ]
+    for kwargs, message in bad:
+        with pytest.raises(HypothesisViolationError, match=message):
+            corollary26_obstruction([(2, 1), (2, 1)], **kwargs)
 
 
 def test_corollary26_crossing_mismatch_is_an_internal_error(monkeypatch):
@@ -135,6 +157,23 @@ def test_standard_form_check():
     assert not standard_form_check(
         MontesinosPresentation.make(1, [(2, 1)], (3, -1))
     )
+    # a/(a - b) = 3 > a_1/b_1 = 2 breaks the final tangle's inequality
+    assert not standard_form_check(MontesinosPresentation.make(1, [(2, 1)], (3, 2)))
+
+
+def test_standard_form_implies_the_final_tangle_inequality():
+    # b_i/a_i + b/a <= 1 for every i is part of each tangle's inequality, and
+    # it is the final tangle's a/(a - b) <= min a_i/b_i
+    tangles = [(a, b) for a in range(2, 7) for b in range(1, a) if gcd(a, b) == 1]
+    finals = [(a, b) for a in range(2, 9) for b in range(1, a) if gcd(a, b) == 1]
+    seen = 0
+    for r in (1, 2, 3):
+        for ts in combinations_with_replacement(tangles, r):
+            for a, b in finals:
+                if standard_form_check(MontesinosPresentation.make(1, ts, (a, b))):
+                    seen += 1
+                    assert Fraction(a, a - b) <= min(Fraction(ai, bi) for ai, bi in ts)
+    assert seen > 1000
 
 
 def test_pretzel_family_reports():

@@ -89,7 +89,9 @@ def _walk_diagrams():
 
 def _walk_lines():
     for d in _walk_diagrams():
-        for flips in (frozenset(), frozenset({0, 2})):
+        # `orient` rejects a flip past the last strand, where it reversed nothing
+        strands = range(num_components(d) - d.free_loops)
+        for flips in (frozenset(), frozenset({0, 2}).intersection(strands)):
             od = orient(d, flips)
             yield f"{od.entries} {od.writhe}"
         yield str(num_components(d))

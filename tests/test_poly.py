@@ -33,6 +33,7 @@ def test_mul_examples():
     assert P("x+2x^-1") * x == P("x^2+2")
     assert P("2x^-1-1") * P("2x^-1-1") == P("4x^-2-4x^-1+1")
     assert P("x^3-2") * IntLaurent.zero() == IntLaurent.zero()
+    assert 3 - x == P("3-x")  # int - p is p.__rsub__(int)
 
 
 def test_degree_conventions():
@@ -91,12 +92,15 @@ def test_monomial_products_and_identities():
     rng = random.Random(11)
     for cls in (IntLaurent, HalfLaurent):
         for _ in range(100):
-            a = cls(rand_poly(rng).items())
+            a = cls(dict(rand_poly(rng).items()))
             e, v = rng.randint(-5, 5), rng.choice((-3, -1, 1, 2))
             mono = cls({e: v})
             shifted = cls({e + k: v * c for k, c in a.items()})
             assert a * mono == mono * a == shifted
             assert type(a * mono) is cls
+            # shift(e) multiplies by the monomial x^e
+            assert a.shift(e) == a * cls({e: 1}) and type(a.shift(e)) is cls
+            assert v - a == cls({0: v}) + -a and type(v - a) is cls
             assert a * 1 == 1 * a == a + 0 == 0 + a == a
             assert a * cls.zero() == cls.zero() * a == cls.zero()
 
