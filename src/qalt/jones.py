@@ -22,7 +22,9 @@ Corner k of crossing c is white when k + flip[c] is even; `diagram._faces`
 puts corners (c, s) and (c2, s2 + 1) in one face when an arc joins slot s of
 c to slot s2 of c2, so one walk over the arcs sets flip[c2] = flip[c] + s +
 s2 + 1 (mod 2).  `diagram._admit` rejects the empty link and a non-planar PD
-code with MalformedDiagramError before any engine starts.  The face walk, the
+code with MalformedDiagramError before any engine starts.  A bracket bound,
+none by default, counts the crossings of the pieces with no sweep plan; the
+2^n state sum takes at most FALLBACK_MAX_CROSSINGS (16).  The face walk, the
 piece split, the piece sub-diagrams and their sweep plans are kept on the
 diagram object, so `obstruction_check` derives each once for Q and the
 bracket together when `simplify` leaves the diagram as it is.
@@ -35,6 +37,7 @@ from fractions import Fraction
 from math import inf
 
 from .diagram import (
+    FALLBACK_MAX_CROSSINGS,
     PDDiagram,
     SmoothingKind,
     _admit,
@@ -43,12 +46,10 @@ from .diagram import (
     _strands,
     smooth,
 )
-from .errors import InternalConsistencyError, MalformedDiagramError
+from .errors import CrossingLimitError, InternalConsistencyError, MalformedDiagramError
 from .intmat import laplacian_det
 from .poly import HalfLaurent, IntLaurent, breadth_t, combine, eval_at_s_equals_i
-from .qpoly import DEFAULT_MAX_CROSSINGS, q_degree
-
-JONES_MAX_CROSSINGS = 16
+from .qpoly import q_polynomial
 
 _LOOP = IntLaurent({2: -1, -2: -1})  # delta = -A^2 - A^-2
 _A = IntLaurent.term(1, 1)
@@ -112,8 +113,9 @@ def orient(d: PDDiagram, flips: frozenset[int] | set[int] = frozenset()) -> Orie
 
 
 def bracket_state_sum(d: PDDiagram) -> IntLaurent:
-    """<D> by brute force over all 2^n smoothings (reference oracle)."""
-    _admit(d, JONES_MAX_CROSSINGS)
+    """<D> over all 2^n smoothings, n <= FALLBACK_MAX_CROSSINGS (reference oracle)."""
+    if len(_admit(d)) > FALLBACK_MAX_CROSSINGS:
+        raise CrossingLimitError(f"{len(d)} crossings exceed the bound {FALLBACK_MAX_CROSSINGS}")
     n = len(d.crossings)
     total = IntLaurent.zero()
     for state in range(1 << n):
@@ -153,10 +155,9 @@ def _smoothing(d: PDDiagram, memo: dict) -> dict:
 
 
 def kauffman_bracket(d: PDDiagram, max_crossings: float = inf) -> IntLaurent:
-    """<D> as a Laurent polynomial in A, by the frontier sweep; more than
-    `max_crossings` crossings raise CrossingLimitError."""
-    _admit(d, max_crossings)
-    return _bracket(d, {})[()]
+    """<D> in A by the frontier sweep; more than `max_crossings` crossings, no
+    bound by default, on the pieces with no sweep plan raise CrossingLimitError."""
+    return _bracket(_admit(d, max_crossings), {})[()]
 
 
 def _normalize_bracket(bracket: IntLaurent, writhe: int) -> HalfLaurent:
@@ -170,10 +171,9 @@ def _normalize_bracket(bracket: IntLaurent, writhe: int) -> HalfLaurent:
     return HalfLaurent(out)
 
 
-def jones_polynomial(
-    d: PDDiagram | OrientedDiagram, max_crossings: int = JONES_MAX_CROSSINGS
-) -> HalfLaurent:
-    """V_L(t) as a polynomial in s = t^(1/2), normalized to V(unknot) = 1."""
+def jones_polynomial(d: PDDiagram | OrientedDiagram, max_crossings: float = inf) -> HalfLaurent:
+    """V_L(t) as a polynomial in s = t^(1/2), normalized to V(unknot) = 1;
+    `max_crossings` bounds the bracket as in `kauffman_bracket`, none by default."""
     if not isinstance(d, OrientedDiagram):
         d = orient(d)
     return _normalize_bracket(kauffman_bracket(d.base, max_crossings), d.writhe)
@@ -195,16 +195,14 @@ def _breadth_from_jones(v: HalfLaurent) -> Fraction:
     return breadth_t(v)
 
 
-def determinant(
-    d: PDDiagram, max_crossings: int = JONES_MAX_CROSSINGS
-) -> int:
+def determinant(d: PDDiagram) -> int:
     """det(L) = |V_L(-1)|, evaluated exactly at s = i."""
-    return _det_from_jones(jones_polynomial(d, max_crossings))
+    return _det_from_jones(jones_polynomial(d))
 
 
-def breadth(d: PDDiagram, max_crossings: int = JONES_MAX_CROSSINGS) -> Fraction:
+def breadth(d: PDDiagram) -> Fraction:
     """Breadth of V_L in t-units (orientation independent)."""
-    return _breadth_from_jones(jones_polynomial(d, max_crossings))
+    return _breadth_from_jones(jones_polynomial(d))
 
 
 # -- Goeritz determinant (independent oracle) ----------------------------
@@ -221,7 +219,7 @@ def determinant_goeritz(d: PDDiagram) -> int:
     1600 and 0.27 s at 3200; reduced random 4-braids take 0.008 s at 264
     crossings, 0.02 s at 550 and 0.08 s at 1118.
     """
-    nfaces, face_of = _admit(d)
+    nfaces, face_of = _admit(d).faces
     if not d.crossings:
         return 1 if d.free_loops == 1 else 0
     # a planar diagram has n + 2 faces per piece, so more means split
@@ -263,15 +261,17 @@ class ObstructionVerdict:
 
 def obstruction_check(
     d: PDDiagram,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    jones_max_crossings: int = JONES_MAX_CROSSINGS,
+    max_crossings: float = FALLBACK_MAX_CROSSINGS,
+    jones_max_crossings: float = inf,
 ) -> ObstructionVerdict:
-    """Flag the link as NotQuasiAlternating when deg Q >= det.
+    """Flag the link as NotQuasiAlternating when deg Q >= det.  The bounds are
+    those of `q_polynomial` (`max_crossings`, default 16) and of
+    `kauffman_bracket` (`jones_max_crossings`, no default).
 
     The breadth is attached as evidence only; the breadth <= det statement
     is a conjecture and never used to rule links out.
     """
-    dq = q_degree(d, max_crossings)
+    dq = q_polynomial(d, max_crossings).degree()
     v = jones_polynomial(d, jones_max_crossings)
     dt = _det_from_jones(v)
     br = _breadth_from_jones(v)

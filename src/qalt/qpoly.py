@@ -31,15 +31,17 @@ vectors of each skein step with the ring's own `*` and `+`.
 `diagram._expand` splits pieces by Q(A u B) = (2x^-1 - 1) Q(A) Q(B), and
 memoizes on the exact diagram, `PDDiagram.key()`: it cannot collide, and
 every move renumbers arcs densely, so repeated subdiagrams still hit.
-`diagram._admit` checks the input.  The face walk of the gate, the piece
-split, the piece sub-diagrams and the sweep plan of each are kept on the
-diagram object; `simplify` returns a reduced diagram itself, so the bracket
-of the same object reuses them.
+`diagram._admit` checks the input and bounds the crossings of the pieces of
+`simplify(d)` with no sweep plan (FALLBACK_MAX_CROSSINGS = 16 by default).
+The face walk of the gate, the piece split, the piece sub-diagrams and the
+sweep plan of each are kept on the diagram object; `simplify` returns a
+reduced diagram itself, so the bracket of the same object reuses them.
 """
 
 from __future__ import annotations
 
 from .diagram import (
+    FALLBACK_MAX_CROSSINGS,
     PDDiagram,
     SmoothingKind,
     _admit,
@@ -52,8 +54,6 @@ from .diagram import (
 from .errors import MalformedDiagramError
 from .poly import IntLaurent, combine
 
-DEFAULT_MAX_CROSSINGS = 14
-
 _X = IntLaurent.x()
 _MINUS_ONE = IntLaurent.const(-1)
 _UNLINK = IntLaurent({-1: 2, 0: -1})  # 2x^-1 - 1, the extra-component factor
@@ -61,32 +61,32 @@ _UNLINK = IntLaurent({-1: 2, 0: -1})  # 2x^-1 - 1, the extra-component factor
 
 def q_polynomial(
     d: PDDiagram,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
+    max_crossings: float = FALLBACK_MAX_CROSSINGS,
     memo: dict | None = None,
 ) -> IntLaurent:
     """Q-polynomial of the link presented by `d`.
 
-    The empty link and a non-planar PD code raise MalformedDiagramError."""
-    _admit(d, max_crossings)
+    The empty link and a non-planar PD code raise MalformedDiagramError; more
+    than `max_crossings` crossings (default 16) on the pieces of `simplify(d)`
+    with no sweep plan, which go to the switch chain, CrossingLimitError."""
+    reduced = _admit(d, max_crossings, simplify)
     if memo is None:
         memo = {}
-    return _q(d, memo)[()]
+    return _expand(reduced, memo, _UNLINK, _q, _chain)[()]
 
 
-def q_degree(d: PDDiagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> int:
-    return q_polynomial(d, max_crossings).degree()
+def q_degree(d: PDDiagram) -> int:
+    return q_polynomial(d).degree()
 
 
-def check_lemma22(
-    d: PDDiagram, crossing_index: int, max_crossings: int = DEFAULT_MAX_CROSSINGS
-) -> bool:
+def check_lemma22(d: PDDiagram, crossing_index: int) -> bool:
     """deg Q(D) <= max(deg Q(D_A), deg Q(D_B)) + 1 at the given crossing."""
     if not 0 <= crossing_index < len(d):
         raise MalformedDiagramError(f"no crossing {crossing_index} in diagram")
     memo: dict = {}
-    dq = q_polynomial(d, max_crossings, memo).degree()
-    da = q_polynomial(smooth(d, crossing_index, SmoothingKind.A), max_crossings, memo)
-    db = q_polynomial(smooth(d, crossing_index, SmoothingKind.B), max_crossings, memo)
+    dq = q_polynomial(d, memo=memo).degree()
+    da = q_polynomial(smooth(d, crossing_index, SmoothingKind.A), memo=memo)
+    db = q_polynomial(smooth(d, crossing_index, SmoothingKind.B), memo=memo)
     return dq <= max(da.degree(), db.degree()) + 1
 
 

@@ -342,7 +342,7 @@ def test_quasi_alternating_closed_3_braids_satisfy_the_obstruction():
         det = determinant_goeritz(d)
         if nf.family == 1:
             assert det == det_formula(nf), nf
-        deg = q_degree(d, 64)
+        deg = q_degree(d)
         if baldwin_is_qa(nf):
             qa += 1
             assert deg < det, nf

@@ -37,6 +37,7 @@ from qalt.jones import (
     obstruction_check,
     orient,
 )
+from qalt.montesinos import pretzel_family_report
 from qalt.poly import HalfLaurent, IntLaurent
 from qalt.qpoly import q_polynomial
 
@@ -339,14 +340,38 @@ def test_obstruction_check_plans_each_piece_of_a_split_diagram_once(monkeypatch)
 
 
 def test_crossing_limits():
+    # the bracket has no bound by default, and a bound counts only the
+    # crossings of the pieces with no sweep plan; the state sum sweeps none
     big = close_braid([1] * 17, 2)
-    with pytest.raises(CrossingLimitError):
-        jones_polynomial(big)
-    with pytest.raises(CrossingLimitError):
-        determinant(big)
-    assert determinant_goeritz(big) == 17  # T(2,17), no bracket bound
-    with pytest.raises(CrossingLimitError, match="4 crossings exceed the bound 3"):
-        kauffman_bracket(figure_eight(), 3)
+    assert determinant(big) == determinant_goeritz(big) == 17  # T(2,17)
+    with pytest.raises(CrossingLimitError, match="17 crossings exceed the bound 16"):
+        bracket_state_sum(big)
+    assert kauffman_bracket(figure_eight(), 3) == bracket_state_sum(figure_eight())
+    wide = close_braid([1, -2, 3, -4] * 4, 5)
+    with pytest.raises(CrossingLimitError, match="16 unplanned crossings exceed the bound 15"):
+        kauffman_bracket(wide, 15)
+    # the paper's family C at n = 12, 36 crossings, with default bounds
+    d = generate_pretzel([12, 12, -12])
+    v = obstruction_check(d)
+    report = pretzel_family_report("C", 12)
+    assert (v.deg_q, v.det) == (report.deg_q, report.det) == (34, 144)
+    assert determinant_goeritz(d) == 144
+
+
+def test_goeritz_plans_no_sweep(monkeypatch):
+    planned = []
+
+    def counted(p):
+        planned.append(p)
+        return _sweep_steps(p)
+
+    monkeypatch.setattr(diagram, "_sweep_steps", counted)
+    # the closure of (s1 s2^-1)^k has det L_2k - 2, L_n the Lucas numbers
+    lucas = [2, 1]
+    while len(lucas) <= 800:
+        lucas.append(lucas[-1] + lucas[-2])
+    assert determinant_goeritz(close_braid([1, -2] * 400, 3)) == lucas[800] - 2
+    assert planned == []
 
 
 def test_empty_link_errors():

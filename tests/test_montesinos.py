@@ -185,7 +185,7 @@ def test_pretzel_family_reports():
     b5 = pretzel_family_report("B", 5)
     assert (b5.deg_q, b5.det) == (15, 24)
     d = generate_pretzel(b5.entries)
-    assert q_degree(d, 64) == b5.deg_q == len(d) - 2
+    assert q_degree(d) == b5.deg_q == len(d) - 2
     assert determinant_goeritz(d) == b5.det
     for bad in (("A", 3), ("A", 4), ("B", 2), ("C", 2), ("X", 5)):
         with pytest.raises(HypothesisViolationError):
@@ -199,7 +199,7 @@ def test_family_c_pipeline_cross_check():
         for r in params:
             rep = pretzel_family_report(family, r)
             d = generate_pretzel(rep.entries)
-            assert q_degree(d, 64) == rep.deg_q, (family, r)
+            assert q_degree(d) == rep.deg_q, (family, r)
             assert determinant_goeritz(d) == rep.det, (family, r)
     for n in (3, 4):
         d = generate_pretzel([n, n, -n])

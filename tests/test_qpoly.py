@@ -5,7 +5,7 @@ from itertools import chain
 
 import pytest
 
-from qalt import diagram, jones
+from qalt import diagram, jones, qpoly
 from qalt.diagram import (
     SWEEP_WIDTH,
     PDDiagram,
@@ -160,10 +160,36 @@ def test_degree_bounds():
 
 
 def test_crossing_bound():
-    d = close_braid([1] * 15, 2)
-    with pytest.raises(CrossingLimitError):
+    # the bound counts the crossings of the pieces with no sweep plan, and
+    # only those, so a diagram whose pieces all sweep runs at any size
+    d = close_braid([1, -2] * 13, 3)
+    q = q_polynomial(d)
+    assert q == q_polynomial(d, math.inf)
+    assert _evaluations(q) == (1, 1, determinant_goeritz(d) ** 2)
+    # (s1 s2^-1 s3 s4^-1)^4 closed has no plan within SWEEP_WIDTH points
+    wide = close_braid([1, -2, 3, -4] * 4, 5)
+    with pytest.raises(CrossingLimitError, match="16 unplanned crossings exceed the bound 15"):
+        q_polynomial(wide, 15)
+
+
+def test_crossing_bound_counts_the_reduced_pieces():
+    # w s1^3 w^-1 on 5 strands has no plan; R2 moves leave the trefoil and
+    # three free loops, which the sweep plans, so no crossing falls back
+    w = [2, -3, 4, -2, 3, -4]
+    d = close_braid(w + [1, 1, 1] + [-x for x in reversed(w)], 5)
+    assert len(d) == 15 and d.plan is None
+    assert q_polynomial(d, 0) == P("2x^-1-1") ** 3 * Q_TREFOIL
+
+
+def test_crossing_bound_raises_before_the_switch_chain(monkeypatch):
+    # the switch chain takes about 30 s on this 20-crossing closure
+    def chain(d, memo):
+        raise AssertionError("the switch chain ran")
+
+    monkeypatch.setattr(qpoly, "_chain", chain)
+    d = close_braid([1, -2, 3, -4] * 5, 5)
+    with pytest.raises(CrossingLimitError, match="20 unplanned crossings exceed the bound 16"):
         q_polynomial(d)
-    assert q_polynomial(d, max_crossings=15).degree() >= 0
 
 
 def test_pretzel_degrees():
@@ -304,7 +330,7 @@ def _counting_passes(monkeypatch):
 def test_wide_coefficients_sweep_again_at_their_width(k, q_bits, monkeypatch):
     # the reduced alternating closure of (s1 s2^-1)^k is one piece, swept
     d = close_braid([1, -2] * k, 3)
-    q = q_polynomial(d, math.inf)
+    q = q_polynomial(d)
     bracket = jones.kauffman_bracket(d)
     assert max(abs(v) for _, v in q.items()).bit_length() == q_bits
     assert _evaluations(q) == (1, (-2) ** (num_components(d) - 1), determinant_goeritz(d) ** 2)
