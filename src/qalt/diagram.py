@@ -379,31 +379,33 @@ def _sweep(steps: list[tuple[int, tuple]], engine: Callable) -> dict:
     the state is that of the tangle in the disk, and a step maps each basis
     tangle to its glued value, `_transition(engine, width, matching, glue)`.
 
-    The state runs on packed integers (`_packed_sweep`), one per entry, at
-    x = X = 2^(8 nbytes) with nbytes = _SWEEP_BYTES, and each entry carries a
-    bound on the sum of the absolute values of its coefficients.  Every
-    coefficient of an entry whose bound is below X/2 lies in [-X/2, X/2), so
-    `poly.unpack` recovers it exactly from its balanced digits, once per
-    piece.  When a final bound is not below X/2, the piece is swept again
-    with a byte for every 8 bits of the bound plus a sign bit.  A wider pass
-    drops every entry that a narrower one drops, so its bounds are at most
-    those of the first pass, and it decodes.
+    The state runs on packed integers (`_packed_sweep`), one per entry, keyed
+    by matching id (`_MATCHINGS`), at x = X = 2^(8 nbytes) with nbytes =
+    _SWEEP_BYTES, and each entry carries a bound on the sum of the absolute
+    values of its coefficients.  Every coefficient of an entry whose bound is
+    below X/2 lies in [-X/2, X/2), so `poly.unpack` recovers it exactly from
+    its balanced digits, once per piece, and the id goes back to its
+    matching there.  When a final bound is not below X/2, the piece is swept
+    again with a byte for every 8 bits of the bound plus a sign bit.  A wider
+    pass drops every entry that a narrower one drops, so its bounds are at
+    most those of the first pass, and it decodes.
     """
     nbytes = _SWEEP_BYTES
     while True:
         low, state = _packed_sweep(steps, engine, nbytes)
         top = max((bound for _, bound in state.values()), default=0).bit_length()
         if top < 8 * nbytes:
-            return {m: unpack(v, nbytes, low) for m, (v, _) in state.items() if v}
+            return {_MATCHINGS[i]: unpack(v, nbytes, low) for i, (v, _) in state.items() if v}
         nbytes = top // 8 + 1
 
 
 def _packed_sweep(steps: list[tuple[int, tuple]], engine: Callable, nbytes: int):
-    """One pass of `_sweep` at X = 2^(8 nbytes): (low, {matching: [value,
-    bound]}), the entry of a matching being x^low times the polynomial whose
-    value at X is `value`.
+    """One pass of `_sweep` at X = 2^(8 nbytes): (low, {id: [value, bound]}),
+    the entry of the matching `_MATCHINGS[id]` being x^low times the
+    polynomial whose value at X is `value`.
 
-    A step multiplies each entry by each entry of its transition
+    A step finds its table in `_packed(engine, nbytes)` by its (width, glue)
+    and multiplies each entry by each entry of its transition's row
     (`_pack_row`), one big-int product and shift per pair, the state entry
     first shifted from its transition's lowest exponent to the step's
     lowest one, which becomes part of `low`.  The bound of a new entry is
@@ -416,32 +418,39 @@ def _packed_sweep(steps: list[tuple[int, tuple]], engine: Callable, nbytes: int)
     b = 8 * nbytes
     half = 1 << (b - 1)
     low = 0
-    state = {(): [1, 1]}  # the empty disk
-    for width, glue in steps:
-        table = _packed(engine, width, glue, nbytes)
+    tables = _packed(engine, nbytes)
+    state = {0: [1, 1]}  # the empty disk, matching ()
+    for step in steps:
+        table = tables.setdefault(step, {})
         rows = []
-        for m, entry in state.items():
-            row = table.get(m)
+        shift = None
+        for i, (v, bound) in state.items():
+            row = table.get(i)
             if row is None:
-                row = table[m] = _pack_row(_transition(engine, width, m, glue), nbytes)
-            rows.append((row, entry))
-        shift = min((lo for (lo, _), _ in rows), default=0)
+                width, glue = step
+                row = table[i] = _pack_row(_transition(engine, width, _MATCHINGS[i], glue), nbytes)
+            lo, entries = row
+            if shift is None or lo < shift:
+                shift = lo
+            rows.append((lo, entries, v, bound))
+        if shift is None:  # the zero vector stays zero
+            break
         new: dict = {}
-        for (lo, row), (v, bound) in rows:
+        for lo, entries, v, bound in rows:
             if lo != shift:
                 v <<= b * (lo - shift)
-            for m, (tv, tb, k) in row.items():
+            for i, tv, tb, k in entries:
                 p = v * tv
                 if k:
                     p <<= k
-                acc = new.get(m)
+                acc = new.get(i)
                 if acc is None:
-                    new[m] = [p, bound * tb]
+                    new[i] = [p, bound * tb]
                 else:
                     acc[0] += p
                     acc[1] += bound * tb
         low += shift
-        state = {m: acc for m, acc in new.items() if acc[0] or acc[1] >= half}
+        state = {i: acc for i, acc in new.items() if acc[0] or acc[1] >= half}
     return low, state
 
 
@@ -506,28 +515,46 @@ def _transition(engine: Callable, width: int, matching, glue) -> dict:
     return engine(_glued(width, matching, glue), {})
 
 
+# The matchings the sweep has met, in order of first sight, a matching's id
+# being its index, () id 0, and the id of each: at most 1 + 1 + 3 + 15 + 105 =
+# 125 matchings of up to SWEEP_WIDTH points, shared by Q and the bracket, whose
+# crossingless matchings are among Q's.
+_MATCHINGS: list = [()]
+_IDS: dict = {(): 0}
+
+
+def _intern(matching) -> int:
+    """The id of `matching` in `_MATCHINGS`, given on first sight."""
+    i = _IDS.get(matching)
+    if i is None:
+        i = _IDS[matching] = len(_MATCHINGS)
+        _MATCHINGS.append(matching)
+    return i
+
+
 @lru_cache(maxsize=None)
-def _packed(engine: Callable, width: int, glue, nbytes: int) -> dict:
-    """matching -> `_pack_row` of `_transition(engine, width, matching, glue)`
-    at `nbytes`, filled by `_packed_sweep` one matching at a time and kept
-    for the process."""
+def _packed(engine: Callable, nbytes: int) -> dict:
+    """The step tables of `engine` at `nbytes`, kept for the process: (width,
+    glue) -> {id: `_pack_row` of `_transition(engine, width, _MATCHINGS[id],
+    glue)`}, filled by `_packed_sweep` one step and one matching at a time."""
     return {}
 
 
-def _pack_row(vec: dict, nbytes: int) -> tuple[int, dict]:
-    """(low, {matching: (value, l1, k)}) for a transition vector: its lowest
-    exponent and, per entry, `poly.pack` at the entry's own lowest exponent,
-    the sum of the absolute values of its coefficients, and the bits k by
-    which the entry's lowest exponent lies above `low`.  A monomial entry so
-    packs to its coefficient, and a product with it is a small multiply and
-    a shift, not a multiply by a k-bit integer."""
+def _pack_row(vec: dict, nbytes: int) -> tuple[int, tuple]:
+    """(low, ((id, value, l1, k), ...)) for a transition vector: its lowest
+    exponent and, per entry, the id of its matching, `poly.pack` at the
+    entry's own lowest exponent, the sum of the absolute values of its
+    coefficients, and the bits k by which the entry's lowest exponent lies
+    above `low`.  A monomial entry so packs to its coefficient, and a product
+    with it is a small multiply and a shift, not a multiply by a k-bit
+    integer."""
     low = min((p.low_degree() for p in vec.values()), default=0)
     b = 8 * nbytes
-    row = {}
+    row = []
     for m, p in vec.items():
         lo = p.low_degree()
-        row[m] = pack(p, nbytes, lo), sum(abs(v) for _, v in p.items()), b * (lo - low)
-    return low, row
+        row.append((_intern(m), pack(p, nbytes, lo), sum(abs(v) for _, v in p.items()), b * (lo - low)))
+    return low, tuple(row)
 
 
 # Two walks follow strands, and they restart differently once a component

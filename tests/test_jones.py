@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from qalt import diagram, jones
@@ -15,7 +13,6 @@ from qalt.diagram import (
     generate_pretzel,
     hopf_link,
     mirror,
-    num_components,
     parse_pd,
     render_pd,
     simplify,

@@ -363,6 +363,56 @@ def test_a_pass_too_narrow_keeps_entries_that_pack_to_zero(monkeypatch):
     assert max(abs(v) for _, v in want[()].items()).bit_length() < 8 * passes[1]
 
 
+def test_matching_ids_are_one_table_of_at_most_125():
+    # the ids are process-wide: every planned piece of both engines may add
+    # only matchings of at most SWEEP_WIDTH points, each once
+    for d in _sweep_cases():
+        for p, engine in [*((p, _q) for p in _pieces(simplify(d))), *((p, jones._bracket) for p in _pieces(d))]:
+            steps = _sweep_steps(p)
+            if steps is not None:
+                _sweep(steps, engine)
+    # (w-1)!! matchings of w points: 1 + 1 + 3 + 15 + 105 = 125 up to 8
+    bound = sum(math.prod(range(1, w, 2)) for w in range(0, SWEEP_WIDTH + 1, 2))
+    matchings = diagram._MATCHINGS
+    assert len(matchings) <= bound
+    assert matchings[0] == () and len(diagram._IDS) == len(matchings)
+    for i, m in enumerate(matchings):
+        assert diagram._IDS[m] == i
+        assert sorted(chain(*m)) == list(range(2 * len(m))) and 2 * len(m) <= SWEEP_WIDTH
+    # a crossingless matching has one id, and Q and the bracket keep the row
+    # of that matching under it
+    q_tables, b_tables = diagram._packed(_q, 8), diagram._packed(jones._bracket, 8)
+    shared = 0
+    for step in q_tables.keys() & b_tables.keys():
+        width, glue = step
+        for i in q_tables[step].keys() & b_tables[step].keys():
+            m = matchings[i]
+            assert not _basis(2 * len(m), m)[0]  # crossingless
+            for engine, tables in ((_q, q_tables), (jones._bracket, b_tables)):
+                assert tables[step][i] == diagram._pack_row(_transition(engine, width, m, glue), 8)
+            shared += 1
+    assert shared > 10
+
+
+@pytest.mark.parametrize("engine", [_q, jones._bracket])
+def test_a_second_sweep_packs_no_row_and_returns_matchings(engine, monkeypatch):
+    d = close_braid([1, -2, 3, -2, 1, 3, -2], 4)
+    steps = d.plan
+    first = _sweep(steps, engine)
+    calls = []
+    for name in ("_pack_row", "_transition"):
+        original = getattr(diagram, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(diagram, name, counted)
+    second = _sweep(steps, engine)
+    assert calls == []
+    assert second == first == _combining_sweep(steps, engine) and list(second) == [()]
+
+
 def _tangle_sum(t1, t2):
     """The tangle sum of 4-point tangles: NE and SE of t1 fused to NW and SW of
     t2 (positions NW 0, SW 1, SE 2, NE 3, counterclockwise)."""
