@@ -24,10 +24,11 @@ import re
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from itertools import chain, combinations, count
 from math import inf
+from operator import index
 from typing import Callable, Iterable, Sequence
 
 from .errors import CrossingLimitError, MalformedDiagramError, PDParseError
@@ -62,26 +63,19 @@ def _ends_of(
     return ends
 
 
-_UNPLANNED = object()  # `PDDiagram._plan` before the first `plan`
-
-
 class PDDiagram:
     """Immutable planar diagram: crossing tuples, a free-loop count and, for a
     tangle, its boundary labels.
 
-    Five tables derived from the code are computed on first use and kept on
-    the object, which never changes: `ends`, the connected `pieces`, their
-    sub-diagrams `parts`, the face walk `faces` and, for a connected link,
-    the sweep `plan`.  So Q and the bracket of one diagram object walk its
-    faces, split its pieces and plan the sweep of each once between them.
-    Every move builds a new diagram, with none of the tables; a face walk
-    that finds the code non-planar raises and keeps nothing, so it raises
-    again on every later use.
+    The tables derived from the code are cached properties, computed on
+    first use and kept on the object, which never changes: `ends`, the
+    connected `pieces`, their sub-diagrams `parts`, the face walk `faces`
+    and, for a connected link, the sweep `plan`.  So Q and the bracket of
+    one diagram object walk its faces, split its pieces and plan the sweep
+    of each once between them.  Every move builds a new diagram, with none
+    of the tables; a face walk that finds the code non-planar raises and
+    keeps nothing, so it raises again on every later use.
     """
-
-    __slots__ = (
-        "crossings", "free_loops", "boundary", "_ends", "_pieces", "_parts", "_faces", "_plan"
-    )
 
     def __init__(
         self,
@@ -89,71 +83,62 @@ class PDDiagram:
         free_loops: int = 0,
         boundary: Sequence[int] = (),
     ):
-        # rotating a tuple by two is the same crossing; store the smaller form
-        self.crossings: tuple[Crossing, ...] = tuple(
-            _normalize(tuple(map(int, t))) for t in crossings
-        )
-        self.free_loops = int(free_loops)
+        try:
+            # rotating a tuple by two is the same crossing; store the smaller form
+            self.crossings: tuple[Crossing, ...] = tuple(
+                _normalize(tuple(map(index, t))) for t in crossings
+            )
+            self.free_loops = index(free_loops)
+            self.boundary: tuple[int, ...] = tuple(map(index, boundary))
+        except TypeError as e:
+            raise MalformedDiagramError(f"arc labels and the loop count must be integers: {e}") from e
         if self.free_loops < 0:
             raise MalformedDiagramError("negative free loop count")
-        self.boundary: tuple[int, ...] = tuple(map(int, boundary))
         counts = Counter(chain(self.boundary, *self.crossings))
         bad = sorted(a for a, n in counts.items() if n != 2)
         if bad:
             raise MalformedDiagramError(
                 f"arc identifiers {bad} do not occur exactly twice"
             )
-        self._ends: dict[int, list[tuple[int, int]]] | None = None
-        self._pieces: list[list[int]] | None = None
-        self._parts: list[PDDiagram] | None = None
-        self._faces: tuple[int, dict[tuple[int, int], int]] | None = None
-        self._plan = _UNPLANNED
 
     # -- basic structure ---------------------------------------------
 
-    @property
+    @cached_property
     def ends(self) -> dict[int, list[tuple[int, int]]]:
         """arc -> the two (crossing index, slot) positions where it ends."""
-        if self._ends is None:
-            self._ends = _ends_of(self.crossings, self.boundary)
-        return self._ends
+        return _ends_of(self.crossings, self.boundary)
 
-    @property
+    @cached_property
     def pieces(self) -> list[list[int]]:
         """`_connected_pieces(self)`; callers share the lists and only read them."""
-        if self._pieces is None:
-            self._pieces = _connected_pieces(self)
-        return self._pieces
+        return _connected_pieces(self)
 
     @property
     def parts(self) -> list[PDDiagram]:
         """The connected pieces as diagrams without the free loops, in the
         order of `pieces`; a tangle is one piece.  `[self]` when that is all
         of `self`, else sub-diagrams kept on `self`, each with its own tables."""
+        return [self] if self._split is None else self._split
+
+    @cached_property
+    def _split(self) -> list[PDDiagram] | None:
+        """`parts` of a split diagram; None, not a cycle `[self]`, for one piece."""
         pieces = [range(len(self))] if self.boundary else self.pieces
         if len(pieces) == 1 and not self.free_loops:
-            return [self]
-        if self._parts is None:
-            self._parts = [
-                PDDiagram([self.crossings[i] for i in piece], 0, self.boundary) for piece in pieces
-            ]
-        return self._parts
+            return None
+        return [PDDiagram([self.crossings[i] for i in piece], 0, self.boundary) for piece in pieces]
 
-    @property
+    @cached_property
     def faces(self) -> tuple[int, dict[tuple[int, int], int]]:
         """`_faces(self)`: (number of faces, face id per corner); a non-planar
         code raises MalformedDiagramError on every access."""
-        if self._faces is None:
-            self._faces = _faces(self)
-        return self._faces
+        return _faces(self)
 
-    @property
+    @cached_property
     def plan(self) -> list[tuple[int, tuple]] | None:
         """`_sweep_steps(self)` of a connected link: its sweep steps, or None
         when it is too wide to sweep."""
-        if self._plan is _UNPLANNED:
-            self._plan = _sweep_steps(self)
-        return self._plan
+        return _sweep_steps(self)
 
     def __len__(self) -> int:
         return len(self.crossings)
@@ -515,21 +500,21 @@ def _transition(engine: Callable, width: int, matching, glue) -> dict:
     return engine(_glued(width, matching, glue), {})
 
 
-# The matchings the sweep has met, in order of first sight, a matching's id
-# being its index, () id 0, and the id of each: at most 1 + 1 + 3 + 15 + 105 =
-# 125 matchings of up to SWEEP_WIDTH points, shared by Q and the bracket, whose
-# crossingless matchings are among Q's.
-_MATCHINGS: list = [()]
-_IDS: dict = {(): 0}
+def _matchings(points: tuple) -> list:
+    """Every perfect matching of `points`, as pairs (p, q), p < q, in order of p."""
+    if not points:
+        return [()]
+    p, rest = points[0], points[1:]
+    return [((p, q),) + m for k, q in enumerate(rest) for m in _matchings(rest[:k] + rest[k + 1 :])]
 
 
-def _intern(matching) -> int:
-    """The id of `matching` in `_MATCHINGS`, given on first sight."""
-    i = _IDS.get(matching)
-    if i is None:
-        i = _IDS[matching] = len(_MATCHINGS)
-        _MATCHINGS.append(matching)
-    return i
+# Every matching of 0, 2, ..., SWEEP_WIDTH points, a matching's id being its
+# index, () id 0, and the id of each: 1 + 1 + 3 + 15 + 105 = 125 matchings,
+# fixed at import and shared by Q and the bracket, whose crossingless
+# matchings are among Q's.  The planner keeps every frontier within
+# SWEEP_WIDTH points, so each matching a transition returns has an id.
+_MATCHINGS = tuple(m for w in range(0, SWEEP_WIDTH + 1, 2) for m in _matchings(tuple(range(w))))
+_IDS = {m: i for i, m in enumerate(_MATCHINGS)}
 
 
 @lru_cache(maxsize=None)
@@ -553,7 +538,7 @@ def _pack_row(vec: dict, nbytes: int) -> tuple[int, tuple]:
     row = []
     for m, p in vec.items():
         lo = p.low_degree()
-        row.append((_intern(m), pack(p, nbytes, lo), sum(abs(v) for _, v in p.items()), b * (lo - low)))
+        row.append((_IDS[m], pack(p, nbytes, lo), sum(abs(v) for _, v in p.items()), b * (lo - low)))
     return low, tuple(row)
 
 
@@ -963,12 +948,15 @@ def close_braid(word, strands: int | None = None) -> PDDiagram:
     :class:`~qalt.braid3.BraidWord`); positive sigma_i crosses strand i+1
     over strand i, all strands oriented the same way.
     """
-    letters = list(getattr(word, "letters", word))
     if strands is None:
         strands = getattr(word, "strands", None)
         if strands is None:
             raise MalformedDiagramError("strand count required")
-    strands = int(strands)
+    try:
+        letters = [index(g) for g in getattr(word, "letters", word)]
+        strands = index(strands)
+    except TypeError as e:
+        raise MalformedDiagramError(f"letters and the strand count must be integers: {e}") from e
     if strands < 1:
         raise MalformedDiagramError("need at least one strand")
     for g in letters:

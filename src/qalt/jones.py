@@ -8,12 +8,9 @@ Makowsky and Marino 2003).  The shared `diagram._transition(_bracket, ...)`
 is the bracket of a crossingless tangle glued to one crossing or one cap; the
 tangle engine `_smoothing` expands <D> = A <D_A> + A^-1 <D_B> at the first
 crossing, as does a piece wider than SWEEP_WIDTH, and `poly.combine` sums
-the two terms with the ring's own `*` and `+`.  The sweep's state
-is packed as for Q: one int per entry, keyed by the id of its matching in
-the table Q shares, its value at A = 2^B, with a bound on its coefficients
-that makes the one decode per piece exact (`diagram._sweep`), where the ids
-go back to matchings.  The engine sees the diagram as given: the kinks and
-clasps that `diagram.simplify` removes change the writhe.
+the two terms with the ring's own `*` and `+`.  The sweep's state is
+packed as for Q (`diagram._sweep`).  The engine sees the diagram as given:
+the kinks and clasps that `diagram.simplify` removes change the writhe.
 V is normalized by (-A)^(-3w) and realized in s = t^(1/2) via t = A^-4.
 
 det(L) = |V_L(-1)| with t = -1 evaluated exactly as s = i.  The Goeritz

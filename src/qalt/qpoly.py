@@ -17,19 +17,11 @@ tangle of its matching, c its closed components.
 A connected link piece is swept instead, by the planner and state loop of
 `diagram.py` that the bracket shares; the state holds at most 105 entries at
 SWEEP_WIDTH = 8 points.  The shared `diagram._transition(_q, ...)` is `_q` of a
-basis tangle glued to one crossing or one cap, cached for the process.  The
-state runs on packed integers keyed by small matching ids, from one table
-that Q and the bracket share: an entry is one Python int, its value at
-x = X = 2^B (B = 64 on the first pass), with a low exponent and a bound on
-the sum of the absolute values of its coefficients, the sum of l1(c) l1(t)
-over the products that form it.  Each step finds its packed transition
-rows, tuples of (id, value, l1, shift), with one lookup on the step.  A
-coefficient whose entry's bound is below X/2 is one balanced base-X digit,
-so the sweep decodes each piece once, exactly, ids back to matchings, when
-every final bound is below X/2, and otherwise sweeps the piece again at the
-width the largest bound needs.  A wider piece goes to the
-switch chain, whose smaller pieces are swept again; `poly.combine` sums the
-vectors of each skein step with the ring's own `*` and `+`.
+basis tangle glued to one crossing or one cap, cached for the process;
+`diagram._sweep` says how the state is packed and decoded.  A wider piece
+goes to the switch chain, whose smaller pieces are swept again;
+`poly.combine` sums the vectors of each skein step with the ring's own `*`
+and `+`.
 
 `diagram._expand` splits pieces by Q(A u B) = (2x^-1 - 1) Q(A) Q(B), and
 memoizes on the exact diagram, `PDDiagram.key()`: it cannot collide, and

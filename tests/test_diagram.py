@@ -58,6 +58,13 @@ def test_diagram_constructor_rejects_bad_input():
         PDDiagram([(1, 2, 3)])
     with pytest.raises(MalformedDiagramError, match="negative free loop count"):
         PDDiagram([], -1)
+    # int() would truncate 1.9 to 1 and accept the trefoil, 1.7 to one loop
+    with pytest.raises(MalformedDiagramError, match="must be integers"):
+        PDDiagram([(1.9, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])
+    with pytest.raises(MalformedDiagramError, match="must be integers"):
+        PDDiagram([], 1.7)
+    with pytest.raises(MalformedDiagramError, match="must be integers"):
+        PDDiagram([(1, 2, 2, 1)], 0, (1.0, 1))
 
 
 def test_equal_diagrams_hash_alike_and_a_link_repr_is_its_pd_text():
@@ -257,23 +264,43 @@ def test_simplify_matches_the_rescanning_reducer():
 
 
 def _tables(d):
-    return d.ends, d.pieces, d.faces, d.plan
+    return d.ends, d.pieces, d.parts, d.faces, d.plan
+
+
+def _fresh_tables(d):
+    pieces = _connected_pieces(d)
+    one = len(pieces) == 1 and not d.free_loops
+    parts = [d] if one else [PDDiagram([d.crossings[i] for i in piece]) for piece in pieces]
+    return _ends_of(d.crossings), pieces, parts, _faces(d), _sweep_steps(d)
+
+
+def _kept(d, tables):
+    """Whether a second access gives each table itself; `parts` of a diagram
+    that is one piece is a new `[d]`, as `d` keeps no cycle to itself."""
+    again = _tables(d)
+    if again[2] == [d]:
+        assert again[2][0] is d and again[2] is not tables[2]
+        again, tables = again[:2] + again[3:], tables[:2] + tables[3:]
+    return all(a is b for a, b in zip(again, tables))
 
 
 def test_moves_build_diagrams_with_their_own_tables():
     d = close_braid([1, 1, 1, 2], 3)  # a trefoil with a kink
     tables = _tables(d)
-    assert tables == (_ends_of(d.crossings), _connected_pieces(d), _faces(d), _sweep_steps(d))
-    assert all(a is b for a, b in zip(_tables(d), tables))  # computed once, then kept
+    assert tables == _fresh_tables(d) and tables[2] == [d]
+    assert _kept(d, tables)  # computed once, then kept
     outputs = (switch(d, 0), mirror(d), smooth(d, 3, SmoothingKind.A), simplify(d))
     for out in outputs:
         mine = _tables(out)
-        assert mine == (_ends_of(out.crossings), _connected_pieces(out), _faces(out), _sweep_steps(out))
+        assert mine == _fresh_tables(out)
+        assert _kept(out, mine)
         assert all(a is not b for a, b in zip(mine, tables)), out
+    # the smoothing splits off a free loop: its one part is kept on it
+    assert len(outputs[2].parts) == 1 and outputs[2].free_loops == 1
     # a reduced diagram is its own simplification, tables and all
     reduced = outputs[-1]
     assert simplify(reduced) is reduced
-    assert all(a is b for a, b in zip(_tables(simplify(reduced)), _tables(reduced)))
+    assert _kept(reduced, _tables(simplify(reduced)))
 
 
 def test_mirror_involution():
@@ -380,6 +407,11 @@ def test_close_braid_validation():
         close_braid([1, 2])
     with pytest.raises(MalformedDiagramError, match="at least one strand"):
         close_braid([], 0)
+    # a float letter used to raise a bare TypeError, a float strand count to truncate
+    with pytest.raises(MalformedDiagramError, match="must be integers"):
+        close_braid([1.5, 1, 1], 2)
+    with pytest.raises(MalformedDiagramError, match="must be integers"):
+        close_braid([1, 1, 1], 2.9)
 
 
 def test_pretzel_counts():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from qalt import diagram, jones
@@ -311,6 +314,23 @@ def test_obstruction_check_computes_one_bracket(monkeypatch):
     for name, seen in runs.items():
         assert len(seen) == 1 and seen[0] is d, name
     assert (v.det, v.breadth) == (determinant(d), breadth(d))
+
+
+def test_a_checked_diagram_is_freed_by_its_last_reference():
+    # the tables a check keeps on a connected diagram hold no reference back
+    # to it, so dropping the last reference frees it with the collector off
+    d = close_braid([1, -2] * 5, 3)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        obstruction_check(d)
+        assert {"faces", "pieces", "plan"} <= vars(d).keys() and d.parts == [d]
+        ref = weakref.ref(d)
+        del d
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_obstruction_check_plans_each_piece_of_a_split_diagram_once(monkeypatch):

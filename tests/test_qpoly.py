@@ -364,19 +364,24 @@ def test_a_pass_too_narrow_keeps_entries_that_pack_to_zero(monkeypatch):
 
 
 def test_matching_ids_are_one_table_of_at_most_125():
-    # the ids are process-wide: every planned piece of both engines may add
-    # only matchings of at most SWEEP_WIDTH points, each once
+    # the ids are process-wide and fixed at import: every matching of at most
+    # SWEEP_WIDTH points, each once, and no sweep of either engine changes them
+    table = diagram._MATCHINGS
+    assert isinstance(table, tuple)
+    before = list(table)
     for d in _sweep_cases():
         for p, engine in [*((p, _q) for p in _pieces(simplify(d))), *((p, jones._bracket) for p in _pieces(d))]:
             steps = _sweep_steps(p)
             if steps is not None:
                 _sweep(steps, engine)
+    assert diagram._MATCHINGS is table and list(table) == before
     # (w-1)!! matchings of w points: 1 + 1 + 3 + 15 + 105 = 125 up to 8
     bound = sum(math.prod(range(1, w, 2)) for w in range(0, SWEEP_WIDTH + 1, 2))
-    matchings = diagram._MATCHINGS
-    assert len(matchings) <= bound
-    assert matchings[0] == () and len(diagram._IDS) == len(matchings)
-    for i, m in enumerate(matchings):
+    assert len(table) <= bound
+    assert len(table) == bound == 125
+    assert set(table) == {m for w in range(0, SWEEP_WIDTH + 1, 2) for m in matchings(tuple(range(w)))}
+    assert table[0] == () and len(diagram._IDS) == len(table)
+    for i, m in enumerate(table):
         assert diagram._IDS[m] == i
         assert sorted(chain(*m)) == list(range(2 * len(m))) and 2 * len(m) <= SWEEP_WIDTH
     # a crossingless matching has one id, and Q and the bracket keep the row
@@ -386,7 +391,7 @@ def test_matching_ids_are_one_table_of_at_most_125():
     for step in q_tables.keys() & b_tables.keys():
         width, glue = step
         for i in q_tables[step].keys() & b_tables[step].keys():
-            m = matchings[i]
+            m = table[i]
             assert not _basis(2 * len(m), m)[0]  # crossingless
             for engine, tables in ((_q, q_tables), (jones._bracket, b_tables)):
                 assert tables[step][i] == diagram._pack_row(_transition(engine, width, m, glue), 8)
