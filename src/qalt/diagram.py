@@ -13,6 +13,15 @@ without a crossing sits in the boundary twice.  A link has the empty
 boundary.  `key()`, `smooth`, `switch`, `mirror` and `simplify` keep it, and
 `_strands` walks each arc from its lower position.
 
+The walks read one flat end table, `PDDiagram.partner`.  With n crossings,
+end 4c+s is slot s of crossing c and end 4n+p boundary position p, and
+`partner[e]` is the other end of e's arc.  A strand entering crossing c at
+end e leaves it at e ^ 2 and enters the next at `partner[e ^ 2]`; the face
+walk goes from corner e to `partner[e]` turned one slot counterclockwise.
+No walk builds the arc-keyed `ends`.  `simplify` builds its own arc table
+when a move applies, for its moves and `_clasp`; the lazy `PDDiagram.ends` is
+for `connected_sum` and callers that name arcs.
+
 Smoothings carry neutral labels: kind A joins a-b and c-d, kind B joins
 a-d and b-c.  At any crossing one of the two merges link components and the
 other splits one.
@@ -24,7 +33,7 @@ import re
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain, combinations, count
 from math import inf
@@ -63,18 +72,50 @@ def _ends_of(
     return ends
 
 
+def _partners(crossings: Sequence[Crossing], boundary: Sequence[int] = ()) -> list[int]:
+    """The other end of each end's arc, ends numbered 4c+s for slot s of
+    crossing c and then 4n+p for boundary position p, in one pass."""
+    partner = [0] * (4 * len(crossings) + len(boundary))
+    first: dict[int, int] = {}
+    for e, a in enumerate(chain(chain.from_iterable(crossings), boundary)):
+        f = first.setdefault(a, e)
+        if f != e:
+            partner[e] = f
+            partner[f] = e
+    return partner
+
+
+class _table:
+    """A table derived from a diagram's code on first access and kept in its
+    `__dict__`, which then shadows this non-data descriptor; unlike
+    `functools.cached_property` on Python 3.11 it takes no lock."""
+
+    def __init__(self, build: Callable):
+        self.build = build
+        self.name = build.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
 class PDDiagram:
     """Immutable planar diagram: crossing tuples, a free-loop count and, for a
     tangle, its boundary labels.
 
-    The tables derived from the code are cached properties, computed on
-    first use and kept on the object, which never changes: `ends`, the
-    connected `pieces`, their sub-diagrams `parts`, the face walk `faces`
-    and, for a connected link, the sweep `plan`.  So Q and the bracket of
-    one diagram object walk its faces, split its pieces and plan the sweep
-    of each once between them.  Every move builds a new diagram, with none
-    of the tables; a face walk that finds the code non-planar raises and
-    keeps nothing, so it raises again on every later use.
+    The tables derived from the code are computed on first use and kept on
+    the object, which never changes: the end table `partner`, the connected
+    `pieces`, their sub-diagrams `parts`, the face walk `faces`, for a
+    connected link the sweep `plan`, and the arc-keyed `ends`, which only
+    `connected_sum` and callers naming arcs ask for.  The strand walk, the
+    piece split, the face walk, `simplify`'s first scan and Goeritz's
+    checkerboard read `partner`.  So Q and the
+    bracket of one diagram object walk its faces, split its pieces and plan
+    the sweep of each once between them.  Every move builds a new diagram,
+    with none of the tables; a face walk that finds the code non-planar
+    raises and keeps nothing, so it raises again on every later use.
     """
 
     def __init__(
@@ -103,12 +144,17 @@ class PDDiagram:
 
     # -- basic structure ---------------------------------------------
 
-    @cached_property
+    @_table
+    def partner(self) -> list[int]:
+        """`_partners(self.crossings, self.boundary)`: end -> the other end of its arc."""
+        return _partners(self.crossings, self.boundary)
+
+    @_table
     def ends(self) -> dict[int, list[tuple[int, int]]]:
         """arc -> the two (crossing index, slot) positions where it ends."""
         return _ends_of(self.crossings, self.boundary)
 
-    @cached_property
+    @_table
     def pieces(self) -> list[list[int]]:
         """`_connected_pieces(self)`; callers share the lists and only read them."""
         return _connected_pieces(self)
@@ -120,7 +166,7 @@ class PDDiagram:
         of `self`, else sub-diagrams kept on `self`, each with its own tables."""
         return [self] if self._split is None else self._split
 
-    @cached_property
+    @_table
     def _split(self) -> list[PDDiagram] | None:
         """`parts` of a split diagram; None, not a cycle `[self]`, for one piece."""
         pieces = [range(len(self))] if self.boundary else self.pieces
@@ -128,13 +174,13 @@ class PDDiagram:
             return None
         return [PDDiagram([self.crossings[i] for i in piece], 0, self.boundary) for piece in pieces]
 
-    @cached_property
-    def faces(self) -> tuple[int, dict[tuple[int, int], int]]:
-        """`_faces(self)`: (number of faces, face id per corner); a non-planar
-        code raises MalformedDiagramError on every access."""
+    @_table
+    def faces(self) -> tuple[int, list[int]]:
+        """`_faces(self)`: (number of faces, face id per corner 4c+k); a
+        non-planar code raises MalformedDiagramError on every access."""
         return _faces(self)
 
-    @cached_property
+    @_table
     def plan(self) -> list[tuple[int, tuple]] | None:
         """`_sweep_steps(self)` of a connected link: its sweep steps, or None
         when it is too wide to sweep."""
@@ -168,10 +214,9 @@ class PDDiagram:
     def next_end(self, crossing: int, slot: int) -> tuple[int, int]:
         """Follow the strand through a crossing: entry (c, s) -> next entry,
         or (-1, p) where it reaches boundary position p."""
-        exit_slot = (slot + 2) % 4
-        arc = self.crossings[crossing][exit_slot]
-        e1, e2 = self.ends[arc]
-        return e2 if e1 == (crossing, exit_slot) else e1
+        e = self.partner[4 * crossing + (slot ^ 2)]
+        n4 = 4 * len(self.crossings)
+        return (e >> 2, e & 3) if e < n4 else (-1, e - n4)
 
     # -- canonical codes ------------------------------------------------
 
@@ -195,15 +240,31 @@ def _connected_pieces(d: PDDiagram) -> list[list[int]]:
     """Connected components of the 4-valent graph, as crossing index lists:
     each list ascending, the pieces in order of their lowest crossing.
 
-    Each arc joins the crossings at its two ends; a tangle's boundary end
-    (-1, p) joins the union too, but only crossings are grouped."""
-    parent: dict[int, int] = {}
-    for (c1, _), (c2, _) in d.ends.values():
-        parent[_find(parent, c2)] = _find(parent, c1)
-    pieces: dict[int, list[int]] = {}
-    for c in range(len(d.crossings)):
-        pieces.setdefault(_find(parent, c), []).append(c)
-    return list(pieces.values())
+    A stack walk over `partner` from each crossing not yet reached.  Node c
+    holds the ends 4c, ..., 4c+3: crossing c for c < n, four boundary
+    positions of a tangle past it.  The boundary nodes are joined to each
+    other, so the boundary counts as one node, but only crossings are
+    grouped."""
+    far = [e >> 2 for e in d.partner]  # end -> the node at the far end of its arc
+    n = len(d.crossings)
+    nbrs = [far[e : e + 4] for e in range(0, len(far), 4)]
+    for j in range(n, len(nbrs)):
+        nbrs[j] += range(n, len(nbrs))
+    piece_of = [-1] * len(nbrs)
+    pieces: list[list[int]] = []
+    for c0 in range(n):
+        if piece_of[c0] < 0:
+            k = piece_of[c0] = len(pieces)
+            stack = [c0]
+            while stack:
+                for c in nbrs[stack.pop()]:
+                    if piece_of[c] < 0:
+                        piece_of[c] = k
+                        stack.append(c)
+            pieces.append([])
+    for c in range(n):
+        pieces[piece_of[c]].append(c)
+    return pieces
 
 
 def _expand(d: PDDiagram, memo: dict, loop, engine: Callable, recursion: Callable) -> dict:
@@ -233,32 +294,34 @@ def _expand(d: PDDiagram, memo: dict, loop, engine: Callable, recursion: Callabl
     return out
 
 
-def _faces(d: PDDiagram):
-    """Faces of the diagram, over all its pieces, as orbits of the left-turn walk.
+def _faces(d: PDDiagram) -> tuple[int, list[int]]:
+    """Faces of a link diagram, over all its pieces, as orbits of the left-turn walk.
 
-    Returns (number of faces, face id per corner (crossing, k)), a corner
-    being the region between slots k and k+1.  A connected piece with n
-    crossings lies on the sphere exactly when it has n + 2 faces (Euler), so
-    a code with any other count per piece raises MalformedDiagramError.
+    Returns (number of faces, face id per corner 4c+k), a corner being the
+    region between slots k and k+1 of crossing c, numbered as its end in
+    `partner`.  A connected piece with n crossings lies on the sphere exactly
+    when it has n + 2 faces (Euler), so a code with any other count per piece
+    raises MalformedDiagramError; so does a tangle, whose disk has no faces
+    of that kind.
     """
-    face_of: dict[tuple[int, int], int] = {}
+    if d.boundary:
+        raise MalformedDiagramError("a tangle has no face walk")
+    partner = d.partner
+    face = [-1] * len(partner)
     nfaces = 0
-    for c0 in range(len(d.crossings)):
-        for s0 in range(4):
-            if (c0, s0) in face_of:
-                continue
-            # walk: leave crossing c via slot s, turn left at the far end
-            c, s = c0, s0
-            while (c, s) not in face_of:
-                face_of[(c, s)] = nfaces
-                arc = d.crossings[c][s]
-                e1, e2 = d.ends[arc]
-                c2, s2 = e2 if e1 == (c, s) else e1
-                c, s = c2, (s2 + 1) % 4
-            nfaces += 1
+    for e0 in range(len(partner)):
+        if face[e0] >= 0:
+            continue
+        # walk: leave a crossing by end e, turn left at the far end
+        e = e0
+        while face[e] < 0:
+            face[e] = nfaces
+            f = partner[e]
+            e = f - 3 if f & 3 == 3 else f + 1
+        nfaces += 1
     if nfaces != len(d.crossings) + 2 * len(d.pieces):
         raise MalformedDiagramError("PD code is not planar: no sphere diagram has it")
-    return nfaces, face_of
+    return nfaces, face
 
 
 def _admit(d: PDDiagram, max_crossings: float = inf, reduce: Callable = lambda d: d) -> PDDiagram:
@@ -299,20 +362,35 @@ FALLBACK_MAX_CROSSINGS = 16
 _SWEEP_BYTES = 8
 
 
+def _runs(mask: int) -> tuple[int, tuple[int, ...]]:
+    """(r, starts) for a crossing whose slots j with bit j of `mask` set are
+    on the frontier: their number r, and the slots s from which s, ..., s+r-1
+    (mod 4) are those slots.  One start when r < 4 and they form one run, all
+    four when r = 4, none when r = 0 or they do not."""
+    on = [mask >> j & 1 for j in range(4)]
+    r = sum(on)
+    starts = [s for s in range(4) if on[s] and (r == 4 or not on[s - 1])]
+    return r, tuple(s for s in starts if all(on[(s + j) % 4] for j in range(r)))
+
+
+_RUNS = tuple(_runs(mask) for mask in range(16))
+
+
 def _run(frontier: list[int], t) -> tuple[int, int, int] | None:
     """(i, r, s) when slots s, ..., s+r-1 of crossing `t` are its slots on
     the frontier and meet it at positions i+r-1, ..., i (mod its width), r >= 1;
-    None when no such run exists.  The empty frontier gives (0, 0, 0)."""
-    w = len(frontier)
-    if not w:
+    None when no such run exists.  The empty frontier gives (0, 0, 0).  Each
+    slot's label is tested against the frontier once, and only the starts
+    `_RUNS` allows are tried."""
+    if not frontier:
         return 0, 0, 0
-    on = [a in frontier for a in t]
-    r = sum(on)
-    for s in range(4):
-        if on[s] and (r == 4 or not on[s - 1]) and all(on[(s + j) % 4] for j in range(r)):
-            i = frontier.index(t[(s + r - 1) % 4])
-            if all(frontier[(i + k) % w] == t[(s + r - 1 - k) % 4] for k in range(r)):
-                return i, r, s
+    on = (t[0] in frontier) + 2 * (t[1] in frontier) + 4 * (t[2] in frontier) + 8 * (t[3] in frontier)
+    r, starts = _RUNS[on]
+    w = len(frontier)
+    for s in starts:
+        i = frontier.index(t[(s + r - 1) % 4])
+        if r == 1 or all(frontier[(i + k) % w] == t[(s + r - 1 - k) % 4] for k in range(1, r)):
+            return i, r, s
     return None
 
 
@@ -329,13 +407,20 @@ def _sweep_steps(d: PDDiagram) -> list[tuple[int, tuple]] | None:
     grow wider than SWEEP_WIDTH points or no crossing can be absorbed.  The
     next crossing is the first in PD order whose arcs to the disk meet its
     boundary, the frontier, in one run, in the reverse of its slot order; two
-    adjacent frontier points with the same label (a kink) are capped at once."""
+    adjacent frontier points with the same label (a kink) are capped at once.
+
+    A run takes every slot of the crossing whose label is on the frontier, so
+    the labels it exposes are new there.  While the frontier holds each
+    label once, only exposed labels that repeat can make a pair to cap."""
+    crossings = d.crossings
     frontier: list[int] = []  # arc labels on the disk's boundary, counterclockwise
-    left = list(range(len(d.crossings)))
+    unique = True  # no label twice on the frontier
+    left = list(range(len(crossings)))
     steps = []
     while left:
-        for x in left:
-            run = _run(frontier, d.crossings[x])
+        for k, x in enumerate(left):
+            t = crossings[x]
+            run = _run(frontier, t)
             if run is not None:
                 break
         else:
@@ -345,10 +430,11 @@ def _sweep_steps(d: PDDiagram) -> list[tuple[int, tuple]] | None:
         if w + 4 - 2 * r > SWEEP_WIDTH:
             return None
         steps.append((w, (i, r, s % 2)))
-        t = d.crossings[x]
-        exposed = [t[(s + j) % 4] for j in range(r, 4)]
+        exposed = list((t + t)[s + r : s + 4])
         frontier = _splice(frontier, i, r, exposed)
-        left.remove(x)
+        del left[k]
+        if unique and len(set(exposed)) == len(exposed):
+            continue
         while True:
             w = len(frontier)
             i = next((i for i in range(w) if frontier[i] == frontier[(i + 1) % w]), None)
@@ -356,6 +442,7 @@ def _sweep_steps(d: PDDiagram) -> list[tuple[int, tuple]] | None:
                 break
             steps.append((w, (i, 2, None)))
             frontier = _splice(frontier, i, 2, [])
+        unique = len(set(frontier)) == len(frontier)
     return steps
 
 
@@ -560,30 +647,30 @@ def _strands(d: PDDiagram) -> list[list[tuple[int, int]]]:
     still has an unwalked pass, on the over pass (slot 1) before the under
     pass (slot 0).
     """
-    walked = [[False, False] for _ in d.crossings]  # [under, over] per crossing
+    partner = d.partner
+    n4 = 4 * len(d.crossings)
+    walked = [False] * n4  # per end; a pass marks the end it enters and leaves by
     strands = []
     upper: set[int] = set()
-    for p, a in enumerate(d.boundary):
+    for p in range(len(d.boundary)):
         if p in upper:
             continue
-        e1, e2 = d.ends[a]
         strand = [(-1, p)]
-        c, s = e2 if e1 == (-1, p) else e1
-        while c >= 0:
-            walked[c][s % 2] = True
-            strand.append((c, s))
-            c, s = d.next_end(c, s)
-        strand.append((c, s))
-        upper.add(s)
+        e = partner[n4 + p]
+        while e < n4:
+            walked[e] = walked[e ^ 2] = True
+            strand.append((e >> 2, e & 3))
+            e = partner[e ^ 2]
+        strand.append((-1, e - n4))
+        upper.add(e - n4)
         strands.append(strand)
-    for c0 in range(len(d.crossings)):
-        for s0 in (1, 0):
+    for e0 in range(0, n4, 4):
+        for e in (e0 + 1, e0):
             strand = []
-            c, s = c0, s0
-            while not walked[c][s % 2]:
-                walked[c][s % 2] = True
-                strand.append((c, s))
-                c, s = d.next_end(c, s)
+            while not walked[e]:
+                walked[e] = walked[e ^ 2] = True
+                strand.append((e >> 2, e & 3))
+                e = partner[e ^ 2]
             if strand:
                 strands.append(strand)
     return strands
@@ -789,8 +876,10 @@ def simplify(d: PDDiagram) -> PDDiagram:
     the lowest (crossing, slot) end of arc a; the turns set the next
     relabeling and the slot order in which a crossing meets its clasps.
 
-    So the arc-end table is built once, and each crossing is kept in its
-    current turn, with min-heaps of the crossings that may hold a kink and
+    The first scan reads the end table `partner`, so a diagram with no move
+    to make is returned without an arc table.  Once a move applies, the
+    arc-end table is built once, and each crossing is kept in its current
+    turn, with min-heaps of the crossings that may hold a kink and
     of those that may be the lower crossing of a clasp.  A move rewrites
     the arcs it fuses and pushes the crossings on them.  Its turns are
     decided once a next move is found, all before any is applied: every
@@ -803,16 +892,18 @@ def simplify(d: PDDiagram) -> PDDiagram:
     crossings = d.crossings
     n = len(crossings)
     kinks = [i for i, t in enumerate(crossings) if _has_kink(t)]
-    # a clasp's lower crossing is the first end of an arc that is over at both
-    # ends; an arc's ends are listed in scan order
-    lower = sorted({c1 for (c1, s1), (c2, s2) in d.ends.values() if c1 < c2 and s1 & s2 & 1})
-    clasps = lower if kinks else [c for c in lower if _clasp(crossings, d.ends, c)]
+    # a clasp joins crossings c1 < c2 by an arc over at both ends and one
+    # under at both, and c1 is its lower crossing; (c1, c2) per such arc
+    partner = d.partner
+    over = [(e >> 2, f >> 2) for e in range(1, 4 * n, 2) if (f := partner[e]) & 1 and e >> 2 < f >> 2 < n]
+    if over and not kinks:
+        under = {(e >> 2, f >> 2) for e in range(0, 4 * n, 2) if not (f := partner[e]) & 1}
+        over = [pair for pair in over if pair in under]
+    clasps = sorted({c1 for c1, _ in over})
     if not (kinks or clasps):
         return d
     cross = [list(t) for t in crossings]
-    ends = dict(d.ends)  # each arc's crossing ends in order; a move replaces lists
-    for a in d.boundary:
-        ends[a] = [e for e in ends[a] if e[0] >= 0]
+    ends = _ends_of(crossings)  # each arc's crossing ends in order; a move replaces lists
     alive = [True] * n
     loops, boundary = d.free_loops, d.boundary
     pending = None  # the crossings whose turn the last move left to decide

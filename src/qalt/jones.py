@@ -17,15 +17,17 @@ det(L) = |V_L(-1)| with t = -1 evaluated exactly as s = i.  The Goeritz
 determinant checks it at every size: |det G| = det(L) (Gordon and Litherland
 1978) for G the Laplacian of the white faces, with one edge per crossing.
 Corner k of crossing c is white when k + flip[c] is even; `diagram._faces`
-puts corners (c, s) and (c2, s2 + 1) in one face when an arc joins slot s of
-c to slot s2 of c2, so one walk over the arcs sets flip[c2] = flip[c] + s +
-s2 + 1 (mod 2).  `diagram._admit` rejects the empty link and a non-planar PD
+numbers corners as the ends of `PDDiagram.partner`, 4c+k, and puts corners
+4c+s and 4c2+(s2+1 mod 4) in one face when an arc joins slot s of c to slot s2
+of c2, so one walk over `partner` sets flip[c2] = flip[c] + s + s2 + 1
+(mod 2).  `diagram._admit` rejects the empty link and a non-planar PD
 code with MalformedDiagramError before any engine starts.  A bracket bound,
 none by default, counts the crossings of the pieces with no sweep plan; the
-2^n state sum takes at most FALLBACK_MAX_CROSSINGS (16).  The face walk, the
-piece split, the piece sub-diagrams and their sweep plans are kept on the
-diagram object, so `obstruction_check` derives each once for Q and the
-bracket together when `simplify` leaves the diagram as it is.
+2^n state sum takes at most FALLBACK_MAX_CROSSINGS (16).  The end table, the
+face walk and the piece split over it, the piece sub-diagrams and their sweep
+plans are kept on the diagram object, so `obstruction_check` derives each
+once for Q and the bracket together when `simplify` leaves the diagram as it
+is; none of them builds the arc-keyed `ends`.
 """
 
 from __future__ import annotations
@@ -217,31 +219,31 @@ def determinant_goeritz(d: PDDiagram) -> int:
     1600 and 0.27 s at 3200; reduced random 4-braids take 0.008 s at 264
     crossings, 0.02 s at 550 and 0.08 s at 1118.
     """
-    nfaces, face_of = _admit(d).faces
+    nfaces, face = _admit(d).faces
     if not d.crossings:
         return 1 if d.free_loops == 1 else 0
     # a planar diagram has n + 2 faces per piece, so more means split
     if nfaces > len(d.crossings) + 2 or d.free_loops:
         return 0
+    partner = d.partner
     flip = {0: 0}  # corner k of crossing c is white when k + flip[c] is even
     stack = [0]
     while stack:
         c = stack.pop()
-        for s, arc in enumerate(d.crossings[c]):
-            e1, e2 = d.ends[arc]
-            c2, s2 = e2 if e1 == (c, s) else e1
-            f = (flip[c] + s + s2 + 1) % 2
+        for e in range(4 * c, 4 * c + 4):
+            f = partner[e]  # slot s = e % 4 of c meets slot s2 = f % 4 of c2
+            c2, k = f >> 2, (flip[c] + e + f + 1) & 1
             if c2 not in flip:
-                flip[c2] = f
+                flip[c2] = k
                 stack.append(c2)
-            elif flip[c2] != f:
+            elif flip[c2] != k:
                 raise MalformedDiagramError("diagram is not checkerboard colorable")
     # crossing c joins its white corners k and k + 2, k = flip[c], with eta = 1 - 2k
     index: dict[int, int] = {}
     edges = []
     for c, k in flip.items():
-        u = index.setdefault(face_of[(c, k)], len(index))
-        v = index.setdefault(face_of[(c, k + 2)], len(index))
+        u = index.setdefault(face[4 * c + k], len(index))
+        v = index.setdefault(face[4 * c + k + 2], len(index))
         edges.append((u, v, 1 - 2 * k))
     return abs(laplacian_det(len(index), edges))
 

@@ -8,11 +8,12 @@ vector over the (2k-1)!! matchings of its positions.  The basis tangle of a
 matching has its arcs stacked, the arc with the lower position above the
 others, and each arc monotone in height.  A link's one matching is ().
 
-The switch chain `_chain` walks a diagram once (`diagram._strands`),
-switches the crossings first reached on their understrand, and expands the
-skein relation along that chain; the two smoothings at each step recurse
-into smaller diagrams.  The descending end is (2x^-1 - 1)^c times the basis
-tangle of its matching, c its closed components.
+The switch chain `_chain` walks a diagram once (`diagram._strands`, over the
+end table `PDDiagram.partner`), switches the crossings first reached on their
+understrand, and expands the skein relation along that chain; the two
+smoothings at each step recurse into smaller diagrams.  The descending end
+is (2x^-1 - 1)^c times the basis tangle of its matching, c its closed
+components.
 
 A connected link piece is swept instead, by the planner and state loop of
 `diagram.py` that the bracket shares; the state holds at most 105 entries at
@@ -28,9 +29,11 @@ memoizes on the exact diagram, `PDDiagram.key()`: it cannot collide, and
 every move renumbers arcs densely, so repeated subdiagrams still hit.
 `diagram._admit` checks the input and bounds the crossings of the pieces of
 `simplify(d)` with no sweep plan (FALLBACK_MAX_CROSSINGS = 16 by default).
-The face walk of the gate, the piece split, the piece sub-diagrams and the
-sweep plan of each are kept on the diagram object; `simplify` returns a
-reduced diagram itself, so the bracket of the same object reuses them.
+The end table, the face walk of the gate and the piece split over it, the
+piece sub-diagrams and the sweep plan of each are kept on the diagram object;
+`simplify` scans the end table for clasps and returns a reduced
+diagram itself, with no arc-keyed `ends` built, so the bracket of the same
+object reuses them.
 """
 
 from __future__ import annotations

@@ -20,11 +20,13 @@ from qalt.braid3 import (
     tutte_graph,
     Multigraph,
 )
-from qalt.diagram import close_braid
+from qalt.diagram import close_braid, simplify
 from qalt.errors import HypothesisViolationError, MalformedDiagramError, PDParseError
 from qalt.jones import determinant, determinant_goeritz, jones_polynomial
 from qalt.poly import HalfLaurent, IntLaurent, eval_at_s_equals_i
 from qalt.qpoly import q_degree
+
+from conftest import longest_bridge
 
 
 def eval_minus1(p: IntLaurent) -> int:
@@ -350,6 +352,20 @@ def test_quasi_alternating_closed_3_braids_satisfy_the_obstruction():
             caught += deg >= det
     assert qa == 1020
     assert caught == 110  # non-QA forms the obstruction rules out
+
+
+def test_kidwell_bound_on_baldwins_box():
+    # deg Q <= n - b (Kidwell, Proc. AMS 100, 1987) on each closure of the box
+    # and on its reduction, b the longest bridge of that diagram
+    tight = 0
+    for nf in _baldwin_box():
+        d = close_braid(to_word(nf))
+        deg = q_degree(d)
+        for diagram in (d, simplify(d)):
+            n, b = len(diagram), longest_bridge(diagram)
+            assert deg <= n - b, (nf, diagram, deg, n, b)
+            tight += deg == n - b
+    assert tight > 700
 
 
 def test_crossing_upper_bound():

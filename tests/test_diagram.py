@@ -1,16 +1,22 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from qalt.diagram import (
+    SWEEP_WIDTH,
     PDDiagram,
     SmoothingKind,
     _basis,
     _connected_pieces,
     _ends_of,
     _faces,
+    _find,
     _glued,
     _relabel,
+    _splice,
+    _strands,
     _sweep_steps,
     close_braid,
     connected_sum,
@@ -261,6 +267,228 @@ def test_simplify_matches_the_rescanning_reducer():
         assert got.key() == want.key(), d.key()
         assert (got is d) == (want is d)
         assert d.ends == _ends_of(d.crossings, d.boundary)  # its table is shared, not changed
+
+
+# The references for the walks over the end table `partner`: the union-find
+# piece split, the face walk and the strand walk over the arc-keyed `ends`,
+# and the planner that tests every slot of every candidate and scans the whole
+# frontier for caps after every step.  The walks must return their outputs
+# exactly, and `_sweep_steps` the same steps.
+
+
+def _union_find_pieces(d):
+    parent = {}
+    for (c1, _), (c2, _) in d.ends.values():
+        parent[_find(parent, c2)] = _find(parent, c1)
+    pieces = {}
+    for c in range(len(d.crossings)):
+        pieces.setdefault(_find(parent, c), []).append(c)
+    return list(pieces.values())
+
+
+def _arc_faces(d):
+    """(number of faces, {(crossing, k): face}) of a link diagram."""
+    face_of = {}
+    nfaces = 0
+    for c0 in range(len(d.crossings)):
+        for s0 in range(4):
+            if (c0, s0) in face_of:
+                continue
+            c, s = c0, s0
+            while (c, s) not in face_of:
+                face_of[(c, s)] = nfaces
+                e1, e2 = d.ends[d.crossings[c][s]]
+                c2, s2 = e2 if e1 == (c, s) else e1
+                c, s = c2, (s2 + 1) % 4
+            nfaces += 1
+    if nfaces != len(d.crossings) + 2 * len(_union_find_pieces(d)):
+        raise MalformedDiagramError("PD code is not planar: no sphere diagram has it")
+    return nfaces, face_of
+
+
+def _arc_next(d, c, s):
+    e1, e2 = d.ends[d.crossings[c][(s + 2) % 4]]
+    return e2 if e1 == (c, (s + 2) % 4) else e1
+
+
+def _arc_strands(d):
+    walked = [[False, False] for _ in d.crossings]
+    strands = []
+    upper = set()
+    for p, a in enumerate(d.boundary):
+        if p in upper:
+            continue
+        e1, e2 = d.ends[a]
+        strand = [(-1, p)]
+        c, s = e2 if e1 == (-1, p) else e1
+        while c >= 0:
+            walked[c][s % 2] = True
+            strand.append((c, s))
+            c, s = _arc_next(d, c, s)
+        strand.append((c, s))
+        upper.add(s)
+        strands.append(strand)
+    for c0 in range(len(d.crossings)):
+        for s0 in (1, 0):
+            strand = []
+            c, s = c0, s0
+            while not walked[c][s % 2]:
+                walked[c][s % 2] = True
+                strand.append((c, s))
+                c, s = _arc_next(d, c, s)
+            if strand:
+                strands.append(strand)
+    return strands
+
+
+def _scanning_run(frontier, t):
+    w = len(frontier)
+    if not w:
+        return 0, 0, 0
+    on = [a in frontier for a in t]
+    r = sum(on)
+    for s in range(4):
+        if on[s] and (r == 4 or not on[s - 1]) and all(on[(s + j) % 4] for j in range(r)):
+            i = frontier.index(t[(s + r - 1) % 4])
+            if all(frontier[(i + k) % w] == t[(s + r - 1 - k) % 4] for k in range(r)):
+                return i, r, s
+    return None
+
+
+def _scanning_steps(d):
+    frontier = []
+    left = list(range(len(d.crossings)))
+    steps = []
+    while left:
+        for x in left:
+            run = _scanning_run(frontier, d.crossings[x])
+            if run is not None:
+                break
+        else:
+            return None
+        i, r, s = run
+        w = len(frontier)
+        if w + 4 - 2 * r > SWEEP_WIDTH:
+            return None
+        steps.append((w, (i, r, s % 2)))
+        t = d.crossings[x]
+        frontier = _splice(frontier, i, r, [t[(s + j) % 4] for j in range(r, 4)])
+        left.remove(x)
+        while True:
+            w = len(frontier)
+            i = next((i for i in range(w) if frontier[i] == frontier[(i + 1) % w]), None)
+            if i is None:
+                break
+            steps.append((w, (i, 2, None)))
+            frontier = _splice(frontier, i, 2, [])
+    return steps
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "qaltbench" / "corpus"
+
+
+def _recipe(r):
+    if "braid" in r:
+        return close_braid(r["braid"], r["strands"])
+    if "pretzel" in r:
+        return generate_pretzel(r["pretzel"])
+    if "pd" in r:
+        return parse_pd(r["pd"])
+    first, second = r["sum"]
+    return connected_sum(_recipe(first), _recipe(second), *r["arcs"])
+
+
+def _walk_inputs():
+    """Every diagram of the benchmark corpora and seeded closures of 3-8
+    strands and 10-80 letters, each also reduced; kinked and split diagrams."""
+    for workload in ("q_alt3", "qa_scan", "big_forms"):
+        for job in json.loads((CORPUS / f"{workload}.json").read_text())["jobs"]:
+            if "diagram" in job:
+                d = _recipe(job["diagram"])
+                yield d
+                yield simplify(d)
+    rng = random.Random(20140607)
+    for strands in range(3, 9):
+        gens = [g for i in range(1, strands) for g in (i, -i)]
+        for _ in range(30):
+            d = close_braid([rng.choice(gens) for _ in range(rng.randint(10, 80))], strands)
+            yield d
+            yield simplify(d)
+    kinked = ["X(1,2,2,1)", "X(1,1,2,2)", "X(1,4,2,5);X(3,6,4,1);X(5,2,6,7);X(7,8,8,3)"]
+    yield from map(parse_pd, kinked)
+    yield close_braid([1, 1, -2, 3, 3, 3, -2, 1], 5)  # s4 never occurs: split
+    for _ in range(20):
+        d = close_braid([rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 12))], 3)
+        other = close_braid([rng.choice((1, 2, -1)) for _ in range(rng.randint(1, 6))], 3)
+        shift = max(d.ends, default=0)
+        both = PDDiagram(d.crossings + tuple(tuple(a + shift for a in t) for t in other.crossings), 1)
+        yield both
+        if both.crossings:
+            yield smooth(both, rng.randrange(len(both)), rng.choice((SmoothingKind.A, SmoothingKind.B)))
+
+
+def _end(d, x):
+    """The end (crossing, slot) or (-1, boundary position) in `partner`'s numbering."""
+    c, s = x
+    return 4 * c + s if c >= 0 else 4 * len(d) + s
+
+
+def test_end_table_walks_match_the_arc_walks():
+    planned = unplanned = capped = split = 0
+    for d in _walk_inputs():
+        assert len(d.partner) == 4 * len(d) + len(d.boundary)
+        for x, y in d.ends.values():
+            assert d.partner[_end(d, x)] == _end(d, y) and d.partner[_end(d, y)] == _end(d, x)
+        pieces = _union_find_pieces(d)
+        assert d.pieces == pieces
+        split += len(pieces) > 1
+        nfaces, face_of = _arc_faces(d)
+        assert d.faces[0] == nfaces
+        assert d.faces[1] == [face_of[(c, k)] for c in range(len(d)) for k in range(4)]
+        assert _strands(d) == _arc_strands(d)
+        for piece in pieces:
+            p = PDDiagram([d.crossings[i] for i in piece])
+            steps = _sweep_steps(p)
+            assert steps == _scanning_steps(p), p
+            planned += steps is not None
+            unplanned += steps is None
+            capped += steps is not None and any(s is None for _, (_, _, s) in steps)
+    assert planned > 700 and unplanned > 200 and capped > 50 and split > 50
+
+
+def test_glued_tangles_walk_like_the_arc_walks():
+    # every basis tangle glued to a crossing or a cap; boundary-to-boundary
+    # arcs run from one boundary end of the table to another
+    tangles = through = 0
+    for width in range(0, SWEEP_WIDTH + 1, 2):
+        glues = [(i, r, s) for i in range(width) for r in range(1, min(width, 4) + 1) for s in (0, 1)]
+        glues += [(i, 2, None) for i in range(width)]
+        for m in matchings(tuple(range(width))):
+            for glue in glues:
+                t = _glued(width, m, glue)
+                assert t.pieces == _union_find_pieces(t), (m, glue)
+                strands = _strands(t)
+                assert strands == _arc_strands(t), (m, glue)
+                for x, y in t.ends.values():
+                    assert t.partner[_end(t, x)] == _end(t, y) and t.partner[_end(t, y)] == _end(t, x)
+                tangles += 1
+                through += any(len(strand) == 2 for strand in strands[: len(t.boundary) // 2])
+    # widths 2, 4, 6 and 8: 1, 3, 15 and 105 matchings, 10, 36, 54 and 72 glues
+    assert tangles == 10 + 3 * 36 + 15 * 54 + 105 * 72 and through > 1000
+    with pytest.raises(MalformedDiagramError, match="a tangle has no face walk"):
+        _glued(4, ((0, 1), (2, 3)), (0, 2, None)).faces
+
+
+def test_non_planar_codes_raise_as_the_arc_face_walk_does():
+    d = parse_pd("X(1,1,2,3);X(2,4,3,4)")
+    beside = PDDiagram(d.crossings + tuple(tuple(a + 10 for a in t) for t in trefoil().crossings))
+    for code in (d, beside):
+        with pytest.raises(MalformedDiagramError) as old:
+            _arc_faces(code)
+        with pytest.raises(MalformedDiagramError) as new:
+            _faces(code)
+        assert str(new.value) == str(old.value)
+        assert code.pieces == _union_find_pieces(code)
 
 
 def _tables(d):

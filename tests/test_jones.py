@@ -333,6 +333,24 @@ def test_a_checked_diagram_is_freed_by_its_last_reference():
             gc.enable()
 
 
+def test_a_reduced_link_is_checked_without_the_arc_table(rng):
+    # the walks, simplify's first scan and Goeritz read the end table alone, so
+    # checking a reduced diagram never builds the arc-keyed `ends`, also when
+    # it has arcs over at both ends, where simplify looks for clasps
+    over_over = 0
+    for _ in range(60):
+        d = simplify(random_braid_diagram(rng, 14, rng.randint(3, 5)))
+        if not d.crossings:
+            continue
+        assert simplify(d) is d
+        obstruction_check(d)
+        determinant_goeritz(d)
+        assert "ends" not in vars(d) and {"partner", "faces", "pieces"} <= vars(d).keys()
+        n4 = 4 * len(d)
+        over_over += any(d.partner[e] & 1 for e in range(1, n4, 2))
+    assert over_over > 10
+
+
 def test_obstruction_check_plans_each_piece_of_a_split_diagram_once(monkeypatch):
     # a trefoil, a figure-eight and a free loop: reduced, so Q and the bracket
     # expand the same object, and each piece is planned once between them

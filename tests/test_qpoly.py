@@ -44,7 +44,7 @@ from qalt.qpoly import (
     q_polynomial,
 )
 
-from conftest import matchings, random_braid_diagram
+from conftest import longest_bridge, matchings, random_braid_diagram
 
 P = IntLaurent.parse
 
@@ -463,3 +463,51 @@ def test_four_point_tangle_relations():
         assert paired == q_polynomial(_numerator(twists.crossings, twists.boundary))
         assert paired == q_polynomial(close_braid([1] * n, 2))
         twists = _tangle_sum(twists, plus)
+
+
+# Kidwell (Proc. AMS 100, 1987): deg Q <= n - b on any diagram with n crossings
+# whose longest bridge has b, and deg Q = n - 1 on a reduced prime alternating
+# one.  Neither bound comes from the engine, so they check the sweep, the
+# planner and the end table at sizes no other test reaches.
+
+
+def _q_test_diagrams():
+    """The diagrams whose Q the tests of this module compute."""
+    yield from (unlink(1), unlink(3), trefoil(), figure_eight(), hopf_link())
+    yield close_braid([1, 1, 1, 2, -1, -3, 2, -3, -3], 4)  # 8_8
+    yield close_braid([1, 1, 1, -2, 1, -2, -2, -2], 3)  # 8_9
+    yield from (close_braid([1, 1, 1], 2), parse_pd("X(1,4,2,5);X(3,6,4,1);X(5,2,6,3);O(1)"))
+    yield from map(generate_pretzel, ([1, 1, 1], [3, 3, -3], [5, 4, -3]))
+    for d1 in (trefoil(), figure_eight(), hopf_link()):
+        yield mirror(d1)
+        for d2 in (trefoil(), figure_eight(), hopf_link()):
+            yield connected_sum(d1, d2, 1, 1)
+    for seed, count, letters in ((1, 25, 8), (42, 12, 7), (7, 10, 7), (3, 20, 8)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            yield random_braid_diagram(rng, letters, 3)
+    for k in (8, 13, 50):
+        yield close_braid([1, -2] * k, 3)
+    w = [2, -3, 4, -2, 3, -4]
+    yield close_braid(w + [1, 1, 1] + [-x for x in reversed(w)], 5)
+    yield from _sweep_cases()
+
+
+def test_kidwell_bound_on_the_q_test_diagrams():
+    cases = tight = 0
+    for d in _q_test_diagrams():
+        deg = q_polynomial(d, 64).degree()
+        for diagram in (d, simplify(d)):
+            n, b = len(diagram), longest_bridge(diagram)
+            assert deg <= n - b, (diagram, deg, n, b)
+            tight += deg == n - b
+            cases += 1
+    assert cases > 350 and tight > 200
+
+
+@pytest.mark.parametrize("k", [50, 125, 250])
+def test_kidwell_degree_of_reduced_alternating_closures(k):
+    # the closure of (s1 s2^-1)^k is reduced, prime and alternating: b = 1
+    d = close_braid([1, -2] * k, 3)
+    assert simplify(d) is d and longest_bridge(d) == 1
+    assert q_polynomial(d).degree() == len(d) - 1 == 2 * k - 1
