@@ -5,11 +5,21 @@ generated for this family).  The Q-polynomial is assembled from the sigma
 polynomials and the Q values of the knots 8_8 and 8_9, and its degree obeys
 a two-branch formula in |p|, |q|; only finitely many parameter pairs can
 pass the deg Q < det obstruction.
+
+`kanenobu_q` evaluates the closed form at x = X = 2^(8 nbytes) with
+`poly.pack`, as one sum of products of packed integers, and reads it back
+with one `poly.unpack`.  The width comes from the l1 norm, the sum of the
+absolute values of the coefficients: l1(f g) <= l1(f) l1(g) and
+l1(f + g) <= l1(f) + l1(g), so the l1 norms of the factors bound every
+coefficient of the result.
 """
 
 from __future__ import annotations
 
-from .poly import IntLaurent, sigma
+import operator
+from functools import lru_cache
+
+from .poly import IntLaurent, pack, sigma, unpack
 
 KANENOBU_DET = 25
 
@@ -17,24 +27,75 @@ Q_8_8 = IntLaurent.parse("2x^7+8x^6+4x^5-14x^4-10x^3+6x^2+4x+1")
 Q_8_9 = IntLaurent.parse("2x^7+8x^6+4x^5-16x^4-10x^3+16x^2+4x-7")
 
 
-# the two factors of kanenobu_q that do not depend on p and q
+# the two factors of kanenobu_q that do not depend on p and q; like every
+# sigma_n, both have no negative exponent, so every factor packs at low = 0
+# and the three products need no shift
 _Q_8_9_MINUS_1 = Q_8_9 - 1
 _Q_8_8_MINUS_1_OVER_X = IntLaurent.term(1, -1) * (Q_8_8 - 1)
+
+
+def _l1(p: IntLaurent) -> int:
+    return sum(abs(v) for _, v in p.items())
+
+
+_L1_8_9 = _l1(_Q_8_9_MINUS_1)
+_L1_8_8 = _l1(_Q_8_8_MINUS_1_OVER_X)
+
+
+@lru_cache(maxsize=256)
+def _sigma_l1(n: int) -> int:
+    return _l1(sigma(n))
+
+
+@lru_cache(maxsize=512)
+def _packed_sigma(n: int, nbytes: int) -> int:
+    return pack(sigma(n), nbytes, 0)
+
+
+@lru_cache(maxsize=16)
+def _packed_factors(nbytes: int) -> tuple[int, int]:
+    """The two constant factors packed at `nbytes`, on first use of the width."""
+    return pack(_Q_8_9_MINUS_1, nbytes, 0), pack(_Q_8_8_MINUS_1_OVER_X, nbytes, 0)
 
 
 def kanenobu_q(p: int, q: int) -> IntLaurent:
     """Q of K(p, q):
     -sigma_p sigma_q (Q(8_9)-1) + x^-1 (sigma_{p+1} sigma_{q+1}
-    + sigma_{p-1} sigma_{q-1}) (Q(8_8)-1) + 1."""
-    first = -(sigma(p) * sigma(q)) * _Q_8_9_MINUS_1
-    second = (
-        sigma(p + 1) * sigma(q + 1) + sigma(p - 1) * sigma(q - 1)
-    ) * _Q_8_8_MINUS_1_OVER_X
-    return first + second + 1
+    + sigma_{p-1} sigma_{q-1}) (Q(8_8)-1) + 1.
+
+    Evaluated on packed integers at X = 2^(8 nbytes) and decoded once.  No
+    coefficient exceeds B = l1(sigma_p) l1(sigma_q) l1(Q(8_9)-1)
+    + (l1(sigma_{p+1}) l1(sigma_{q+1}) + l1(sigma_{p-1}) l1(sigma_{q-1}))
+    l1(x^-1 (Q(8_8)-1)) + 1 in absolute value, so the balanced digits are
+    the coefficients once B < X/2: nbytes is 4 or 8, the first that holds
+    it, else the byte length of B plus a sign bit.  p and q must be
+    integers (`operator.index`); anything else raises TypeError.
+    """
+    p, q = operator.index(p), operator.index(q)
+    bound = (
+        _sigma_l1(p) * _sigma_l1(q) * _L1_8_9
+        + (_sigma_l1(p + 1) * _sigma_l1(q + 1) + _sigma_l1(p - 1) * _sigma_l1(q - 1)) * _L1_8_8
+        + 1
+    )
+    bits = bound.bit_length() + 1  # B < X/2 exactly when bits <= 8 nbytes
+    nbytes = 4 if bits <= 32 else 8 if bits <= 64 else -(-bits // 8)
+    f89, f88 = _packed_factors(nbytes)
+    s = _packed_sigma
+    v = (
+        (s(p + 1, nbytes) * s(q + 1, nbytes) + s(p - 1, nbytes) * s(q - 1, nbytes)) * f88
+        - s(p, nbytes) * s(q, nbytes) * f89
+        + 1
+    )
+    return unpack(v, nbytes)
 
 
 def kanenobu_degree(p: int, q: int) -> int:
-    """deg Q(K(p, q)): |p|+|q|+6 when pq >= 0, else |p|+|q|+5."""
+    """deg Q(K(p, q)): |p|+|q|+6 when pq >= 0, else |p|+|q|+5.
+
+    p and q must be integers (`operator.index`); anything else raises
+    TypeError, as in `kanenobu_q`.
+    """
+    p, q = operator.index(p), operator.index(q)
     base = abs(p) + abs(q)
     return base + 6 if p * q >= 0 else base + 5
 

@@ -10,8 +10,9 @@ polynomials live there.  The two rings stay apart: mixing them in arithmetic
 raises TypeError, and they never compare equal.
 
 `pack` and `unpack` evaluate a polynomial at x = 2^B and read it back from
-balanced base-2^B digits; `braid3.burau` and the frontier sweep of
-`diagram.py` multiply such packed integers and decode once.
+balanced base-2^B digits.  Three callers multiply such packed integers and
+decode once: `braid3.burau`, the frontier sweep of `diagram.py` and
+`kanenobu.kanenobu_q`.
 
 Everything is immutable and hashable; there is no floating point anywhere.
 """
@@ -19,6 +20,8 @@ Everything is immutable and hashable; there is no floating point anywhere.
 from __future__ import annotations
 
 import re
+import struct
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -276,26 +279,37 @@ def pack(p: IntLaurent, nbytes: int, low: int) -> int:
     return sum(v << b * (e - low) for e, v in p._c.items())
 
 
+# the native signed word formats of `memoryview.cast`, by size in bytes
+_WORDS = {struct.calcsize(f): f for f in "bhiq"}
+
+
 def unpack(v: int, nbytes: int, low: int = 0) -> IntLaurent:
     """x^low times the polynomial whose coefficients are the balanced digits
     of v in base X = 2^(8 nbytes), each in [-X/2, X/2).
 
     Every integer has exactly one such expansion, so this inverts `pack`
     whenever each coefficient of the packed polynomial has absolute value
-    below X/2: it is then the digit.  Adding X/2 to every digit makes each
-    one a byte string of `nbytes` bytes, so one `to_bytes` splits them all;
-    bit_length // 8 nbytes + 2 digits hold any v.
+    below X/2: it is then the digit.  Adding X/2 to every digit d makes it
+    an unsigned digit, so the base-X digits of the sum are the d + X/2;
+    flipping the top bit of each leaves d in two's complement, and one
+    `to_bytes`, in the host's byte order, writes every digit as `nbytes`
+    bytes.  bit_length // 8 nbytes + 2 digits hold any v.  When a digit is
+    a native word (nbytes 1, 2, 4 or 8), one `memoryview.cast` reads every
+    digit; other widths read the bytes digit by digit.
     """
     digits = v.bit_length() // (8 * nbytes) + 2
-    half = 1 << (8 * nbytes - 1)
     offset = int.from_bytes((bytes(nbytes - 1) + b"\x80") * digits, "little")
-    raw = (v + offset).to_bytes(nbytes * digits, "little")
-    coeffs = {}
-    for i in range(digits):
-        digit = int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") - half
-        if digit:
-            coeffs[i + low] = digit
-    return IntLaurent(coeffs)
+    raw = ((v + offset) ^ offset).to_bytes(nbytes * digits, sys.byteorder)
+    word = _WORDS.get(nbytes)
+    if word:
+        coeffs = memoryview(raw).cast(word).tolist()
+    else:
+        coeffs = [int.from_bytes(raw[i:i + nbytes], sys.byteorder, signed=True) for i in range(0, len(raw), nbytes)]
+    if sys.byteorder == "big":  # the top digit came first
+        coeffs.reverse()
+    out = object.__new__(IntLaurent)
+    out._c = {e: c for e, c in enumerate(coeffs, low) if c}
+    return out
 
 
 def chebyshev_S(k: int) -> IntLaurent:

@@ -1,3 +1,5 @@
+import pytest
+
 from qalt.diagram import connected_sum, figure_eight
 from qalt.jones import determinant_goeritz
 from qalt.kanenobu import (
@@ -33,9 +35,10 @@ def test_k00_constants_match_a_diagram():
 
 
 def test_symmetry():
-    for p in range(-3, 4):
-        for q in range(-3, 4):
-            assert kanenobu_q(p, q) == kanenobu_q(q, p)
+    # sigma_{-n} = -sigma_n, so the closed form is unchanged by (p, q) -> (-p, -q)
+    for p in range(-20, 21):
+        for q in range(-20, 21):
+            assert kanenobu_q(p, q) == kanenobu_q(q, p) == kanenobu_q(-p, -q), (p, q)
 
 
 def test_degree_formula_vs_expansion():
@@ -47,15 +50,29 @@ def test_degree_formula_vs_expansion():
 
 def test_kanenobu_q_equals_its_formula():
     x_inv = IntLaurent.term(1, -1)
-    for p in range(-25, 26):
-        for q in range(-25, 26):
-            expected = (
-                -sigma(p) * sigma(q) * (Q_8_9 - 1)
-                + x_inv * sigma(p + 1) * sigma(q + 1) * (Q_8_8 - 1)
-                + x_inv * sigma(p - 1) * sigma(q - 1) * (Q_8_8 - 1)
-                + 1
-            )
-            assert kanenobu_q(p, q) == expected, (p, q)
+    # past |p| + |q| of about 80 the coefficient bound passes 2^63, and the
+    # packed value is decoded from digits wider than a machine word
+    wide = [-60, -45, 45, 60, 80]
+    cells = [(p, q) for p in range(-25, 26) for q in range(-25, 26)]
+    cells += [(p, q) for p in wide for q in wide + [-1, 0, 1]]
+    for p, q in cells:
+        expected = (
+            -sigma(p) * sigma(q) * (Q_8_9 - 1)
+            + x_inv * sigma(p + 1) * sigma(q + 1) * (Q_8_8 - 1)
+            + x_inv * sigma(p - 1) * sigma(q - 1) * (Q_8_8 - 1)
+            + 1
+        )
+        assert kanenobu_q(p, q) == expected, (p, q)
+
+
+def test_parameters_must_be_integers():
+    for bad in (1.5, -2.0, "2", None):
+        for f in (kanenobu_q, kanenobu_degree):
+            with pytest.raises(TypeError):
+                f(bad, 0)
+            with pytest.raises(TypeError):
+                f(0, bad)
+    assert kanenobu_degree(True, 0) == kanenobu_degree(1, 0) == 7
 
 
 def test_degree_examples():
