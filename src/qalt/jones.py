@@ -214,10 +214,11 @@ def determinant_goeritz(d: PDDiagram) -> int:
     Works for any number of crossings; split diagrams return 0 and
     non-planar codes raise MalformedDiagramError.  The time goes to
     :func:`~qalt.intmat.laplacian_det` on a sparse minor.  Measured on a
-    2-core Xeon with Python 3.11 (CPU time): the reduced closure of
-    (s1 s2^-1)^k takes 0.003 s at 200 crossings, 0.02 s at 800, 0.08 s at
-    1600 and 0.27 s at 3200; reduced random 4-braids take 0.008 s at 264
-    crossings, 0.02 s at 550 and 0.08 s at 1118.
+    2-core Xeon with Python 3.11 (CPU time, best of 3): the reduced
+    closure of (s1 s2^-1)^k takes 0.001 s at 200 crossings, 0.004-0.005 s
+    at 800, 0.010-0.016 s at 1600 and 0.033-0.036 s at 3200; reduced
+    random 4-braids take 0.002 s at 288 crossings, 0.006 s at 600 and
+    0.015 s at 1214.
     """
     nfaces, face = _admit(d).faces
     if not d.crossings:

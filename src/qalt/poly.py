@@ -283,6 +283,12 @@ def pack(p: IntLaurent, nbytes: int, low: int) -> int:
 _WORDS = {struct.calcsize(f): f for f in "bhiq"}
 
 
+@lru_cache(maxsize=128)  # big_forms decodes at about 60 (nbytes, digits) pairs
+def _half_digits(nbytes: int, digits: int) -> int:
+    """The integer whose `digits` base-2^(8 nbytes) digits are all X/2."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * digits, "little")
+
+
 def unpack(v: int, nbytes: int, low: int = 0) -> IntLaurent:
     """x^low times the polynomial whose coefficients are the balanced digits
     of v in base X = 2^(8 nbytes), each in [-X/2, X/2).
@@ -298,7 +304,7 @@ def unpack(v: int, nbytes: int, low: int = 0) -> IntLaurent:
     digit; other widths read the bytes digit by digit.
     """
     digits = v.bit_length() // (8 * nbytes) + 2
-    offset = int.from_bytes((bytes(nbytes - 1) + b"\x80") * digits, "little")
+    offset = _half_digits(nbytes, digits)
     raw = ((v + offset) ^ offset).to_bytes(nbytes * digits, sys.byteorder)
     word = _WORDS.get(nbytes)
     if word:

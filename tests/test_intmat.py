@@ -21,6 +21,8 @@ def fraction_det(m: list[list[int]]) -> int:
             det = -det
         det *= a[k][k]
         for i in range(k + 1, n):
+            if not a[i][k]:
+                continue
             f = a[i][k] / a[k][k]
             for j in range(k, n):
                 a[i][j] -= f * a[k][j]
@@ -70,6 +72,49 @@ def test_shapes():
     for rows in ([{1: 2}], [{0: 1}, {2: 3}], [{-1: 1}, {1: 1}]):
         with pytest.raises(ValueError):
             int_det(rows)
+
+
+def random_sparse(rng: random.Random, n: int) -> list[list[int]]:
+    """An n x n matrix with 1-4 nonzeros per row, mostly +-1 so that updates
+    cancel; diagonals often zero and a row often repeated (singular)."""
+    m = [[0] * n for _ in range(n)]
+    perm = rng.sample(range(n), n)  # a nonzero in every row and every column
+    for i, row in enumerate(m):
+        for j in {perm[i], *rng.sample(range(n), rng.randint(0, 3))}:
+            row[j] = rng.choice((-2, -1, -1, 1, 1, 2))
+        if perm[i] != i and rng.random() < 0.5:
+            row[i] = 0
+    if rng.random() < 0.25:
+        m[rng.randrange(n)] = list(m[rng.randrange(n)])
+    return m
+
+
+def test_sparse_matrices_match_fraction_elimination():
+    # orders 20-60 run many steps between the updates of one entry, so most
+    # entries are read at a level far below the current step
+    rng = random.Random(20140607)
+    singular = 0
+    for _ in range(60):
+        m = random_sparse(rng, rng.randint(20, 60))
+        expected = fraction_det(m)
+        singular += expected == 0
+        assert int_det(sparse(m)) == expected, m
+    assert 5 < singular < 55
+
+
+def test_cancelled_entry_leaves_its_column():
+    # step 1 pivots row 0 on column 0 (p_1 = 2) and cancels row 1's entry in
+    # column 1: 2 * 3 - 3 * 2 = 0.  Step 2 pivots row 2 on column 1, which
+    # row 1 no longer holds; row 1's other entries stay at level 0 until it
+    # is hit at step 3 and pivoted at step 4.
+    m = [
+        [2, 2, 0, 0, 0],
+        [3, 3, 1, -1, 2],
+        [0, 1, 0, 5, 0],
+        [0, -2, 1, 1, 1],
+        [0, 0, 1, 0, 3],
+    ]
+    assert int_det(sparse(m)) == fraction_det(m) == -26
 
 
 def reduced_laplacian(vertices: int, edges, keep_first: bool = False):

@@ -403,9 +403,13 @@ def test_goeritz_plans_no_sweep(monkeypatch):
     monkeypatch.setattr(diagram, "_sweep_steps", counted)
     # the closure of (s1 s2^-1)^k has det L_2k - 2, L_n the Lucas numbers
     lucas = [2, 1]
-    while len(lucas) <= 800:
+    while len(lucas) <= 1600:
         lucas.append(lucas[-1] + lucas[-2])
     assert determinant_goeritz(close_braid([1, -2] * 400, 3)) == lucas[800] - 2
+    # the minor is the Laplacian of the wheel's rim plus the identity: as the
+    # elimination goes round the cycle, the row that closes it meets the pivot
+    # row at every step
+    assert determinant_goeritz(close_braid([1, -2] * 800, 3)) == lucas[1600] - 2
     assert planned == []
 
 
