@@ -864,8 +864,10 @@ def simplify(d: PDDiagram) -> PDDiagram:
     under-under arc, also when the two arcs bound no face: such a clasp is a
     full twist around a 1-1 summand, and removing it is an isotopy that
     changes the writhe by +-2.  So the output keeps the link type, Q and det,
-    but not the framing: the Kauffman bracket and the writhe must not be
-    computed on it.  `d` itself is returned when no move applies.
+    but not the framing: its Kauffman bracket is the input's times a unit
+    +-A^k, which keeps |<D>| at A^4 = -1 and the A-span of <D>, but the
+    bracket itself and the writhe must not be taken from it.  `d` itself is
+    returned when no move applies.
 
     The moves and the output are those of the plain loop that, after each
     move, relabels the arcs densely by first appearance, normalizes each

@@ -13,9 +13,16 @@ packed as for Q (`diagram._sweep`).  The engine sees the diagram as given:
 the kinks and clasps that `diagram.simplify` removes change the writhe.
 V is normalized by (-A)^(-3w) and realized in s = t^(1/2) via t = A^-4.
 
-det(L) = |V_L(-1)| with t = -1 evaluated exactly as s = i.  The Goeritz
-determinant checks it at every size: |det G| = det(L) (Gordon and Litherland
-1978) for G the Laplacian of the white faces, with one edge per crossing.
+det(L) = |V_L(-1)|, and a check derives it and the breadth of V from <D>
+alone, with no orientation and no writhe.  The exponents of <D> are all
+congruent to the lowest, lo, mod 4 (Kauffman 1987), so at t = -1, which is
+A^4 = -1, det(L) = |sum of c_e (-1)^((e - lo)/4)| over the terms c_e A^e; the
+t-breadth of V is the A-span of <D> over 4.  A kink or a clasp that
+`diagram.simplify` removes multiplies <D> by a unit +-A^k, which keeps both,
+so `obstruction_check` reads them from the bracket of `simplify(d)`, the
+diagram Q expands.  The Goeritz determinant checks det at every size:
+|det G| = det(L) (Gordon and Litherland 1978) for G the Laplacian of the
+white faces, with one edge per crossing.
 Corner k of crossing c is white when k + flip[c] is even; `diagram._faces`
 numbers corners as the ends of `PDDiagram.partner`, 4c+k, and puts corners
 4c+s and 4c2+(s2+1 mod 4) in one face when an arc joins slot s of c to slot s2
@@ -26,8 +33,8 @@ none by default, counts the crossings of the pieces with no sweep plan; the
 2^n state sum takes at most FALLBACK_MAX_CROSSINGS (16).  The end table, the
 face walk and the piece split over it, the piece sub-diagrams and their sweep
 plans are kept on the diagram object, so `obstruction_check` derives each
-once for Q and the bracket together when `simplify` leaves the diagram as it
-is; none of them builds the arc-keyed `ends`.
+once for Q and the bracket of `simplify(d)` together; none of them builds the
+arc-keyed `ends`.
 """
 
 from __future__ import annotations
@@ -44,11 +51,12 @@ from .diagram import (
     _expand,
     _find,
     _strands,
+    simplify,
     smooth,
 )
 from .errors import CrossingLimitError, InternalConsistencyError, MalformedDiagramError
 from .intmat import laplacian_det
-from .poly import HalfLaurent, IntLaurent, breadth_t, combine, eval_at_s_equals_i
+from .poly import HalfLaurent, IntLaurent, combine
 from .qpoly import q_polynomial
 
 _LOOP = IntLaurent({2: -1, -2: -1})  # delta = -A^2 - A^-2
@@ -179,30 +187,30 @@ def jones_polynomial(d: PDDiagram | OrientedDiagram, max_crossings: float = inf)
     return _normalize_bracket(kauffman_bracket(d.base, max_crossings), d.writhe)
 
 
-def _det_from_jones(v: HalfLaurent) -> int:
-    value = eval_at_s_equals_i(v)
-    try:
-        return value.abs_pure()
-    except ValueError as e:
-        raise InternalConsistencyError(
-            f"V(-1) = {value!r} is neither purely real nor purely imaginary"
-        ) from e
-
-
-def _breadth_from_jones(v: HalfLaurent) -> Fraction:
-    if v.is_zero():
-        raise InternalConsistencyError("Jones polynomial of a nonempty link is zero")
-    return breadth_t(v)
+def _det_and_breadth(bracket: IntLaurent) -> tuple[int, Fraction]:
+    """(det(L), breadth of V_L in t-units) from a bracket <D> of L: <D> at
+    A^4 = -1 in absolute value, and its A-span over 4."""
+    if bracket.is_zero():
+        raise InternalConsistencyError("Kauffman bracket of a nonempty link is zero")
+    lo = bracket.low_degree()
+    value = 0
+    for e, c in bracket.items():
+        if (e - lo) % 4:
+            raise InternalConsistencyError(f"bracket exponents {lo} and {e} differ mod 4")
+        value += -c if (e - lo) & 4 else c
+    return abs(value), Fraction(bracket.degree() - lo, 4)
 
 
 def determinant(d: PDDiagram) -> int:
-    """det(L) = |V_L(-1)|, evaluated exactly at s = i."""
-    return _det_from_jones(jones_polynomial(d))
+    """det(L) = |V_L(-1)|: the bracket of `simplify(d)` at A^4 = -1, in
+    absolute value."""
+    return _det_and_breadth(kauffman_bracket(_admit(d, inf, simplify)))[0]
 
 
 def breadth(d: PDDiagram) -> Fraction:
-    """Breadth of V_L in t-units (orientation independent)."""
-    return _breadth_from_jones(jones_polynomial(d))
+    """Breadth of V_L in t-units (orientation independent): the A-span of
+    the bracket of `simplify(d)` over 4."""
+    return _det_and_breadth(kauffman_bracket(_admit(d, inf, simplify)))[1]
 
 
 # -- Goeritz determinant (independent oracle) ----------------------------
@@ -265,16 +273,20 @@ def obstruction_check(
     max_crossings: float = FALLBACK_MAX_CROSSINGS,
     jones_max_crossings: float = inf,
 ) -> ObstructionVerdict:
-    """Flag the link as NotQuasiAlternating when deg Q >= det.  The bounds are
-    those of `q_polynomial` (`max_crossings`, default 16) and of
-    `kauffman_bracket` (`jones_max_crossings`, no default).
+    """Flag the link as NotQuasiAlternating when deg Q >= det.
+
+    Q and the bracket are both taken of `simplify(d)`, so they share its
+    tables and each piece's sweep plan; det and the breadth are read from the
+    bracket (`_det_and_breadth`), with no orientation.  Both bounds count the
+    crossings of the pieces of `simplify(d)` with no sweep plan: that of
+    `q_polynomial` (`max_crossings`, default 16) and that of
+    `kauffman_bracket` (`jones_max_crossings`, none by default).
 
     The breadth is attached as evidence only; the breadth <= det statement
     is a conjecture and never used to rule links out.
     """
-    dq = q_polynomial(d, max_crossings).degree()
-    v = jones_polynomial(d, jones_max_crossings)
-    dt = _det_from_jones(v)
-    br = _breadth_from_jones(v)
+    reduced = _admit(d, max_crossings, simplify)
+    dq = q_polynomial(reduced, max_crossings).degree()
+    dt, br = _det_and_breadth(kauffman_bracket(reduced, jones_max_crossings))
     verdict = "NotQuasiAlternating" if dq >= dt else "Inconclusive"
     return ObstructionVerdict(verdict, dq, dt, br)

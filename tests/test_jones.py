@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 
 import pytest
@@ -25,9 +26,10 @@ from qalt.diagram import (
     unknot,
     unlink,
 )
-from qalt.errors import CrossingLimitError, MalformedDiagramError
+from qalt.errors import CrossingLimitError, InternalConsistencyError, MalformedDiagramError
 from qalt.jones import (
     ObstructionVerdict,
+    _det_and_breadth,
     bracket_state_sum,
     breadth,
     determinant,
@@ -38,7 +40,7 @@ from qalt.jones import (
     orient,
 )
 from qalt.montesinos import pretzel_family_report
-from qalt.poly import HalfLaurent, IntLaurent
+from qalt.poly import HalfLaurent, IntLaurent, breadth_t, eval_at_s_equals_i
 from qalt.qpoly import q_polynomial
 
 from conftest import random_braid_diagram
@@ -372,6 +374,76 @@ def test_obstruction_check_plans_each_piece_of_a_split_diagram_once(monkeypatch)
     assert len(d.parts) == 2 and [p.free_loops for p in d.parts] == [0, 0]
     assert len(planned) == 2 and all(p is q for p, q in zip(planned, d.parts))
     assert v.det == determinant_goeritz(d) == 0
+
+
+def _unreduced_cases():
+    """Diagrams that `simplify` changes: kinked and clasped closures, seeded
+    random closures whose pieces all sweep, a connected sum of two, and a
+    split diagram of two with free loops."""
+    cases = [KINKED_TREFOIL, mirror(KINKED_TREFOIL), close_braid([1, 1, 1, 2], 3), *CLASPED]
+    rng = random.Random(24)
+    while len(cases) < 25:
+        d = random_braid_diagram(rng, 14, rng.randint(3, 4))
+        if (reduced := simplify(d)) is not d and all(p.plan is not None for p in reduced.parts):
+            cases.append(d)
+    cases.append(connected_sum(KINKED_TREFOIL, CLASPED[1], 1, 1))
+    shifted = tuple(tuple(a + 100 for a in t) for t in CLASPED[0].crossings)
+    cases.append(PDDiagram(KINKED_TREFOIL.crossings + shifted, 2))
+    return cases
+
+
+UNREDUCED = _unreduced_cases()
+
+
+@pytest.mark.parametrize("d", UNREDUCED, ids=render_pd)
+def test_obstruction_check_expands_the_reduced_diagram_alone(monkeypatch, d):
+    # Q and the bracket both expand simplify(d): each of its pieces is planned
+    # once, no strand is walked for an orientation, and det and the breadth
+    # read from its bracket are those of V(d)
+    def fresh():
+        return PDDiagram(d.crossings, d.free_loops)
+
+    obstruction_check(fresh())  # fills the transition cache
+    planned, oriented = [], []
+
+    def counted(p):
+        planned.append(p.key())
+        return _sweep_steps(p)
+
+    def counted_orient(*args, **kwargs):
+        oriented.append(args)
+        return orient(*args, **kwargs)
+
+    monkeypatch.setattr(diagram, "_sweep_steps", counted)
+    monkeypatch.setattr(jones, "orient", counted_orient)
+    v = obstruction_check(fresh())
+    monkeypatch.undo()
+    reduced = simplify(d)
+    assert reduced is not d and oriented == []
+    assert planned == [p.key() for p in reduced.parts]
+    jones_v = jones_polynomial(d)
+    assert (v.det, v.breadth) == (eval_at_s_equals_i(jones_v).abs_pure(), breadth_t(jones_v))
+    assert v.det == determinant_goeritz(d)
+
+
+def test_det_and_breadth_reject_a_bracket_no_link_has():
+    with pytest.raises(InternalConsistencyError, match="is zero"):
+        _det_and_breadth(IntLaurent.zero())
+    with pytest.raises(InternalConsistencyError, match="differ mod 4"):
+        _det_and_breadth(IntLaurent({0: 1, 2: 1}))
+    with pytest.raises(InternalConsistencyError, match="differ mod 4"):
+        _det_and_breadth(IntLaurent({-3: 2, 1: -1, 3: 1}))
+
+
+def test_det_and_breadth_agree_with_the_jones_route(rng):
+    # the Jones route orients the unreduced diagram and evaluates V at s = i;
+    # determinant and breadth read the bracket of simplify(d)
+    for _ in range(300):
+        d = random_braid_diagram(rng, 12, rng.randint(2, 5))
+        v = jones_polynomial(d)
+        expected = (eval_at_s_equals_i(v).abs_pure(), breadth_t(v))
+        assert _det_and_breadth(kauffman_bracket(d)) == expected, d
+        assert (determinant(d), breadth(d)) == expected, d
 
 
 def test_crossing_limits():
