@@ -18,9 +18,11 @@ end 4c+s is slot s of crossing c and end 4n+p boundary position p, and
 `partner[e]` is the other end of e's arc.  A strand entering crossing c at
 end e leaves it at e ^ 2 and enters the next at `partner[e ^ 2]`; the face
 walk goes from corner e to `partner[e]` turned one slot counterclockwise.
-No walk builds the arc-keyed `ends`.  `simplify` builds its own arc table
-when a move applies, for its moves and `_clasp`; the lazy `PDDiagram.ends` is
-for `connected_sum` and callers that name arcs.
+The table is built with the diagram, in the pass that checks its labels.
+`simplify` scans it and, when a move applies, makes its moves on a copy,
+joining the ends on either side of the strands through each removed
+crossing.  No walk and no move builds the arc-keyed `ends`: the lazy
+`PDDiagram.ends` is only for `connected_sum` and callers that name arcs.
 
 Smoothings carry neutral labels: kind A joins a-b and c-d, kind B joins
 a-d and b-c.  At any crossing one of the two merges link components and the
@@ -72,19 +74,6 @@ def _ends_of(
     return ends
 
 
-def _partners(crossings: Sequence[Crossing], boundary: Sequence[int] = ()) -> list[int]:
-    """The other end of each end's arc, ends numbered 4c+s for slot s of
-    crossing c and then 4n+p for boundary position p, in one pass."""
-    partner = [0] * (4 * len(crossings) + len(boundary))
-    first: dict[int, int] = {}
-    for e, a in enumerate(chain(chain.from_iterable(crossings), boundary)):
-        f = first.setdefault(a, e)
-        if f != e:
-            partner[e] = f
-            partner[f] = e
-    return partner
-
-
 class _table:
     """A table derived from a diagram's code on first access and kept in its
     `__dict__`, which then shadows this non-data descriptor; unlike
@@ -105,18 +94,21 @@ class PDDiagram:
     """Immutable planar diagram: crossing tuples, a free-loop count and, for a
     tangle, its boundary labels.
 
-    The tables derived from the code are computed on first use and kept on
-    the object, which never changes: the end table `partner`, the connected
-    `pieces`, their sub-diagrams `parts`, the face walk `faces`, for a
-    connected link the sweep `plan`, and the arc-keyed `ends`, which only
-    `connected_sum` and callers naming arcs ask for.  The strand walk, the
-    piece split, the face walk, `simplify`'s first scan and Goeritz's
-    checkerboard read `partner`.  So Q and the
-    bracket of one diagram object walk its faces, split its pieces and plan
-    the sweep of each once between them.  Every move builds a new diagram,
-    with none of the tables; a face walk that finds the code non-planar
-    raises and keeps nothing, so it raises again on every later use.
+    The end table `partner` is built with the diagram, in the pass that
+    checks that every label names exactly two ends; the strand, piece and
+    face walks, the canonical code, `simplify` and Goeritz's checkerboard
+    read it.  The other tables derived from the code are computed on first use and
+    kept on the object, which never changes: the connected `pieces`, their
+    sub-diagrams `parts`, the face walk `faces`, for a connected link the
+    sweep `plan`, and the arc-keyed `ends`, which only `connected_sum` and
+    callers naming arcs ask for.  So Q and the bracket of one diagram object
+    walk its faces, split its pieces and plan the sweep of each once between
+    them.  Every move builds a new diagram, with none of the lazy tables; a
+    face walk that finds the code non-planar raises and keeps nothing, so it
+    raises again on every later use.
     """
+
+    _reduced = False  # True on a diagram `simplify` returned: it has no move to make
 
     def __init__(
         self,
@@ -135,19 +127,23 @@ class PDDiagram:
             raise MalformedDiagramError(f"arc labels and the loop count must be integers: {e}") from e
         if self.free_loops < 0:
             raise MalformedDiagramError("negative free loop count")
-        counts = Counter(chain(self.boundary, *self.crossings))
-        bad = sorted(a for a, n in counts.items() if n != 2)
-        if bad:
-            raise MalformedDiagramError(
-                f"arc identifiers {bad} do not occur exactly twice"
-            )
+        # pair each end with the first end of its label: every label names
+        # exactly two ends when no end is left at -1, so none names one, and
+        # the labels are half as many as the ends, so none names three or more
+        partner = [-1] * (4 * len(self.crossings) + len(self.boundary))
+        first: dict[int, int] = {}
+        for e, a in enumerate(chain(chain.from_iterable(self.crossings), self.boundary)):
+            f = first.setdefault(a, e)
+            if f != e:
+                partner[e] = f
+                partner[f] = e
+        if 2 * len(first) != len(partner) or -1 in partner:
+            counts = Counter(chain(self.boundary, *self.crossings))
+            bad = sorted(a for a, n in counts.items() if n != 2)
+            raise MalformedDiagramError(f"arc identifiers {bad} do not occur exactly twice")
+        self.partner = partner
 
     # -- basic structure ---------------------------------------------
-
-    @_table
-    def partner(self) -> list[int]:
-        """`_partners(self.crossings, self.boundary)`: end -> the other end of its arc."""
-        return _partners(self.crossings, self.boundary)
 
     @_table
     def ends(self) -> dict[int, list[tuple[int, int]]]:
@@ -210,13 +206,6 @@ class PDDiagram:
         if self.boundary:
             return f"PDDiagram({list(self.crossings)}, {self.free_loops}, {self.boundary})"
         return f"PDDiagram({render_pd(self)!r})"
-
-    def next_end(self, crossing: int, slot: int) -> tuple[int, int]:
-        """Follow the strand through a crossing: entry (c, s) -> next entry,
-        or (-1, p) where it reaches boundary position p."""
-        e = self.partner[4 * crossing + (slot ^ 2)]
-        n4 = 4 * len(self.crossings)
-        return (e >> 2, e & 3) if e < n4 else (-1, e - n4)
 
     # -- canonical codes ------------------------------------------------
 
@@ -683,6 +672,7 @@ def _walk_code(d: PDDiagram, start: tuple[int, int]):
     A 0 marks each restart after a component closes, so "continues to
     crossing X" and "closes, then restarts at X" encode differently.
     """
+    partner = d.partner
     disc: dict[int, tuple[int, int]] = {}  # crossing -> (id, frame slot)
     walked: set[tuple[int, int]] = set()  # (crossing, pass parity)
     out = []
@@ -696,7 +686,7 @@ def _walk_code(d: PDDiagram, start: tuple[int, int]):
             else:
                 cid, fs = disc[c]
                 out.append(-(cid * 4 + (s - fs) % 4) - 1)
-            c, s = d.next_end(c, s)
+            c, s = divmod(partner[4 * c + (s ^ 2)], 4)
         restart = next(
             ((cc, p) for cc in disc for p in (1, 0) if (cc, p) not in walked), None
         )
@@ -760,21 +750,6 @@ def num_components(d: PDDiagram) -> int:
     return len(_strands(d)) + d.free_loops
 
 
-def _merge(fusions: Iterable[tuple[int, int]]) -> tuple[dict[int, int], int]:
-    """Arc -> root for each arc the fusions join below another (an arc not in
-    the map is its own root), and the number of fusions that join two ends
-    of one (possibly merged) arc."""
-    parent: dict[int, int] = {}
-    closed = 0
-    for x, y in fusions:
-        rx, ry = _find(parent, x), _find(parent, y)
-        if rx == ry:
-            closed += 1
-        else:
-            parent[ry] = rx
-    return {a: _find(parent, a) for a in parent}, closed
-
-
 def _relabel(
     kept: list[Crossing],
     fusions: Iterable[tuple[int, int]],
@@ -790,8 +765,14 @@ def _relabel(
     tuples are left as the fusions make them: `PDDiagram` normalizes each
     one, once.
     """
-    root, closed = _merge(fusions)
-    loops += closed
+    parent: dict[int, int] = {}
+    for x, y in fusions:
+        rx, ry = _find(parent, x), _find(parent, y)
+        if rx == ry:
+            loops += 1
+        else:
+            parent[ry] = rx
+    root = {a: _find(parent, a) for a in parent}
     relabel: dict[int, int] = {}
     new = []
     for t in kept:
@@ -835,25 +816,27 @@ def mirror(d: PDDiagram) -> PDDiagram:
     return PDDiagram([(b, c, e, a) for a, b, c, e in d.crossings], d.free_loops, d.boundary)
 
 
-def _has_kink(t: Sequence[int]) -> bool:
-    """An arc joins two adjacent slots of the crossing: a Reidemeister-I kink."""
-    return t[0] == t[1] or t[1] == t[2] or t[2] == t[3] or t[3] == t[0]
+def _kinked(partner: list[int], c: int) -> bool:
+    """An arc joins two adjacent slots of crossing c: a Reidemeister-I kink.
+    Every pair of adjacent slots holds one even slot, 0 or 2, and one odd."""
+    e = 4 * c
+    return partner[e] in (e + 1, e + 3) or partner[e + 2] in (e + 1, e + 3)
 
 
-def _clasp(cross: Sequence[Sequence[int]], ends, c1: int):
-    """(c2, over arc, under arc) of the first clasp, in the slot order of c1,
-    whose lower crossing is c1: an arc over at c1 and at some c2 > c1, and one
-    under at both; None if there is none.  `ends` maps an arc to its ends
-    (crossing, slot); a tangle's boundary end (-1, p) never matches."""
-    t = cross[c1]
+def _clasp(partner: list[int], n: int, c1: int) -> int | None:
+    """c2 of the first clasp, in the slot order of c1, whose lower crossing is
+    c1: an arc over at c1 and at some crossing c2 > c1, and one under at
+    both; None if there is none.  A boundary end, numbered from 4n, never
+    matches."""
+    e = 4 * c1
     for s in (1, 3):
-        es = ends[t[s]]
-        c2, s2 = es[0] if es[-1] == (c1, s) else es[-1]
-        if c2 > c1 and s2 % 2:
+        f = partner[e + s]
+        c2 = f >> 2
+        if c1 < c2 < n and f & 1:
             for u in (0, 2):
-                es = ends[t[u]]
-                if (es[0] if es[-1] == (c1, u) else es[-1]) in ((c2, 0), (c2, 2)):
-                    return c2, t[s], t[u]
+                g = partner[e + u]
+                if g >> 2 == c2 and not g & 1:
+                    return c2
     return None
 
 
@@ -867,7 +850,8 @@ def simplify(d: PDDiagram) -> PDDiagram:
     but not the framing: its Kauffman bracket is the input's times a unit
     +-A^k, which keeps |<D>| at A^4 = -1 and the A-span of <D>, but the
     bracket itself and the writhe must not be taken from it.  `d` itself is
-    returned when no move applies.
+    returned when no move applies.  Either way the diagram returned is
+    marked reduced, and a later call on it returns it at once.
 
     The moves and the output are those of the plain loop that, after each
     move, relabels the arcs densely by first appearance, normalizes each
@@ -878,102 +862,103 @@ def simplify(d: PDDiagram) -> PDDiagram:
     the lowest (crossing, slot) end of arc a; the turns set the next
     relabeling and the slot order in which a crossing meets its clasps.
 
-    The first scan reads the end table `partner`, so a diagram with no move
-    to make is returned without an arc table.  Once a move applies, the
-    arc-end table is built once, and each crossing is kept in its current
-    turn, with min-heaps of the crossings that may hold a kink and
-    of those that may be the lower crossing of a clasp.  A move rewrites
-    the arcs it fuses and pushes the crossings on them.  Its turns are
-    decided once a next move is found, all before any is applied: every
-    crossing after the first move; after a later one, the crossings on a
-    fused arc and those next to a crossing that turned.  The last move's
-    turns are left to the one `_relabel` call at the end.  A move costs
-    O(log n) plus the turns it sets off, so m moves on n crossings take
-    about O(n + m log n) time, where rescanning took O(m n).
+    The first scan reads the end table `partner`.  Once a move applies, a
+    copy of it is the only arc table: each crossing is kept in its current
+    turn, with min-heaps of the crossings that may hold a kink and of those
+    that may be the lower crossing of a clasp.  A move marks its crossings
+    removed and joins each live end next to them to the live end on the far
+    side of the strand through them, then pushes the crossings of those ends.
+    Its turns are decided once a next move is found, all before any is
+    applied: every crossing after the first move; after a later one, the
+    crossings it joined and those next to a crossing that turned.  The kept
+    crossings keep their labels, and one `_relabel` call at the end fuses
+    the two strands through each removed crossing and applies the last
+    move's turns.  A move costs O(log n) plus the turns it sets off, so m
+    moves on n crossings take about O(n + m log n) time, where rescanning
+    took O(m n).
     """
-    crossings = d.crossings
-    n = len(crossings)
-    kinks = [i for i, t in enumerate(crossings) if _has_kink(t)]
+    if d._reduced:
+        return d
+    n = len(d.crossings)
+    n4 = 4 * n
+    partner = d.partner
+    kinks = [c for c in range(n) if _kinked(partner, c)]
     # a clasp joins crossings c1 < c2 by an arc over at both ends and one
     # under at both, and c1 is its lower crossing; (c1, c2) per such arc
-    partner = d.partner
-    over = [(e >> 2, f >> 2) for e in range(1, 4 * n, 2) if (f := partner[e]) & 1 and e >> 2 < f >> 2 < n]
+    over = [(e >> 2, f >> 2) for e in range(1, n4, 2) if (f := partner[e]) & 1 and e >> 2 < f >> 2 < n]
     if over and not kinks:
-        under = {(e >> 2, f >> 2) for e in range(0, 4 * n, 2) if not (f := partner[e]) & 1}
+        under = {(e >> 2, f >> 2) for e in range(0, n4, 2) if not (f := partner[e]) & 1}
         over = [pair for pair in over if pair in under]
     clasps = sorted({c1 for c1, _ in over})
     if not (kinks or clasps):
+        d._reduced = True
         return d
-    cross = [list(t) for t in crossings]
-    ends = _ends_of(crossings)  # each arc's crossing ends in order; a move replaces lists
+    partner = list(partner)  # the moves join ends in this copy only
+    cross = list(d.crossings)
     alive = [True] * n
-    loops, boundary = d.free_loops, d.boundary
     pending = None  # the crossings whose turn the last move left to decide
     while True:
-        while kinks and not (alive[kinks[0]] and _has_kink(cross[kinks[0]])):
+        while kinks and not (alive[kinks[0]] and _kinked(partner, kinks[0])):
             heappop(kinks)
         if not kinks:
-            while clasps and not (alive[clasps[0]] and _clasp(cross, ends, clasps[0])):
+            while clasps and not (alive[clasps[0]] and _clasp(partner, n, clasps[0]) is not None):
                 heappop(clasps)
             if not clasps:
                 break
         if pending is not None:  # decided only now that another move follows
-            turned = [c for c in pending if alive[c] and _turns(cross[c], ends)]
+            turned = [c for c in pending if alive[c] and _turns(partner, c)]
             for c in turned:
-                _turn(cross, ends, c)
-            pending = {j for c in turned for a in cross[c] for j, _ in ends[a]}
-        if kinks:
-            i = kinks[0]
-            t = cross[i]
-            s = next(s for s in range(4) if t[s] == t[s - 3])
-            removed, fusions = (i,), [(t[s - 2], t[s - 1])]  # fuse the two other slots
-        else:
-            c1 = clasps[0]
-            c2, over, under = _clasp(cross, ends, c1)  # in c1's slot order after the turns
-            removed, fusions = (c1, c2), []
-            for a, b, c, e in (cross[c1], cross[c2]):
-                fusions.append((over, e if b == over else b))
-                fusions.append((under, c if a == under else a))
+                _turn(partner, cross, c)
+            pending = {f >> 2 for c in turned for e in range(4 * c, 4 * c + 4) for f in (e, partner[e]) if f < n4}
+        # the clasp in c1's slot order after the turns
+        removed = (kinks[0],) if kinks else (clasps[0], _clasp(partner, n, clasps[0]))
         for c in removed:
             alive[c] = False
-        root, closed = _merge(fusions)
-        loops += closed
-        boundary = [root.get(a, a) for a in boundary]
-        fused: dict[int, list[tuple[int, int]]] = {}
-        for c in removed:
-            for a in cross[c]:
-                es = ends.pop(a, None)
-                if es is not None:
-                    fused.setdefault(root.get(a, a), []).extend([e for e in es if alive[e[0]]])
         touched = set()
-        for a, es in fused.items():
-            if es:
-                es.sort()
-                ends[a] = es
-                for c, s in es:
-                    cross[c][s] = a
-                    touched.add(c)
+        for c in removed:
+            for e in range(4 * c, 4 * c + 4):
+                x = partner[e]
+                if x < n4 and not alive[x >> 2] or partner[x] != e:
+                    continue  # x is removed, or was joined from its far side
+                f = partner[e ^ 2]  # follow the strand through the removed crossings
+                while f < n4 and not alive[f >> 2]:
+                    f = partner[f ^ 2]
+                partner[x] = f
+                partner[f] = x
+                touched.update(y >> 2 for y in (x, f) if y < n4)
         for c in touched:
-            if _has_kink(cross[c]):
+            if _kinked(partner, c):
                 heappush(kinks, c)
-            if _clasp(cross, ends, c):
+            if _clasp(partner, n, c) is not None:
                 heappush(clasps, c)
         pending = set(range(n)) if pending is None else pending | touched
-    kept = [tuple(t) for t, live in zip(cross, alive) if live]
-    return PDDiagram(*_relabel(kept, (), loops, boundary))
+    kept = [t for t, live in zip(cross, alive) if live]
+    through = [(t[k], t[k + 2]) for t, live in zip(d.crossings, alive) if not live for k in (0, 1)]
+    out = PDDiagram(*_relabel(kept, through, d.free_loops, d.boundary))
+    out._reduced = True
+    return out
 
 
-def _turns(t: Sequence[int], ends) -> bool:
-    """Whether relabeling by first appearance turns `t` by two."""
-    return (ends[t[2]][0], ends[t[3]][0]) < (ends[t[0]][0], ends[t[1]][0])
+def _turns(partner: list[int], c: int) -> bool:
+    """Whether relabeling by first appearance turns crossing c by two: the
+    first end of an arc is the lower of its two."""
+    e = 4 * c
+    a, b, x, y = partner[e : e + 4]
+    # min(f, partner[f]) per end f, spelled out: each crossing is asked once
+    # after the first move, and a call of min costs more than the comparison
+    return (x if x < e + 2 else e + 2, y if y < e + 3 else e + 3) < (a if a < e else e, b if b < e + 1 else e + 1)
 
 
-def _turn(cross: list[list[int]], ends, c: int) -> None:
-    """Turn crossing c by two and move its ends in the arc-end table."""
+def _turn(partner: list[int], cross: list[Crossing], c: int) -> None:
+    """Turn crossing c by two: renumber its ends 4c+k as 4c+(k^2)."""
+    e = 4 * c
     t = cross[c]
     cross[c] = t[2:] + t[:2]
-    for a in set(t):
-        ends[a] = sorted((j, s ^ 2) if j == c else (j, s) for j, s in ends[a])
+    for k, f in enumerate(partner[e : e + 4]):
+        if e <= f < e + 4:
+            f ^= 2
+        partner[e + (k ^ 2)] = f
+        partner[f] = e + (k ^ 2)
 
 
 def connected_sum(d1: PDDiagram, d2: PDDiagram, arc1: int, arc2: int) -> PDDiagram:

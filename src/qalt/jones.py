@@ -30,11 +30,11 @@ of c2, so one walk over `partner` sets flip[c2] = flip[c] + s + s2 + 1
 (mod 2).  `diagram._admit` rejects the empty link and a non-planar PD
 code with MalformedDiagramError before any engine starts.  A bracket bound,
 none by default, counts the crossings of the pieces with no sweep plan; the
-2^n state sum takes at most FALLBACK_MAX_CROSSINGS (16).  The end table, the
-face walk and the piece split over it, the piece sub-diagrams and their sweep
-plans are kept on the diagram object, so `obstruction_check` derives each
-once for Q and the bracket of `simplify(d)` together; none of them builds the
-arc-keyed `ends`.
+2^n state sum takes at most FALLBACK_MAX_CROSSINGS (16).  The end table is
+built with the diagram, and the face walk and the piece split over it, the
+piece sub-diagrams and their sweep plans are kept on it, so
+`obstruction_check` derives each once for Q and the bracket of `simplify(d)`
+together; neither they nor `simplify` build the arc-keyed `ends`.
 """
 
 from __future__ import annotations

@@ -29,11 +29,12 @@ memoizes on the exact diagram, `PDDiagram.key()`: it cannot collide, and
 every move renumbers arcs densely, so repeated subdiagrams still hit.
 `diagram._admit` checks the input and bounds the crossings of the pieces of
 `simplify(d)` with no sweep plan (FALLBACK_MAX_CROSSINGS = 16 by default).
-The end table, the face walk of the gate and the piece split over it, the
-piece sub-diagrams and the sweep plan of each are kept on the diagram object;
-`simplify` scans the end table for clasps and returns a reduced
-diagram itself, with no arc-keyed `ends` built, so the bracket of the same
-object reuses them.
+The end table is built with the diagram; the face walk of the gate and the
+piece split over it, the piece sub-diagrams and the sweep plan of each are
+kept on the diagram object.  `simplify` moves on a copy of the end table,
+builds no arc-keyed `ends`, and returns a reduced diagram itself, marked, so
+a second admission skips the scan and the bracket of the same object reuses
+its tables.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
+from qalt import diagram
 from qalt.diagram import (
     SWEEP_WIDTH,
     PDDiagram,
@@ -85,6 +87,26 @@ def test_equal_diagrams_hash_alike_and_a_link_repr_is_its_pd_text():
 def test_parse_rejects_bad_multiplicity():
     with pytest.raises(MalformedDiagramError):
         parse_pd("X(1,2,3,4)")
+
+
+@pytest.mark.parametrize(
+    "crossings, boundary, bad",
+    [
+        ([(1, 2, 3, 4), (1, 2, 3, 5)], (), [4, 5]),  # one end each
+        ([(9, 1, 2, 3), (1, 2, 3, 4), (4, 5, 5, 6), (6, 7, 7, 8)], (), [8, 9]),  # end 0 alone
+        ([(1, 1, 1, 2)], (), [1, 2]),  # three ends beside one: the labels are half the ends
+        ([(1, 2, 1, 3), (2, 1, 3, 4), (4, 5, 6, 5)], (), [1, 6]),
+        ([(1, 1, 1, 1)], (), [1]),  # four ends, paired twice over
+        ([(1, 1, 2, 2), (1, 1, 3, 3)], (), [1]),
+        ([(1, 1, 1, 1), (2, 3, 4, 4)], (), [1, 2, 3]),  # four ends beside two with one
+        ([(1, 2, 3, 4)], (1, 2, 3, 4, 5), [5]),  # a boundary label with one end
+        ([(1, 2, 3, 4)], (1, 1, 2, 3, 4, 6), [1, 6]),  # with three, beside one with one
+        ([(1, 2, 2, 3)], (1, 3, 3), [3]),
+    ],
+)
+def test_the_label_check_names_exactly_the_bad_labels(crossings, boundary, bad):
+    with pytest.raises(MalformedDiagramError, match=re.escape(f"arc identifiers {bad} do not occur exactly twice")):
+        PDDiagram(crossings, 0, boundary)
 
 
 def test_parse_rejects_syntax():
@@ -267,6 +289,47 @@ def test_simplify_matches_the_rescanning_reducer():
         assert got.key() == want.key(), d.key()
         assert (got is d) == (want is d)
         assert d.ends == _ends_of(d.crossings, d.boundary)  # its table is shared, not changed
+
+
+def _pairing(d):
+    """The end table read off the arc-keyed `ends`, in `partner`'s numbering."""
+    partner = [None] * (4 * len(d) + len(d.boundary))
+    for x, y in _ends_of(d.crossings, d.boundary).values():
+        partner[_end(d, x)], partner[_end(d, y)] = _end(d, y), _end(d, x)
+    return partner
+
+
+def test_the_end_table_pairs_every_end_with_another():
+    for d in _reducer_inputs():
+        p = d.partner
+        assert all(p[e] != e and p[p[e]] == e for e in range(len(p))), d.key()
+        assert p == _pairing(d)
+
+
+def test_simplify_builds_no_arc_table_and_leaves_the_end_table_alone(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _ends_of(*args)
+
+    # `_pairing` calls the `_ends_of` imported above, which the patch leaves
+    monkeypatch.setattr(diagram, "_ends_of", counted)
+    outputs = []
+    moved = 0
+    for d in _reducer_inputs():
+        before = _pairing(d)
+        outputs.append(simplify(d))
+        assert d.partner == before, d.key()  # the moves join ends in a copy
+        moved += outputs[-1] is not d
+    assert calls == [] and moved > 2500
+
+    def scanned(partner, c):
+        raise AssertionError("a diagram simplify returned was scanned again")
+
+    # simplify marks what it returns reduced, `d` itself or a new diagram
+    monkeypatch.setattr(diagram, "_kinked", scanned)
+    assert all(simplify(out) is out for out in outputs)
 
 
 # The references for the walks over the end table `partner`: the union-find
