@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import HypothesisViolationError, MalformedDiagramError, PDParseError
 from .intmat import laplacian_det
-from .poly import HalfLaurent, IntLaurent, unpack
+from .poly import HalfLaurent, IntLaurent, nbytes_for, unpack
 
 
 @dataclass(frozen=True)
@@ -183,9 +183,9 @@ def burau(w: BraidWord) -> BurauMatrix:
     column operation on (a, b) and on (c, d), e.g. (a, b) -> (-aX, a + b)
     for s1.  Multiplying by +-t^j keeps the sum of the absolute
     coefficients, so the recurrence nb += na, nd += nc (s1^+-1) and
-    na += nb, nc += nd (s2^+-1) bounds every coefficient; B is the bit
-    length of that bound plus a sign bit, rounded up to a whole byte, and
-    each entry is decoded to balanced base-X digits by ``poly.unpack``.
+    na += nb, nc += nd (s2^+-1) bounds the l1 norm of every entry; B is 8
+    times ``poly.nbytes_for`` of the largest bound, and each entry is
+    decoded to balanced base-X digits by ``poly.unpack``.
     Cost: about 4 big-int shifts or adds per letter, on ints of at most
     (len(w) + 1) B bits.
     """
@@ -200,7 +200,7 @@ def burau(w: BraidWord) -> BurauMatrix:
         else:
             na += nb
             nc += nd
-    width = -(-(max(na, nb, nc, nd).bit_length() + 1) // 8)  # B / 8
+    width = nbytes_for(max(na, nb, nc, nd))  # B / 8
     B = 8 * width
     a, b, c, d = 1, 0, 0, 1
     for g in letters:

@@ -18,11 +18,11 @@ end 4c+s is slot s of crossing c and end 4n+p boundary position p, and
 `partner[e]` is the other end of e's arc.  A strand entering crossing c at
 end e leaves it at e ^ 2 and enters the next at `partner[e ^ 2]`; the face
 walk goes from corner e to `partner[e]` turned one slot counterclockwise.
-The table is built with the diagram, in the pass that checks its labels.
-`simplify` scans it and, when a move applies, makes its moves on a copy,
-joining the ends on either side of the strands through each removed
-crossing.  No walk and no move builds the arc-keyed `ends`: the lazy
-`PDDiagram.ends` is only for `connected_sum` and callers that name arcs.
+The table is built with the diagram, in the pass that checks its labels,
+and is its only arc table.  `simplify` scans it and, when a move applies,
+makes its moves on a copy, joining the ends on either side of the strands
+through each removed crossing; `connected_sum` finds the second end of an
+arc as the partner of its first.
 
 Smoothings carry neutral labels: kind A joins a-b and c-d, kind B joins
 a-d and b-c.  At any crossing one of the two merges link components and the
@@ -43,7 +43,7 @@ from operator import index
 from typing import Callable, Iterable, Sequence
 
 from .errors import CrossingLimitError, MalformedDiagramError, PDParseError
-from .poly import pack, unpack
+from .poly import nbytes_for, unpack
 
 Crossing = tuple[int, int, int, int]
 
@@ -58,20 +58,6 @@ def _normalize(t: Crossing) -> Crossing:
 class SmoothingKind(Enum):
     A = "A"  # join a-b and c-d
     B = "B"  # join a-d and b-c
-
-
-def _ends_of(
-    crossings: Sequence[Crossing], boundary: Sequence[int] = ()
-) -> dict[int, list[tuple[int, int]]]:
-    """arc -> the two (crossing index, slot) positions where it ends, in scan
-    order; an end at boundary position p is (-1, p), after the crossing ends."""
-    ends: dict[int, list[tuple[int, int]]] = {}
-    for i, t in enumerate(crossings):
-        for s, a in enumerate(t):
-            ends.setdefault(a, []).append((i, s))
-    for p, a in enumerate(boundary):
-        ends.setdefault(a, []).append((-1, p))
-    return ends
 
 
 class _table:
@@ -95,17 +81,17 @@ class PDDiagram:
     tangle, its boundary labels.
 
     The end table `partner` is built with the diagram, in the pass that
-    checks that every label names exactly two ends; the strand, piece and
-    face walks, the canonical code, `simplify` and Goeritz's checkerboard
-    read it.  The other tables derived from the code are computed on first use and
-    kept on the object, which never changes: the connected `pieces`, their
-    sub-diagrams `parts`, the face walk `faces`, for a connected link the
-    sweep `plan`, and the arc-keyed `ends`, which only `connected_sum` and
-    callers naming arcs ask for.  So Q and the bracket of one diagram object
-    walk its faces, split its pieces and plan the sweep of each once between
-    them.  Every move builds a new diagram, with none of the lazy tables; a
-    face walk that finds the code non-planar raises and keeps nothing, so it
-    raises again on every later use.
+    checks that every label names exactly two ends, and is its one arc
+    table: the strand, piece and face walks, the canonical code, `simplify`,
+    `connected_sum` and Goeritz's checkerboard read it.  The other tables
+    derived from the code are computed on first use and kept on the object,
+    which never changes: the connected `pieces`, their sub-diagrams `parts`,
+    the face walk `faces` and, for a connected link, the sweep `plan`; the
+    arc-keyed `ends` is built only when asked for.  So Q and the bracket of
+    one diagram object walk its faces, split its pieces and plan the sweep of
+    each once between them.  Every move builds a new diagram, with none of
+    the lazy tables; a face walk that finds the code non-planar raises and
+    keeps nothing, so it raises again on every later use.
     """
 
     _reduced = False  # True on a diagram `simplify` returned: it has no move to make
@@ -147,8 +133,13 @@ class PDDiagram:
 
     @_table
     def ends(self) -> dict[int, list[tuple[int, int]]]:
-        """arc -> the two (crossing index, slot) positions where it ends."""
-        return _ends_of(self.crossings, self.boundary)
+        """arc -> the two (crossing index, slot) positions where it ends, in
+        scan order, boundary position p as (-1, p) after them.  No walk or
+        move reads it; `qaltbench/corpus.py` takes the largest label from it."""
+        ends: dict[int, list[tuple[int, int]]] = {}
+        for e, a in enumerate(chain(chain.from_iterable(self.crossings), self.boundary)):
+            ends.setdefault(a, []).append(divmod(e, 4) if e < 4 * len(self) else (-1, e - 4 * len(self)))
+        return ends
 
     @_table
     def pieces(self) -> list[list[int]]:
@@ -190,7 +181,7 @@ class PDDiagram:
         are equal.
 
         The skein engines memoize on this rather than on the diagram itself,
-        so a memo keeps no diagram's `ends` table alive.
+        so a memo keeps no diagram's tables alive.
         """
         return self.crossings, self.free_loops, self.boundary
 
@@ -347,7 +338,7 @@ FALLBACK_MAX_CROSSINGS = 16
 
 # Bytes per coefficient on a sweep's first pass.  The largest coefficient
 # bound of qaltbench's corpora and ramps has 28 bits; wider ones cost a
-# second pass.
+# second pass, which reuses the first pass's rows.
 _SWEEP_BYTES = 8
 
 
@@ -442,22 +433,20 @@ def _sweep(steps: list[tuple[int, tuple]], engine: Callable) -> dict:
 
     The state runs on packed integers (`_packed_sweep`), one per entry, keyed
     by matching id (`_MATCHINGS`), at x = X = 2^(8 nbytes) with nbytes =
-    _SWEEP_BYTES, and each entry carries a bound on the sum of the absolute
-    values of its coefficients.  Every coefficient of an entry whose bound is
-    below X/2 lies in [-X/2, X/2), so `poly.unpack` recovers it exactly from
-    its balanced digits, once per piece, and the id goes back to its
-    matching there.  When a final bound is not below X/2, the piece is swept
-    again with a byte for every 8 bits of the bound plus a sign bit.  A wider
-    pass drops every entry that a narrower one drops, so its bounds are at
-    most those of the first pass, and it decodes.
+    _SWEEP_BYTES, and each entry carries an l1 bound (`poly.nbytes_for`).
+    An entry whose bound is below X/2 decodes exactly by `poly.unpack`, once
+    per piece, and the id goes back to its matching there.  When a final
+    bound is not below X/2, the piece is swept again at `nbytes_for` of the
+    largest.  A wider pass drops every entry that a narrower one drops, so
+    its bounds are at most those of the first pass, and it decodes.
     """
     nbytes = _SWEEP_BYTES
     while True:
         low, state = _packed_sweep(steps, engine, nbytes)
-        top = max((bound for _, bound in state.values()), default=0).bit_length()
-        if top < 8 * nbytes:
+        top = max((bound for _, bound in state.values()), default=0)
+        if top.bit_length() < 8 * nbytes:
             return {_MATCHINGS[i]: unpack(v, nbytes, low) for i, (v, _) in state.items() if v}
-        nbytes = top // 8 + 1
+        nbytes = nbytes_for(top)
 
 
 def _packed_sweep(steps: list[tuple[int, tuple]], engine: Callable, nbytes: int):
@@ -465,21 +454,22 @@ def _packed_sweep(steps: list[tuple[int, tuple]], engine: Callable, nbytes: int)
     the entry of the matching `_MATCHINGS[id]` being x^low times the
     polynomial whose value at X is `value`.
 
-    A step finds its table in `_packed(engine, nbytes)` by its (width, glue)
-    and multiplies each entry by each entry of its transition's row
-    (`_pack_row`), one big-int product and shift per pair, the state entry
-    first shifted from its transition's lowest exponent to the step's
-    lowest one, which becomes part of `low`.  The bound of a new entry is
-    the sum of l1(c) l1(t) over the products that form it, so it is at
-    least the sum of the absolute values of its coefficients.  An entry
-    whose value is 0 is dropped when its bound is below X/2, which makes it
-    the zero polynomial; with a larger bound it may be a nonzero polynomial
-    that vanishes at X, and it stays, so the bound stays true.
+    A step finds its table in `_packed(engine)` by its (width, glue) and
+    multiplies each entry by each term of its transition's row
+    (`_pack_row`), one product by a small coefficient and one shift per
+    pair, the state entry first shifted from its transition's lowest
+    exponent to the step's lowest one, which becomes part of `low`.  The
+    bound of a new entry is the sum of l1(c) |t| over the products c t that
+    form it, so it is at least the sum of the absolute values of its
+    coefficients.  An entry whose value is 0 is dropped when its bound is
+    below X/2, which makes it the zero polynomial; with a larger bound it
+    may be a nonzero polynomial that vanishes at X, and it stays, so the
+    bound stays true.
     """
     b = 8 * nbytes
     half = 1 << (b - 1)
     low = 0
-    tables = _packed(engine, nbytes)
+    tables = _packed(engine)
     state = {0: [1, 1]}  # the empty disk, matching ()
     for step in steps:
         table = tables.setdefault(step, {})
@@ -489,7 +479,7 @@ def _packed_sweep(steps: list[tuple[int, tuple]], engine: Callable, nbytes: int)
             row = table.get(i)
             if row is None:
                 width, glue = step
-                row = table[i] = _pack_row(_transition(engine, width, _MATCHINGS[i], glue), nbytes)
+                row = table[i] = _pack_row(_transition(engine, width, _MATCHINGS[i], glue))
             lo, entries = row
             if shift is None or lo < shift:
                 shift = lo
@@ -503,7 +493,7 @@ def _packed_sweep(steps: list[tuple[int, tuple]], engine: Callable, nbytes: int)
             for i, tv, tb, k in entries:
                 p = v * tv
                 if k:
-                    p <<= k
+                    p <<= b * k
                 acc = new.get(i)
                 if acc is None:
                     new[i] = [p, bound * tb]
@@ -569,10 +559,9 @@ def _glued(width: int, matching, glue) -> PDDiagram:
     return PDDiagram(*_relabel(crossings, fusions, 0, _splice(boundary, i, r, exposed)))
 
 
-@lru_cache(maxsize=None)
 def _transition(engine: Callable, width: int, matching, glue) -> dict:
-    """The vector of `_glued(width, matching, glue)` by `engine`, cached for the
-    process; callers share each vector and only read it."""
+    """The vector of `_glued(width, matching, glue)` by `engine`; the sweep
+    computes each once and keeps it as a row of `_packed(engine)`."""
     return engine(_glued(width, matching, glue), {})
 
 
@@ -594,28 +583,22 @@ _IDS = {m: i for i, m in enumerate(_MATCHINGS)}
 
 
 @lru_cache(maxsize=None)
-def _packed(engine: Callable, nbytes: int) -> dict:
-    """The step tables of `engine` at `nbytes`, kept for the process: (width,
-    glue) -> {id: `_pack_row` of `_transition(engine, width, _MATCHINGS[id],
-    glue)`}, filled by `_packed_sweep` one step and one matching at a time."""
+def _packed(engine: Callable) -> dict:
+    """The step tables of `engine`, kept for the process and read by passes
+    of every width: (width, glue) -> {id: `_pack_row` of `_transition(engine,
+    width, _MATCHINGS[id], glue)`}, filled by `_packed_sweep` one step and
+    one matching at a time."""
     return {}
 
 
-def _pack_row(vec: dict, nbytes: int) -> tuple[int, tuple]:
-    """(low, ((id, value, l1, k), ...)) for a transition vector: its lowest
-    exponent and, per entry, the id of its matching, `poly.pack` at the
-    entry's own lowest exponent, the sum of the absolute values of its
-    coefficients, and the bits k by which the entry's lowest exponent lies
-    above `low`.  A monomial entry so packs to its coefficient, and a product
-    with it is a small multiply and a shift, not a multiply by a k-bit
-    integer."""
+def _pack_row(vec: dict) -> tuple[int, tuple]:
+    """(low, ((id, coeff, |coeff|, k), ...)) for a transition vector: its
+    lowest exponent and, per term coeff x^e of the entry of a matching, the
+    id of that matching and the digits k = e - low by which the term lies
+    above `low`.  No entry depends on the width, and a product with a term
+    is a multiply by a small integer and a shift."""
     low = min((p.low_degree() for p in vec.values()), default=0)
-    b = 8 * nbytes
-    row = []
-    for m, p in vec.items():
-        lo = p.low_degree()
-        row.append((_IDS[m], pack(p, nbytes, lo), sum(abs(v) for _, v in p.items()), b * (lo - low)))
-    return low, tuple(row)
+    return low, tuple((_IDS[m], v, abs(v), e - low) for m, p in vec.items() for e, v in p.items())
 
 
 # Two walks follow strands, and they restart differently once a component
@@ -968,8 +951,9 @@ def connected_sum(d1: PDDiagram, d2: PDDiagram, arc1: int, arc2: int) -> PDDiagr
         raise MalformedDiagramError("cannot sum a tangle")
     if not (d1.crossings or d1.free_loops) or not (d2.crossings or d2.free_loops):
         raise MalformedDiagramError("cannot sum with the empty diagram")
-    for d, arc, which in ((d1, arc1, "first"), (d2, arc2, "second")):
-        if d.crossings and arc not in d.ends:
+    labels1, labels2 = (list(chain.from_iterable(d.crossings)) for d in (d1, d2))  # per end 4c+s
+    for labels, arc, which in ((labels1, arc1, "first"), (labels2, arc2, "second")):
+        if labels and arc not in labels:
             raise MalformedDiagramError(f"arc {arc} not in {which} diagram")
     if not d2.crossings:
         return PDDiagram(d1.crossings, d1.free_loops + d2.free_loops - 1)
@@ -978,13 +962,13 @@ def connected_sum(d1: PDDiagram, d2: PDDiagram, arc1: int, arc2: int) -> PDDiagr
 
     # shift d2 labels into a fresh range; the second end of each cut arc
     # gets a fresh label
-    shift = max(d1.ends) - min(d2.ends) + 1
-    fresh1 = shift + max(d2.ends) + 1
+    shift = max(labels1) - min(labels2) + 1
+    fresh1 = shift + max(labels2) + 1
     fresh2 = fresh1 + 1
     part1 = [list(t) for t in d1.crossings]
     part2 = [[a + shift for a in t] for t in d2.crossings]
-    for part, d, arc, fresh in ((part1, d1, arc1, fresh1), (part2, d2, arc2, fresh2)):
-        c, s = d.ends[arc][1]
+    for part, d, labels, arc, fresh in ((part1, d1, labels1, arc1, fresh1), (part2, d2, labels2, arc2, fresh2)):
+        c, s = divmod(d.partner[labels.index(arc)], 4)  # the arc's second end
         part[c][s] = fresh
     fusions = [(arc1, arc2 + shift), (fresh1, fresh2)]
     return PDDiagram(*_relabel(part1 + part2, fusions, d1.free_loops + d2.free_loops))

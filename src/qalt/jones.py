@@ -5,7 +5,8 @@ The bracket is computed two ways: a literal 2^n state sum (the reference
 oracle) and, by default, the frontier sweep of `diagram.py` that Q shares,
 over the Catalan(k) crossingless matchings of 2k points (Temperley-Lieb;
 Makowsky and Marino 2003).  The shared `diagram._transition(_bracket, ...)`
-is the bracket of a crossingless tangle glued to one crossing or one cap; the
+is the bracket of a crossingless tangle glued to one crossing or one cap,
+computed once into a row of `diagram._packed(_bracket)`; the
 tangle engine `_smoothing` expands <D> = A <D_A> + A^-1 <D_B> at the first
 crossing, as does a piece wider than SWEEP_WIDTH, and `poly.combine` sums
 the two terms with the ring's own `*` and `+`.  The sweep's state is
@@ -34,7 +35,7 @@ none by default, counts the crossings of the pieces with no sweep plan; the
 built with the diagram, and the face walk and the piece split over it, the
 piece sub-diagrams and their sweep plans are kept on it, so
 `obstruction_check` derives each once for Q and the bracket of `simplify(d)`
-together; neither they nor `simplify` build the arc-keyed `ends`.
+together.
 """
 
 from __future__ import annotations

@@ -8,10 +8,8 @@ pass the deg Q < det obstruction.
 
 `kanenobu_q` evaluates the closed form at x = X = 2^(8 nbytes) with
 `poly.pack`, as one sum of products of packed integers, and reads it back
-with one `poly.unpack`.  The width comes from the l1 norm, the sum of the
-absolute values of the coefficients: l1(f g) <= l1(f) l1(g) and
-l1(f + g) <= l1(f) + l1(g), so the l1 norms of the factors bound every
-coefficient of the result.
+with one `poly.unpack`, nbytes being `poly.nbytes_for` of the l1 bound that
+the l1 norms of the factors give.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 
-from .poly import IntLaurent, pack, sigma, unpack
+from .poly import IntLaurent, nbytes_for, pack, sigma, unpack
 
 KANENOBU_DET = 25
 
@@ -63,13 +61,11 @@ def kanenobu_q(p: int, q: int) -> IntLaurent:
     -sigma_p sigma_q (Q(8_9)-1) + x^-1 (sigma_{p+1} sigma_{q+1}
     + sigma_{p-1} sigma_{q-1}) (Q(8_8)-1) + 1.
 
-    Evaluated on packed integers at X = 2^(8 nbytes) and decoded once.  No
-    coefficient exceeds B = l1(sigma_p) l1(sigma_q) l1(Q(8_9)-1)
-    + (l1(sigma_{p+1}) l1(sigma_{q+1}) + l1(sigma_{p-1}) l1(sigma_{q-1}))
-    l1(x^-1 (Q(8_8)-1)) + 1 in absolute value, so the balanced digits are
-    the coefficients once B < X/2: nbytes is 4 or 8, the first that holds
-    it, else the byte length of B plus a sign bit.  p and q must be
-    integers (`operator.index`); anything else raises TypeError.
+    Evaluated on packed integers at X = 2^(8 nbytes) and decoded once, with
+    nbytes = `poly.nbytes_for(B)` for the l1 bound B = l1(sigma_p)
+    l1(sigma_q) l1(Q(8_9)-1) + (l1(sigma_{p+1}) l1(sigma_{q+1})
+    + l1(sigma_{p-1}) l1(sigma_{q-1})) l1(x^-1 (Q(8_8)-1)) + 1.  p and q
+    must be integers (`operator.index`); anything else raises TypeError.
     """
     p, q = operator.index(p), operator.index(q)
     bound = (
@@ -77,8 +73,7 @@ def kanenobu_q(p: int, q: int) -> IntLaurent:
         + (_sigma_l1(p + 1) * _sigma_l1(q + 1) + _sigma_l1(p - 1) * _sigma_l1(q - 1)) * _L1_8_8
         + 1
     )
-    bits = bound.bit_length() + 1  # B < X/2 exactly when bits <= 8 nbytes
-    nbytes = 4 if bits <= 32 else 8 if bits <= 64 else -(-bits // 8)
+    nbytes = nbytes_for(bound)
     f89, f88 = _packed_factors(nbytes)
     s = _packed_sigma
     v = (

@@ -10,9 +10,9 @@ polynomials live there.  The two rings stay apart: mixing them in arithmetic
 raises TypeError, and they never compare equal.
 
 `pack` and `unpack` evaluate a polynomial at x = 2^B and read it back from
-balanced base-2^B digits.  Three callers multiply such packed integers and
-decode once: `braid3.burau`, the frontier sweep of `diagram.py` and
-`kanenobu.kanenobu_q`.
+balanced base-2^B digits, and `nbytes_for` picks B from a bound on the
+coefficients.  Three callers multiply such packed integers and decode once:
+`braid3.burau`, the frontier sweep of `diagram.py` and `kanenobu.kanenobu_q`.
 
 Everything is immutable and hashable; there is no floating point anywhere.
 """
@@ -277,6 +277,21 @@ def pack(p: IntLaurent, nbytes: int, low: int) -> int:
     """
     b = 8 * nbytes
     return sum(v << b * (e - low) for e, v in p._c.items())
+
+
+def nbytes_for(bound: int) -> int:
+    """The digit width in bytes at which `unpack` reads back exactly every
+    product and sum of packed polynomials whose l1 bound is `bound`: 4 or 8,
+    the first whose X/2 exceeds it, else its byte length plus a sign bit.
+
+    The l1 norm, the sum of the absolute values of the coefficients, bounds
+    each coefficient, and l1(f g) <= l1(f) l1(g), l1(f + g) <= l1(f) + l1(g).
+    So a bound carried beside the packed values by those rules bounds every
+    coefficient of the result, and once it is below X/2 each coefficient is
+    the balanced digit `unpack` reads.
+    """
+    bits = bound.bit_length() + 1  # bound < X/2 exactly when bits <= 8 nbytes
+    return 4 if bits <= 32 else 8 if bits <= 64 else -(-bits // 8)
 
 
 # the native signed word formats of `memoryview.cast`, by size in bytes

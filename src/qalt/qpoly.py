@@ -18,11 +18,11 @@ components.
 A connected link piece is swept instead, by the planner and state loop of
 `diagram.py` that the bracket shares; the state holds at most 105 entries at
 SWEEP_WIDTH = 8 points.  The shared `diagram._transition(_q, ...)` is `_q` of a
-basis tangle glued to one crossing or one cap, cached for the process;
-`diagram._sweep` says how the state is packed and decoded.  A wider piece
-goes to the switch chain, whose smaller pieces are swept again;
-`poly.combine` sums the vectors of each skein step with the ring's own `*`
-and `+`.
+basis tangle glued to one crossing or one cap, computed once into a row of
+`diagram._packed(_q)` that passes of every width read; `diagram._sweep` says
+how the state is packed and decoded.  A wider piece goes to the switch chain,
+whose smaller pieces are swept again; `poly.combine` sums the vectors of each
+skein step with the ring's own `*` and `+`.
 
 `diagram._expand` splits pieces by Q(A u B) = (2x^-1 - 1) Q(A) Q(B), and
 memoizes on the exact diagram, `PDDiagram.key()`: it cannot collide, and
@@ -31,8 +31,8 @@ every move renumbers arcs densely, so repeated subdiagrams still hit.
 `simplify(d)` with no sweep plan (FALLBACK_MAX_CROSSINGS = 16 by default).
 The end table is built with the diagram; the face walk of the gate and the
 piece split over it, the piece sub-diagrams and the sweep plan of each are
-kept on the diagram object.  `simplify` moves on a copy of the end table,
-builds no arc-keyed `ends`, and returns a reduced diagram itself, marked, so
+kept on the diagram object.  `simplify` moves on a copy of the end table
+and returns a reduced diagram itself, marked, so
 a second admission skips the scan and the bracket of the same object reuses
 its tables.
 """

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 import re
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,6 @@ from qalt.diagram import (
     SmoothingKind,
     _basis,
     _connected_pieces,
-    _ends_of,
     _faces,
     _find,
     _glued,
@@ -44,6 +45,22 @@ from conftest import matchings
 
 TREFOIL_PD = "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"
 TREFOIL_CODES = {trefoil().canonical_code(), mirror(trefoil()).canonical_code()}
+# sha256 of the PD text of 400 seeded connected sums (`_summand`), taken when
+# `connected_sum` found the ends to cut in the arc-keyed table
+SUM_PINNED = "b8b9f96e9903ee3b2b6d03cf1b048f195a21a350fb742124e4ebef366e28ec51"
+
+
+def _ends_of(crossings, boundary=()):
+    """arc -> the two (crossing index, slot) positions where it ends, in scan
+    order; an end at boundary position p is (-1, p), after the crossing ends.
+    The arc-keyed reference for the walks over the end table `partner`."""
+    ends = {}
+    for i, t in enumerate(crossings):
+        for s, a in enumerate(t):
+            ends.setdefault(a, []).append((i, s))
+    for p, a in enumerate(boundary):
+        ends.setdefault(a, []).append((-1, p))
+    return ends
 
 
 def test_parse_trefoil():
@@ -307,22 +324,15 @@ def test_the_end_table_pairs_every_end_with_another():
 
 
 def test_simplify_builds_no_arc_table_and_leaves_the_end_table_alone(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _ends_of(*args)
-
-    # `_pairing` calls the `_ends_of` imported above, which the patch leaves
-    monkeypatch.setattr(diagram, "_ends_of", counted)
     outputs = []
     moved = 0
     for d in _reducer_inputs():
         before = _pairing(d)
         outputs.append(simplify(d))
         assert d.partner == before, d.key()  # the moves join ends in a copy
+        assert "ends" not in vars(d) and "ends" not in vars(outputs[-1])
         moved += outputs[-1] is not d
-    assert calls == [] and moved > 2500
+    assert moved > 2500
 
     def scanned(partner, c):
         raise AssertionError("a diagram simplify returned was scanned again")
@@ -341,7 +351,7 @@ def test_simplify_builds_no_arc_table_and_leaves_the_end_table_alone(monkeypatch
 
 def _union_find_pieces(d):
     parent = {}
-    for (c1, _), (c2, _) in d.ends.values():
+    for (c1, _), (c2, _) in _ends_of(d.crossings, d.boundary).values():
         parent[_find(parent, c2)] = _find(parent, c1)
     pieces = {}
     for c in range(len(d.crossings)):
@@ -351,6 +361,7 @@ def _union_find_pieces(d):
 
 def _arc_faces(d):
     """(number of faces, {(crossing, k): face}) of a link diagram."""
+    ends = _ends_of(d.crossings)
     face_of = {}
     nfaces = 0
     for c0 in range(len(d.crossings)):
@@ -360,7 +371,7 @@ def _arc_faces(d):
             c, s = c0, s0
             while (c, s) not in face_of:
                 face_of[(c, s)] = nfaces
-                e1, e2 = d.ends[d.crossings[c][s]]
+                e1, e2 = ends[d.crossings[c][s]]
                 c2, s2 = e2 if e1 == (c, s) else e1
                 c, s = c2, (s2 + 1) % 4
             nfaces += 1
@@ -369,25 +380,26 @@ def _arc_faces(d):
     return nfaces, face_of
 
 
-def _arc_next(d, c, s):
-    e1, e2 = d.ends[d.crossings[c][(s + 2) % 4]]
+def _arc_next(d, ends, c, s):
+    e1, e2 = ends[d.crossings[c][(s + 2) % 4]]
     return e2 if e1 == (c, (s + 2) % 4) else e1
 
 
 def _arc_strands(d):
+    ends = _ends_of(d.crossings, d.boundary)
     walked = [[False, False] for _ in d.crossings]
     strands = []
     upper = set()
     for p, a in enumerate(d.boundary):
         if p in upper:
             continue
-        e1, e2 = d.ends[a]
+        e1, e2 = ends[a]
         strand = [(-1, p)]
         c, s = e2 if e1 == (-1, p) else e1
         while c >= 0:
             walked[c][s % 2] = True
             strand.append((c, s))
-            c, s = _arc_next(d, c, s)
+            c, s = _arc_next(d, ends, c, s)
         strand.append((c, s))
         upper.add(s)
         strands.append(strand)
@@ -398,7 +410,7 @@ def _arc_strands(d):
             while not walked[c][s % 2]:
                 walked[c][s % 2] = True
                 strand.append((c, s))
-                c, s = _arc_next(d, c, s)
+                c, s = _arc_next(d, ends, c, s)
             if strand:
                 strands.append(strand)
     return strands
@@ -483,7 +495,7 @@ def _walk_inputs():
     for _ in range(20):
         d = close_braid([rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 12))], 3)
         other = close_braid([rng.choice((1, 2, -1)) for _ in range(rng.randint(1, 6))], 3)
-        shift = max(d.ends, default=0)
+        shift = max(chain(*d.crossings), default=0)
         both = PDDiagram(d.crossings + tuple(tuple(a + shift for a in t) for t in other.crossings), 1)
         yield both
         if both.crossings:
@@ -500,7 +512,7 @@ def test_end_table_walks_match_the_arc_walks():
     planned = unplanned = capped = split = 0
     for d in _walk_inputs():
         assert len(d.partner) == 4 * len(d) + len(d.boundary)
-        for x, y in d.ends.values():
+        for x, y in _ends_of(d.crossings).values():
             assert d.partner[_end(d, x)] == _end(d, y) and d.partner[_end(d, y)] == _end(d, x)
         pieces = _union_find_pieces(d)
         assert d.pieces == pieces
@@ -532,7 +544,7 @@ def test_glued_tangles_walk_like_the_arc_walks():
                 assert t.pieces == _union_find_pieces(t), (m, glue)
                 strands = _strands(t)
                 assert strands == _arc_strands(t), (m, glue)
-                for x, y in t.ends.values():
+                for x, y in _ends_of(t.crossings, t.boundary).values():
                     assert t.partner[_end(t, x)] == _end(t, y) and t.partner[_end(t, y)] == _end(t, x)
                 tangles += 1
                 through += any(len(strand) == 2 for strand in strands[: len(t.boundary) // 2])
@@ -643,6 +655,32 @@ def test_connected_sum_takes_any_integer_labels():
         assert num_components(s) == 1
         assert q_polynomial(s) == q_polynomial(want)
         assert jones_polynomial(s) == jones_polynomial(want)
+
+
+def _summand(rng):
+    """A seeded 2-5-strand closure or pretzel with its labels scaled and
+    shifted, some negative, or a one- or two-component unlink."""
+    r = rng.random()
+    if r < 0.1:
+        return unlink(rng.randint(1, 2))
+    if r < 0.3:
+        d = generate_pretzel([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(2, 4))])
+    else:
+        strands = rng.randint(2, 5)
+        gens = [g for i in range(1, strands) for g in (i, -i)]
+        d = close_braid([rng.choice(gens) for _ in range(rng.randint(1, 12))], strands)
+    k, off = rng.randint(1, 3), rng.randint(-20, 20)
+    return PDDiagram([tuple(k * a + off for a in t) for t in d.crossings], d.free_loops)
+
+
+def test_connected_sums_of_seeded_pairs_are_pinned():
+    rng = random.Random(20140608)
+    h = hashlib.sha256()
+    for _ in range(400):
+        d1, d2 = _summand(rng), _summand(rng)
+        arcs = [rng.choice(sorted(set(chain(*d.crossings)))) if d.crossings else 0 for d in (d1, d2)]
+        h.update(render_pd(connected_sum(d1, d2, *arcs)).encode() + b"\n")
+    assert h.hexdigest() == SUM_PINNED
 
 
 def test_connected_sum_with_the_empty_diagram_raises():

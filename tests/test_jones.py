@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from itertools import chain
 
 import pytest
 
@@ -106,7 +107,7 @@ def _bracket_cases(rng):
         d = random_braid_diagram(rng, 14, rng.randint(2, 6))
         if len(d) < 10 and rng.random() < 0.3:
             other = random_braid_diagram(rng, 4, 2)
-            shift = max(d.ends, default=0)
+            shift = max(chain(*d.crossings), default=0)
             d = PDDiagram(
                 d.crossings + tuple(tuple(a + shift for a in t) for t in other.crossings),
                 d.free_loops + other.free_loops,

@@ -76,7 +76,7 @@ def _walk_diagrams():
         d = close_braid(_word(rng, strands, 1, 12), strands)
         if rng.random() < 0.2:
             other = close_braid(_word(rng, 2, 1, 4), 2)
-            shift = max(d.ends, default=0)
+            shift = max(itertools.chain(*d.crossings), default=0)
             d = PDDiagram(
                 d.crossings + tuple(tuple(a + shift for a in t) for t in other.crossings),
                 d.free_loops + other.free_loops,

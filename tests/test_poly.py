@@ -11,6 +11,7 @@ from qalt.poly import (
     chebyshev_S,
     combine,
     eval_at_s_equals_i,
+    nbytes_for,
     pack,
     sigma,
     unpack,
@@ -305,3 +306,38 @@ def test_unpack_inverts_pack(nbytes):
     assert pack(IntLaurent.zero(), nbytes, 3) == 0 and unpack(0, nbytes, -3) == 0
     # a digit of X/2 is out of the balanced range: it reads as -X/2 plus a carry
     assert unpack(pack(IntLaurent.const(half), nbytes, 0), nbytes) == IntLaurent({0: -half, 1: 1})
+
+
+@pytest.mark.parametrize(
+    "bound, nbytes",
+    [(0, 4), (2**31 - 1, 4), (2**31, 8), (2**63 - 1, 8), (2**63, 9), (2**100, 13)],
+)
+def test_nbytes_for_is_the_first_width_whose_half_exceeds_the_bound(bound, nbytes):
+    assert nbytes_for(bound) == nbytes
+    assert bound < 1 << (8 * nbytes - 1)
+
+
+def test_products_decode_at_the_width_of_their_l1_bound():
+    # coefficients at +-bound decode at nbytes_for(bound), a polynomial at
+    # nbytes_for of its l1 norm, and a product at that of its factors' norms
+    def l1(p):
+        return sum(abs(v) for _, v in p.items())
+
+    for bound in (0, 2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**100):
+        n = nbytes_for(bound)
+        for p in (IntLaurent({-2: bound, 3: -bound}), IntLaurent({0: -bound, 1: bound, 5: -bound})):
+            assert unpack(pack(p, n, -2), n, -2) == p
+    rng = random.Random(26)
+    for _ in range(300):
+        f, g = (
+            IntLaurent({rng.randint(-6, 6): rng.randint(-(1 << k), 1 << k) for _ in range(rng.randint(1, 6))})
+            for k in (rng.randint(0, 70), rng.randint(0, 70))
+        )
+        if not (f and g):
+            continue
+        m = nbytes_for(l1(f))
+        assert unpack(pack(f, m, f.low_degree()), m, f.low_degree()) == f
+        n = nbytes_for(l1(f) * l1(g))
+        lo = f.low_degree() + g.low_degree()
+        product = pack(f, n, f.low_degree()) * pack(g, n, g.low_degree())
+        assert unpack(product, n, lo) == f * g

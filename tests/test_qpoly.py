@@ -1,6 +1,8 @@
+import inspect
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 import pytest
@@ -17,7 +19,6 @@ from qalt.diagram import (
     _relabel,
     _sweep,
     _sweep_steps,
-    _transition,
     close_braid,
     connected_sum,
     figure_eight,
@@ -35,7 +36,7 @@ from qalt.diagram import (
 from qalt.errors import CrossingLimitError, MalformedDiagramError
 from qalt.jones import determinant_goeritz
 from qalt.kanenobu import KANENOBU_DET, Q_8_8, Q_8_9
-from qalt.poly import IntLaurent, combine as _combine
+from qalt.poly import IntLaurent, combine as _combine, nbytes_for, unpack
 from qalt.qpoly import (
     _chain,
     _q,
@@ -47,6 +48,10 @@ from qalt.qpoly import (
 from conftest import longest_bridge, matchings, random_braid_diagram
 
 P = IntLaurent.parse
+
+# the sweep computes each transition once, into its step tables; the oracles
+# here ask for transitions directly, so they keep their own cache
+_transition = lru_cache(maxsize=None)(diagram._transition)
 
 Q_TREFOIL = P("2x^2+2x-3")
 Q_HOPF = P("2x+1-2x^-1")
@@ -270,7 +275,8 @@ def _sweep_cases():
         d1 = random_braid_diagram(rng, 8, rng.randint(2, 4))
         d2 = generate_pretzel([rng.choice((-3, -2, 2, 3)) for _ in range(3)])
         if d1.crossings:
-            yield connected_sum(d1, d2, rng.choice(sorted(d1.ends)), rng.choice(sorted(d2.ends)))
+            arcs = (rng.choice(sorted(set(chain(*d.crossings)))) for d in (d1, d2))
+            yield connected_sum(d1, d2, *arcs)
     # alternating 6-strand closures: their frontier outgrows the cap
     for k in (2, 3):
         yield close_braid([1, -2, 3, -4, 5] * k, 6)
@@ -334,11 +340,13 @@ def test_wide_coefficients_sweep_again_at_their_width(k, q_bits, monkeypatch):
     bracket = jones.kauffman_bracket(d)
     assert max(abs(v) for _, v in q.items()).bit_length() == q_bits
     assert _evaluations(q) == (1, (-2) ** (num_components(d) - 1), determinant_goeritz(d) ** 2)
+    # the oracle's transitions run sweeps of their own: build it before counting
+    want = {engine: _combining_sweep(d.plan, engine) for engine in (_q, jones._bracket)}
     passes = _counting_passes(monkeypatch)
     for engine, value in ((_q, q), (jones._bracket, bracket)):
         passes.clear()
         swept = _sweep(d.plan, engine)
-        assert swept == _combining_sweep(d.plan, engine) == {(): value}
+        assert swept == want[engine] == {(): value}
         # coefficients past 63 bits: the 8-byte pass cannot decode them
         assert passes[0] == 8 and len(passes) == 2 and passes[1] > 8
 
@@ -386,7 +394,7 @@ def test_matching_ids_are_one_table_of_at_most_125():
         assert sorted(chain(*m)) == list(range(2 * len(m))) and 2 * len(m) <= SWEEP_WIDTH
     # a crossingless matching has one id, and Q and the bracket keep the row
     # of that matching under it
-    q_tables, b_tables = diagram._packed(_q, 8), diagram._packed(jones._bracket, 8)
+    q_tables, b_tables = diagram._packed(_q), diagram._packed(jones._bracket)
     shared = 0
     for step in q_tables.keys() & b_tables.keys():
         width, glue = step
@@ -394,16 +402,13 @@ def test_matching_ids_are_one_table_of_at_most_125():
             m = table[i]
             assert not _basis(2 * len(m), m)[0]  # crossingless
             for engine, tables in ((_q, q_tables), (jones._bracket, b_tables)):
-                assert tables[step][i] == diagram._pack_row(_transition(engine, width, m, glue), 8)
+                assert tables[step][i] == diagram._pack_row(_transition(engine, width, m, glue))
             shared += 1
     assert shared > 10
 
 
-@pytest.mark.parametrize("engine", [_q, jones._bracket])
-def test_a_second_sweep_packs_no_row_and_returns_matchings(engine, monkeypatch):
-    d = close_braid([1, -2, 3, -2, 1, 3, -2], 4)
-    steps = d.plan
-    first = _sweep(steps, engine)
+def _counting_rows(monkeypatch):
+    """The names of the `_pack_row` and `_transition` calls from here on."""
     calls = []
     for name in ("_pack_row", "_transition"):
         original = getattr(diagram, name)
@@ -413,6 +418,15 @@ def test_a_second_sweep_packs_no_row_and_returns_matchings(engine, monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(diagram, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("engine", [_q, jones._bracket])
+def test_a_second_sweep_packs_no_row_and_returns_matchings(engine, monkeypatch):
+    d = close_braid([1, -2, 3, -2, 1, 3, -2], 4)
+    steps = d.plan
+    first = _sweep(steps, engine)
+    calls = _counting_rows(monkeypatch)
     second = _sweep(steps, engine)
     assert calls == []
     assert second == first == _combining_sweep(steps, engine) and list(second) == [()]
@@ -511,3 +525,27 @@ def test_kidwell_degree_of_reduced_alternating_closures(k):
     d = close_braid([1, -2] * k, 3)
     assert simplify(d) is d and longest_bridge(d) == 1
     assert q_polynomial(d).degree() == len(d) - 1 == 2 * k - 1
+
+
+def test_the_step_tables_are_one_per_engine():
+    assert list(inspect.signature(diagram._packed).parameters) == ["engine"]
+
+
+@pytest.mark.parametrize("engine", [_q, jones._bracket])
+def test_the_retry_pass_packs_no_row(engine, monkeypatch):
+    # a new engine object starts from empty step tables, so the 8-byte pass
+    # packs every row; the wider pass that must follow reads the same rows
+    def fresh(d, memo):
+        return engine(d, memo)
+
+    steps = close_braid([1, -2] * 50, 3).plan
+    calls = _counting_rows(monkeypatch)
+    _, state = diagram._packed_sweep(steps, fresh, 8)
+    top = max(bound for _, bound in state.values())
+    rows = sum(len(table) for table in diagram._packed(fresh).values())
+    assert top.bit_length() >= 64 and calls.count("_pack_row") >= rows > 10
+    calls.clear()
+    nbytes = nbytes_for(top)
+    low, state = diagram._packed_sweep(steps, fresh, nbytes)
+    assert calls == [] and nbytes > 8
+    assert {diagram._MATCHINGS[i]: unpack(v, nbytes, low) for i, (v, _) in state.items()} == _sweep(steps, engine)
