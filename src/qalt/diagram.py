@@ -807,10 +807,10 @@ def _kinked(partner: list[int], c: int) -> bool:
 
 
 def _clasp(partner: list[int], n: int, c1: int) -> int | None:
-    """c2 of the first clasp, in the slot order of c1, whose lower crossing is
-    c1: an arc over at c1 and at some crossing c2 > c1, and one under at
-    both; None if there is none.  A boundary end, numbered from 4n, never
-    matches."""
+    """c2 of the first clasp, in the stored slot order of c1, whose lower
+    crossing is c1: an arc over at c1 and at some crossing c2 > c1, and one
+    under at both; None if there is none.  A boundary end, numbered from 4n,
+    never matches."""
     e = 4 * c1
     for s in (1, 3):
         f = partner[e + s]
@@ -836,27 +836,20 @@ def simplify(d: PDDiagram) -> PDDiagram:
     returned when no move applies.  Either way the diagram returned is
     marked reduced, and a later call on it returns it at once.
 
-    The moves and the output are those of the plain loop that, after each
-    move, relabels the arcs densely by first appearance, normalizes each
-    tuple and rescans from crossing 0: remove the kink at the lowest
-    crossing, else the clasp whose over arc comes first in scan order
-    (crossing, slot).  Relabeling turns a crossing by two exactly when
-    (first(t[2]), first(t[3])) < (first(t[0]), first(t[1])), first(a) being
-    the lowest (crossing, slot) end of arc a; the turns set the next
-    relabeling and the slot order in which a crossing meets its clasps.
+    Each move removes the kink at the lowest crossing; if there is none, the
+    clasp with the lowest lower crossing c1, its over arc first in c1's
+    stored slot order.  The kept crossings keep their stored tuples until the
+    end, so the output is that of the plain loop that, after each move,
+    relabels the arcs densely by first appearance and rescans from crossing
+    0, and normalizes the tuples once, at the end.
 
     The first scan reads the end table `partner`.  Once a move applies, a
-    copy of it is the only arc table: each crossing is kept in its current
-    turn, with min-heaps of the crossings that may hold a kink and of those
-    that may be the lower crossing of a clasp.  A move marks its crossings
-    removed and joins each live end next to them to the live end on the far
-    side of the strand through them, then pushes the crossings of those ends.
-    Its turns are decided once a next move is found, all before any is
-    applied: every crossing after the first move; after a later one, the
-    crossings it joined and those next to a crossing that turned.  The kept
-    crossings keep their labels, and one `_relabel` call at the end fuses
-    the two strands through each removed crossing and applies the last
-    move's turns.  A move costs O(log n) plus the turns it sets off, so m
+    copy of it is the only arc table, with min-heaps of the crossings that
+    may hold a kink and of those that may be the lower crossing of a clasp.
+    A move marks its crossings removed and joins each live end next to them
+    to the live end on the far side of the strand through them, then pushes
+    the crossings of those ends.  One `_relabel` call at the end fuses the
+    two strands through each removed crossing.  A move costs O(log n), so m
     moves on n crossings take about O(n + m log n) time, where rescanning
     took O(m n).
     """
@@ -866,35 +859,23 @@ def simplify(d: PDDiagram) -> PDDiagram:
     n4 = 4 * n
     partner = d.partner
     kinks = [c for c in range(n) if _kinked(partner, c)]
-    # a clasp joins crossings c1 < c2 by an arc over at both ends and one
-    # under at both, and c1 is its lower crossing; (c1, c2) per such arc
-    over = [(e >> 2, f >> 2) for e in range(1, n4, 2) if (f := partner[e]) & 1 and e >> 2 < f >> 2 < n]
-    if over and not kinks:
-        under = {(e >> 2, f >> 2) for e in range(0, n4, 2) if not (f := partner[e]) & 1}
-        over = [pair for pair in over if pair in under]
-    clasps = sorted({c1 for c1, _ in over})
+    clasps = [c for c in range(n) if _clasp(partner, n, c) is not None]
     if not (kinks or clasps):
         d._reduced = True
         return d
     partner = list(partner)  # the moves join ends in this copy only
-    cross = list(d.crossings)
     alive = [True] * n
-    pending = None  # the crossings whose turn the last move left to decide
     while True:
         while kinks and not (alive[kinks[0]] and _kinked(partner, kinks[0])):
             heappop(kinks)
-        if not kinks:
-            while clasps and not (alive[clasps[0]] and _clasp(partner, n, clasps[0]) is not None):
+        if kinks:
+            removed = (kinks[0],)
+        else:
+            while clasps and not (alive[clasps[0]] and (c2 := _clasp(partner, n, clasps[0])) is not None):
                 heappop(clasps)
             if not clasps:
                 break
-        if pending is not None:  # decided only now that another move follows
-            turned = [c for c in pending if alive[c] and _turns(partner, c)]
-            for c in turned:
-                _turn(partner, cross, c)
-            pending = {f >> 2 for c in turned for e in range(4 * c, 4 * c + 4) for f in (e, partner[e]) if f < n4}
-        # the clasp in c1's slot order after the turns
-        removed = (kinks[0],) if kinks else (clasps[0], _clasp(partner, n, clasps[0]))
+            removed = (clasps[0], c2)
         for c in removed:
             alive[c] = False
         touched = set()
@@ -914,34 +895,11 @@ def simplify(d: PDDiagram) -> PDDiagram:
                 heappush(kinks, c)
             if _clasp(partner, n, c) is not None:
                 heappush(clasps, c)
-        pending = set(range(n)) if pending is None else pending | touched
-    kept = [t for t, live in zip(cross, alive) if live]
+    kept = [t for t, live in zip(d.crossings, alive) if live]
     through = [(t[k], t[k + 2]) for t, live in zip(d.crossings, alive) if not live for k in (0, 1)]
     out = PDDiagram(*_relabel(kept, through, d.free_loops, d.boundary))
     out._reduced = True
     return out
-
-
-def _turns(partner: list[int], c: int) -> bool:
-    """Whether relabeling by first appearance turns crossing c by two: the
-    first end of an arc is the lower of its two."""
-    e = 4 * c
-    a, b, x, y = partner[e : e + 4]
-    # min(f, partner[f]) per end f, spelled out: each crossing is asked once
-    # after the first move, and a call of min costs more than the comparison
-    return (x if x < e + 2 else e + 2, y if y < e + 3 else e + 3) < (a if a < e else e, b if b < e + 1 else e + 1)
-
-
-def _turn(partner: list[int], cross: list[Crossing], c: int) -> None:
-    """Turn crossing c by two: renumber its ends 4c+k as 4c+(k^2)."""
-    e = 4 * c
-    t = cross[c]
-    cross[c] = t[2:] + t[:2]
-    for k, f in enumerate(partner[e : e + 4]):
-        if e <= f < e + 4:
-            f ^= 2
-        partner[e + (k ^ 2)] = f
-        partner[f] = e + (k ^ 2)
 
 
 def connected_sum(d1: PDDiagram, d2: PDDiagram, arc1: int, arc2: int) -> PDDiagram:

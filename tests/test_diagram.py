@@ -38,7 +38,7 @@ from qalt.diagram import (
     unlink,
 )
 from qalt.errors import MalformedDiagramError, PDParseError
-from qalt.jones import jones_polynomial
+from qalt.jones import determinant_goeritz, jones_polynomial
 from qalt.qpoly import q_polynomial
 
 from conftest import matchings
@@ -48,6 +48,8 @@ TREFOIL_CODES = {trefoil().canonical_code(), mirror(trefoil()).canonical_code()}
 # sha256 of the PD text of 400 seeded connected sums (`_summand`), taken when
 # `connected_sum` found the ends to cut in the arc-keyed table
 SUM_PINNED = "b8b9f96e9903ee3b2b6d03cf1b048f195a21a350fb742124e4ebef366e28ec51"
+BENCH = Path(__file__).resolve().parent.parent / "qaltbench"
+CORPUS = BENCH / "corpus"
 
 
 def _ends_of(crossings, boundary=()):
@@ -225,9 +227,13 @@ def test_simplify_preserves_components():
 
 
 # The reference for `simplify`: find the first kink, else the first clasp, by a
-# scan from crossing 0, relabel every crossing, and repeat.  It costs O(m n)
-# for m moves on n crossings; the worklist reducer must return its output byte
-# for byte.
+# scan from crossing 0 over the tuples as they stand, relabel the arcs, and
+# repeat; build one diagram at the end, which normalizes the tuples once.  It
+# costs O(m n) for m moves on n crossings; the worklist reducer must return
+# its output byte for byte.  The second reference normalizes the tuples after
+# every move, which may turn a crossing and so change the slot order of the
+# next scans; on the inputs below it reaches the same crossing and free-loop
+# counts, though not always the same diagram.
 
 
 def _find_r1(crossings):
@@ -265,6 +271,15 @@ def _find_r2(crossings):
 
 
 def _rescanning_simplify(d):
+    crossings, loops, boundary = d.crossings, d.free_loops, d.boundary
+    while move := _find_r1(crossings) or _find_r2(crossings):
+        removed, fusions = move
+        kept = [t for j, t in enumerate(crossings) if j not in removed]
+        crossings, loops, boundary = _relabel(kept, fusions, loops, boundary)
+    return d if crossings is d.crossings else PDDiagram(crossings, loops, boundary)
+
+
+def _normalizing_simplify(d):
     out = d
     while move := _find_r1(out.crossings) or _find_r2(out.crossings):
         removed, fusions = move
@@ -275,9 +290,10 @@ def _rescanning_simplify(d):
 
 def _reducer_inputs():
     """Seeded 2-6-strand closures of 0-60 letters, a third of them with one
-    crossing smoothed; every glued basis tangle of width 6 or less; a closure
-    whose output one relabel after all the moves gets wrong; and a diagram
-    with a meridian loop, whose crossings turn only because a neighbour did."""
+    crossing smoothed; every glued basis tangle of width 6 or less; a reduced
+    5-strand closure; and a diagram with a meridian loop, on which
+    normalizing the tuples after every move reaches a different diagram with
+    the same 6 crossings."""
     rng = random.Random(20140606)
     for _ in range(2000):
         strands = rng.randint(2, 6)
@@ -306,6 +322,25 @@ def test_simplify_matches_the_rescanning_reducer():
         assert got.key() == want.key(), d.key()
         assert (got is d) == (want is d)
         assert d.ends == _ends_of(d.crossings, d.boundary)  # its table is shared, not changed
+
+
+def test_simplify_keeps_the_counts_of_the_per_move_normalizing_reducer():
+    for d in _reducer_inputs():
+        want = _normalizing_simplify(d)
+        got = simplify(d)
+        assert (len(got), got.free_loops) == (len(want), want.free_loops), d.key()
+
+
+def test_simplify_keeps_the_benchmark_goeritz_records():
+    # the benchmark reduces each goeritz job's diagram and checks the crossing
+    # count and det against its record; a move order that leaves more
+    # crossings, or a wrong diagram, would read there as incorrect
+    records = json.loads((BENCH / "expected" / "big_forms.json").read_text())["records"]
+    jobs = [j for j in json.loads((CORPUS / "big_forms.json").read_text())["jobs"] if j["kind"] == "goeritz"]
+    assert len(jobs) == 9
+    for job in jobs:
+        reduced = simplify(parse_pd(job["diagram"]["pd"]))
+        assert {"crossings": len(reduced), "det": determinant_goeritz(reduced)} == records[job["id"]], job["id"]
 
 
 def _pairing(d):
@@ -457,9 +492,6 @@ def _scanning_steps(d):
             steps.append((w, (i, 2, None)))
             frontier = _splice(frontier, i, 2, [])
     return steps
-
-
-CORPUS = Path(__file__).resolve().parent.parent / "qaltbench" / "corpus"
 
 
 def _recipe(r):
