@@ -122,16 +122,19 @@ def int_det(rows: list[dict[int, int]]) -> int:
 
 def laplacian_det(n: int, edges: Iterable[tuple[int, int, int]]) -> int:
     """A principal cofactor of the Laplacian of the multigraph on vertices
-    0..n-1, each edge (u, v, weight) adding its weight; loops add nothing.
-    Every such cofactor is equal; n = 0 gives 0."""
-    if n == 0:
-        return 0
+    0..n-1, each edge (u, v, weight) adding its weight; loops add nothing,
+    and an edge with a vertex outside 0..n-1 raises ValueError.  Every such
+    cofactor is equal; n = 0 gives 0."""
     lap: list[dict[int, int]] = [{} for _ in range(n)]
     for u, v, w in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {(u, v, w)} has a vertex outside 0..{n - 1}")
         if u != v:
             for a, b in ((u, v), (v, u)):
                 lap[a][a] = lap[a].get(a, 0) + w
                 lap[a][b] = lap[a].get(b, 0) - w
+    if n == 0:
+        return 0
     hub = max(range(n), key=lambda i: len(lap[i]))
     del lap[hub]
     return int_det([{j - (j > hub): v for j, v in r.items() if j != hub} for r in lap])

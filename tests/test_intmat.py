@@ -189,3 +189,9 @@ def test_laplacian_det_is_every_principal_cofactor():
     assert laplacian_det(1, []) == laplacian_det(1, [(0, 0, 5)]) == 1
     assert laplacian_det(2, [(0, 1, 2), (1, 0, 3)]) == 5
     assert laplacian_det(2, [(0, 1, 2), (0, 1, -2)]) == 0
+
+
+@pytest.mark.parametrize("n, edge", [(3, (0, 3, 1)), (3, (-1, 2, 1)), (2, (2, 2, 5)), (0, (0, 1, 1))])
+def test_laplacian_det_names_an_edge_off_the_vertices(n, edge):
+    with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}, {edge[2]}\) has a vertex outside 0\.\.{n - 1}"):
+        laplacian_det(n, [(0, 1, 1), edge] if n > 1 else [edge])

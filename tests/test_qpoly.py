@@ -347,28 +347,80 @@ def test_wide_coefficients_sweep_again_at_their_width(k, q_bits, monkeypatch):
         passes.clear()
         swept = _sweep(d.plan, engine)
         assert swept == want[engine] == {(): value}
-        # coefficients past 63 bits: the 8-byte pass cannot decode them
-        assert passes[0] == 8 and len(passes) == 2 and passes[1] > 8
+        # coefficients past 63 bits: the 4-byte first pass cannot decode them
+        assert passes[0] == nbytes_for(1) == 4 and len(passes) == 2 and passes[1] > 8
 
 
-def test_a_pass_too_narrow_keeps_entries_that_pack_to_zero(monkeypatch):
-    # each transition times x - 256: at X = 2^8 every packed entry is 0, yet
-    # no entry is the zero polynomial, and their bounds of 257 and more keep them
-    factor = IntLaurent({1: 1, 0: -256})
+def _skewed(factor):
+    """An engine whose every transition is Q's times `factor`."""
 
     def skewed(d, memo):
         return {m: c * factor for m, c in _q(d, memo).items()}
 
+    return skewed
+
+
+def test_a_pass_too_narrow_keeps_entries_that_pack_to_zero(monkeypatch):
+    # each transition times x - X: at that X every packed entry is 0, yet no
+    # entry is the zero polynomial, and their bounds of X + 1 and more keep them
     steps = trefoil().plan
-    low, state = diagram._packed_sweep(steps, skewed, 1)
+    low, state = diagram._packed_sweep(steps, _skewed(IntLaurent({1: 1, 0: -256})), 1)
     assert state and all(v == 0 and bound >= 1 << 7 for v, bound in state.values())
-    monkeypatch.setattr(diagram, "_SWEEP_BYTES", 1)
+    # the first pass of `_sweep` runs at 4 bytes, X = 2^32
+    factor = IntLaurent({1: 1, 0: -(1 << 32)})
+    skewed = _skewed(factor)
+    _, state = diagram._packed_sweep(steps, skewed, 4)
+    ((v, bound),) = state.values()
+    assert v == 0 and bound >= 1 << 31
+    want = _combining_sweep(steps, skewed)
     passes = _counting_passes(monkeypatch)
     swept = _sweep(steps, skewed)
-    want = _combining_sweep(steps, skewed)
     assert swept == want == {(): Q_TREFOIL * factor ** len(steps)}
-    assert passes[0] == 1 and len(passes) == 2
+    assert passes == [4, nbytes_for(bound)]
     assert max(abs(v) for _, v in want[()].items()).bit_length() < 8 * passes[1]
+
+
+def _wide_pieces():
+    """Closures whose coefficients pass 40 bits."""
+    yield close_braid([1, -2] * 50, 3)
+    yield close_braid([1, -2, 3, -1, 2] * 12, 4)
+    rng = random.Random(5)
+    for _ in range(3):
+        yield close_braid([rng.choice((-1, 1)) * rng.randint(1, 3) for _ in range(200)], 4)
+
+
+def test_the_final_bounds_do_not_depend_on_the_width():
+    # a pass that dropped the entries packing to 0 kept bounds that changed
+    # with the width, on 5 of these 10 pieces
+    pairs = 0
+    for d in _wide_pieces():
+        for engine, swept in ((_q, simplify(d)), (jones._bracket, d)):
+            (piece,) = swept.parts
+            bounds = [
+                {i: bound for i, (_, bound) in diagram._packed_sweep(piece.plan, engine, nbytes)[1].items()}
+                for nbytes in (1, 2, 4, 8, 16, 32)
+            ]
+            assert list(bounds[0]) == [0] and max(bounds[0].values()).bit_length() > 40
+            assert all(b == bounds[0] for b in bounds), (piece, engine)
+            pairs += 1
+    assert pairs == 10
+
+
+def test_a_swept_piece_takes_at_most_two_passes(monkeypatch):
+    passes = _counting_passes(monkeypatch)
+    counts = [0, 0, 0]
+    for d in (*_sweep_cases(), close_braid([1, -2] * 100, 3)):
+        for p, engine in [*((p, _q) for p in _pieces(simplify(d))), *((p, jones._bracket) for p in _pieces(d))]:
+            steps = _sweep_steps(p)
+            if steps is None:
+                continue
+            value = _sweep(steps, engine)  # fills the step tables, whose transitions may sweep
+            passes.clear()
+            assert _sweep(steps, engine) == value
+            assert 1 <= len(passes) <= 2 and passes[0] == nbytes_for(1), (p, passes)
+            counts[len(passes)] += 1
+    # only the 200-crossing closure's Q and bracket pass 31 bits
+    assert counts[1] > 100 and counts[2] == 2
 
 
 def test_matching_ids_are_one_table_of_at_most_125():
@@ -533,8 +585,9 @@ def test_the_step_tables_are_one_per_engine():
 
 @pytest.mark.parametrize("engine", [_q, jones._bracket])
 def test_the_retry_pass_packs_no_row(engine, monkeypatch):
-    # a new engine object starts from empty step tables, so the 8-byte pass
-    # packs every row; the wider pass that must follow reads the same rows
+    # a new engine object starts from empty step tables, so a first pass,
+    # here at 8 bytes, packs every row; the wider pass that must follow
+    # reads the same rows
     def fresh(d, memo):
         return engine(d, memo)
 
