@@ -350,24 +350,6 @@ def _runs(mask: int) -> tuple[int, tuple[int, ...]]:
 _RUNS = tuple(_runs(mask) for mask in range(16))
 
 
-def _run(frontier: list[int], t) -> tuple[int, int, int] | None:
-    """(i, r, s) when slots s, ..., s+r-1 of crossing `t` are its slots on
-    the frontier and meet it at positions i+r-1, ..., i (mod its width), r >= 1;
-    None when no such run exists.  The empty frontier gives (0, 0, 0).  Each
-    slot's label is tested against the frontier once, and only the starts
-    `_RUNS` allows are tried."""
-    if not frontier:
-        return 0, 0, 0
-    on = (t[0] in frontier) + 2 * (t[1] in frontier) + 4 * (t[2] in frontier) + 8 * (t[3] in frontier)
-    r, starts = _RUNS[on]
-    w = len(frontier)
-    for s in starts:
-        i = frontier.index(t[(s + r - 1) % 4])
-        if r == 1 or all(frontier[(i + k) % w] == t[(s + r - 1 - k) % 4] for k in range(1, r)):
-            return i, r, s
-    return None
-
-
 def _splice(points: list[int], i: int, r: int, new: list[int]) -> list[int]:
     """The circular list `points` with positions i, ..., i+r-1 (mod its
     length) replaced by `new`, which starts at position i, or at 0 when the
@@ -383,30 +365,53 @@ def _sweep_steps(d: PDDiagram) -> list[tuple[int, tuple]] | None:
     boundary, the frontier, in one run, in the reverse of its slot order; two
     adjacent frontier points with the same label (a kink) are capped at once.
 
+    The search starts at the cursor `first`, the lowest crossing not yet
+    absorbed, so the same crossing wins; it tests a run, the glue (i, r, s)
+    of `_glued`, only from the starts `_RUNS` allows.  While the crossing at
+    the cursor keeps meeting the frontier, the plan takes linear time.
+
     A run takes every slot of the crossing whose label is on the frontier, so
     the labels it exposes are new there.  While the frontier holds each
     label once, only exposed labels that repeat can make a pair to cap."""
     crossings = d.crossings
+    n = len(crossings)
     frontier: list[int] = []  # arc labels on the disk's boundary, counterclockwise
     unique = True  # no label twice on the frontier
-    left = list(range(len(crossings)))
+    absorbed = [False] * (n + 1)  # the False past the end stops the cursor at n
+    first = 0
     steps = []
-    while left:
-        for k, x in enumerate(left):
+    while first < n:
+        w = len(frontier)
+        for x in range(first, n):
+            if absorbed[x]:
+                continue
             t = crossings[x]
-            run = _run(frontier, t)
-            if run is not None:
+            if not w:
+                i = r = s = 0
                 break
+            on = (t[0] in frontier) + 2 * (t[1] in frontier) + 4 * (t[2] in frontier) + 8 * (t[3] in frontier)
+            r, starts = _RUNS[on]
+            for s in starts:
+                i = frontier.index(t[(s + r - 1) % 4])
+                k = 1
+                while k < r and frontier[(i + k) % w] == t[(s + r - 1 - k) % 4]:
+                    k += 1
+                if k == r:
+                    break
+            else:
+                continue
+            break
         else:
             return None
-        i, r, s = run
-        w = len(frontier)
         if w + 4 - 2 * r > SWEEP_WIDTH:
             return None
         steps.append((w, (i, r, s % 2)))
-        exposed = list((t + t)[s + r : s + 4])
-        frontier = _splice(frontier, i, r, exposed)
-        del left[k]
+        exposed = (t + t)[s + r : s + 4]
+        frontier[i : i + r] = exposed
+        if i + r > w:
+            del frontier[: i + r - w]  # the run's positions that wrapped to the front
+        absorbed[x] = True
+        first = absorbed.index(False, first)
         if unique and len(set(exposed)) == len(exposed):
             continue
         while True:
@@ -833,23 +838,28 @@ def simplify(d: PDDiagram) -> PDDiagram:
     relabels the arcs densely by first appearance and rescans from crossing
     0, and normalizes the tuples once, at the end.
 
-    The first scan reads the end table `partner`.  Once a move applies, a
-    copy of it is the only arc table, with min-heaps of the crossings that
-    may hold a kink and of those that may be the lower crossing of a clasp.
-    A move marks its crossings removed and joins each live end next to them
-    to the live end on the far side of the strand through them, then pushes
-    the crossings of those ends.  One `_relabel` call at the end fuses the
-    two strands through each removed crossing.  A move costs O(log n), so m
-    moves on n crossings take about O(n + m log n) time, where rescanning
-    took O(m n).
+    The first scan reads the end table `partner` and asks `_clasp` only of a
+    crossing with an over end at an odd slot of a higher one.  Once a move
+    applies, a copy of it is the only arc table, with min-heaps of the
+    crossings that may hold a kink and of those that may be the lower
+    crossing of a clasp.  A move marks its crossings removed and joins each
+    live end next to them to the live end on the far side of the strand
+    through them, then pushes the crossings of those ends.  One `_relabel`
+    call at the end fuses the two strands through each removed crossing.  A
+    move costs O(log n), so m moves on n crossings take about O(n + m log n)
+    time, where rescanning took O(m n).
     """
     if d._reduced:
         return d
     n = len(d.crossings)
     n4 = 4 * n
     partner = d.partner
-    kinks = [c for c in range(n) if _kinked(partner, c)]
-    clasps = [c for c in range(n) if _clasp(partner, n, c) is not None]
+    kinks, clasps = [], []
+    for e, p0, p1, p2, p3 in zip(range(0, n4, 4), *(partner[s:n4:4] for s in range(4))):
+        if p0 - e in (1, 3) or p2 - e in (1, 3):
+            kinks.append(e >> 2)
+        if (e + 3 < p1 < n4 and p1 & 1 or e + 3 < p3 < n4 and p3 & 1) and _clasp(partner, n, e >> 2) is not None:
+            clasps.append(e >> 2)
     if not (kinks or clasps):
         d._reduced = True
         return d

@@ -375,6 +375,15 @@ def test_simplify_builds_no_arc_table_and_leaves_the_end_table_alone(monkeypatch
     assert all(simplify(out) is out for out in outputs)
 
 
+def test_simplify_reads_no_end_table_of_a_diagram_it_returned():
+    # the first scan tests kinks inline and calls no `_kinked`, so only an
+    # end table that cannot be read shows a second scan
+    for d in _reducer_inputs():
+        out = simplify(d)
+        out.partner = None
+        assert simplify(out) is out, d.key()
+
+
 # The references for the walks over the end table `partner`: the union-find
 # piece split, the face walk and the strand walk over the arc-keyed `ends`,
 # and the planner that tests every slot of every candidate and scans the whole
@@ -539,7 +548,7 @@ def _end(d, x):
 
 
 def test_end_table_walks_match_the_arc_walks():
-    planned = unplanned = capped = split = 0
+    planned = unplanned = capped = split = wrapped = 0
     for d in _walk_inputs():
         assert len(d.partner) == 4 * len(d) + len(d.boundary)
         for x, y in _ends_of(d.crossings).values():
@@ -558,7 +567,21 @@ def test_end_table_walks_match_the_arc_walks():
             planned += steps is not None
             unplanned += steps is None
             capped += steps is not None and any(s is None for _, (_, _, s) in steps)
-    assert planned > 700 and unplanned > 200 and capped > 50 and split > 50
+            # a crossing's run that passes the frontier's last position, which
+            # the planner splices by a second edit of the list
+            wrapped += steps is not None and any(s is not None and i + r > w for w, (i, r, s) in steps)
+    assert planned > 700 and unplanned > 200 and capped > 50 and split > 50 and wrapped > 100
+
+
+def test_the_benchmark_pieces_plan_as_the_scanning_planner_does():
+    # the plans Q and the bracket read on the benchmark's traffic: every piece
+    # of every reduced job diagram of q_alt3 and qa_scan, as `parts` keeps it
+    for workload, pieces in (("q_alt3", 15), ("qa_scan", 229)):
+        jobs = [j for j in json.loads((CORPUS / f"{workload}.json").read_text())["jobs"] if "diagram" in j]
+        parts = [p for job in jobs for p in simplify(_recipe(job["diagram"])).parts]
+        assert len(parts) == pieces
+        for p in parts:
+            assert p.plan is not None and p.plan == _scanning_steps(p), p
 
 
 def test_glued_tangles_walk_like_the_arc_walks():
