@@ -173,19 +173,21 @@ class BurauMatrix:
 def burau(w: BraidWord) -> BurauMatrix:
     """Reduced Burau matrix of a 3-strand word, entries in Z[t, t^-1].
 
-    psi(s1) = [-t, 1; 0, 1] and psi(s2) = [1, 0; t, -t].  The product runs
-    on packed integers: evaluation at t = X = 2^B is a ring homomorphism
-    Z[t] -> Z, so each entry is one Python int, with exact carries, and
-    only the final decode needs the bound.  For a polynomial product every
-    inverse letter is taken times t, t psi(s1^-1) = [-1, 1; 0, t] and
-    t psi(s2^-1) = [t, 0; t, -1]; with k inverse letters the result is
-    t^-k times the decoded matrix.  Right-multiplying by a letter is a
-    column operation on (a, b) and on (c, d), e.g. (a, b) -> (-aX, a + b)
-    for s1.  Multiplying by +-t^j keeps the sum of the absolute
-    coefficients, so the recurrence nb += na, nd += nc (s1^+-1) and
-    na += nb, nc += nd (s2^+-1) bounds the l1 norm of every entry; B is 8
-    times ``poly.nbytes_for`` of the largest bound, and each entry is
-    decoded to balanced base-X digits by ``poly.unpack``.
+    psi(s1) = [-t, 1; 0, 1] and psi(s2) = [1, 0; t, -t], which in u = -t
+    read [u, 1; 0, 1] and [1, 0; -u, u].  The product runs on packed
+    integers: evaluation at u = X = 2^B is a ring homomorphism Z[u] -> Z,
+    so each entry is one Python int, with exact carries, and only the final
+    decode needs the bound.  For a polynomial product every inverse letter
+    is taken times u, u psi(s1^-1) = [1, -1; 0, u] and u psi(s2^-1) =
+    [u, 0; u, 1]; with k inverse letters the result is u^-k times the
+    decoded matrix.  Right-multiplying by a letter is a column operation on
+    (a, b) and on (c, d), one shift and one add or subtract per row, e.g.
+    (a, b) -> (aX, a + b) for s1.  Multiplying by +-u^j keeps the sum of
+    the absolute coefficients, so the recurrence nb += na, nd += nc
+    (s1^+-1) and na += nb, nc += nd (s2^+-1) bounds the l1 norm of every
+    entry; B is 8 times ``poly.nbytes_for`` of the largest bound, and each
+    entry is decoded to balanced base-X digits by ``poly.unpack``, then to
+    t by u^e = (-1)^e t^e.
     Cost: about 4 big-int shifts or adds per letter, on ints of at most
     (len(w) + 1) B bits.
     """
@@ -205,15 +207,22 @@ def burau(w: BraidWord) -> BurauMatrix:
     a, b, c, d = 1, 0, 0, 1
     for g in letters:
         if g == 1:
-            a, b, c, d = -(a << B), a + b, -(c << B), c + d
+            a, b, c, d = a << B, a + b, c << B, c + d
         elif g == 2:
-            a, b, c, d = a + (b << B), -(b << B), c + (d << B), -(d << B)
+            b <<= B
+            d <<= B
+            a, c = a - b, c - d
         elif g == -1:
-            a, b, c, d = -a, a + (b << B), -c, c + (d << B)
+            b, d = (b << B) - a, (d << B) - c
         else:
-            a, b, c, d = (a + b) << B, -b, (c + d) << B, -d
+            a, c = (a + b) << B, (c + d) << B
     k = sum(1 for g in letters if g < 0)
-    return BurauMatrix(*(unpack(v, width, -k) for v in (a, b, c, d)))
+    return BurauMatrix(*(_u_to_t(unpack(v, width, -k)) for v in (a, b, c, d)))
+
+
+def _u_to_t(p: IntLaurent) -> IntLaurent:
+    """p(u) at u = -t: the sign of each odd power flips."""
+    return IntLaurent({e: -c if e & 1 else c for e, c in p.items()})
 
 
 def _neg_sqrt_t_power(e: int) -> HalfLaurent:

@@ -24,6 +24,16 @@ makes its moves on a copy, joining the ends on either side of the strands
 through each removed crossing; `connected_sum` finds the second end of an
 arc as the partner of its first.
 
+The frontier sweep of a connected link piece, shared by Q and the bracket,
+runs the steps of the piece's `plan` over two process-wide tables per
+engine: the width-free packed rows of its transitions, `_packed(engine)`,
+keyed by step and matching id, and the step programs compiled from them,
+`_programs(engine)`, keyed by the step and the sorted tuple of the live
+matching ids and holding at most _PROGRAMS_MAX, the oldest going first.  A
+program is a flat list of ops over the state's two lists, its values and
+their l1 bounds; the first op that writes a target stores its product, and
+the others add to it.
+
 Smoothings carry neutral labels: kind A joins a-b and c-d, kind B joins
 a-d and b-c.  At any crossing one of the two merges link components and the
 other splits one.
@@ -336,6 +346,16 @@ SWEEP_WIDTH = 8
 # and 81 ms at 40 (2-core Xeon, Python 3.11, CPU time, one cold run each).
 FALLBACK_MAX_CROSSINGS = 16
 
+# The most step programs (`_program`) kept per engine, the oldest going
+# first.  A warm pass of qaltbench's qa_scan runs 143 of Q and 91 of the
+# bracket, one of q_alt3 17 of Q.  Over 320 seeded random 3- and 4-braid
+# closures of 20-200 letters, Q's table grows to 1716 programs unbounded; at
+# 512, 97.5 % of the steps of Q and the bracket run a kept program (98.0 %
+# unbounded, 97.0 % at 256), and traced memory after the stream is 8.7 MB,
+# against 21.5 MB unbounded and 3.2 MB with no programs (Python 3.11).
+_PROGRAMS_MAX = 512
+
+
 def _runs(mask: int) -> tuple[int, tuple[int, ...]]:
     """(r, starts) for a crossing whose slots j with bit j of `mask` set are
     on the frontier: their number r, and the slots s from which s, ..., s+r-1
@@ -430,14 +450,20 @@ def _sweep(steps: list[tuple[int, tuple]], engine: Callable) -> dict:
     the state is that of the tangle in the disk, and a step maps each basis
     tangle to its glued value, `_transition(engine, width, matching, glue)`.
 
-    The state runs on packed integers (`_packed_sweep`), one per entry, keyed
-    by matching id (`_MATCHINGS`), at x = X = 2^(8 nbytes), and each entry
-    carries an l1 bound (`poly.nbytes_for`) that does not depend on X.  A
-    link piece ends in one entry, that of the matching (), which decodes
-    exactly by `poly.unpack` once its bound is below X/2.  The first pass
-    runs at `nbytes_for(1)`, 4 bytes, since no piece of qaltbench's corpora
-    and ramps has a final bound past 28 bits; a larger bound sweeps the
-    piece again at `nbytes_for` of it, so a piece takes at most two passes.
+    The state runs on packed integers (`_packed_sweep`), one per entry, at
+    x = X = 2^(8 nbytes), in the order of the sorted tuple of its live
+    matching ids (`_MATCHINGS`), and each entry carries an l1 bound
+    (`poly.nbytes_for`) that does not depend on X.  Each step runs a program
+    compiled from the width-free rows of `_packed(engine)` once per (step,
+    ids) and kept in `_programs(engine)`, at most _PROGRAMS_MAX of them per
+    engine, the oldest going first: a flat list of ops, each one product by
+    a small coefficient and one shift, whose first write to a target stores
+    the product in place of adding it to 0.  A link piece ends in one entry,
+    that of the matching (), which decodes exactly by `poly.unpack` once its
+    bound is below X/2.  The first pass runs at `nbytes_for(1)`, 4 bytes,
+    since no piece of qaltbench's corpora and ramps has a final bound past
+    28 bits; a larger bound sweeps the piece again at `nbytes_for` of it,
+    with the same programs, so a piece takes at most two passes.
     """
     bound = 1
     while True:
@@ -453,51 +479,80 @@ def _packed_sweep(steps: list[tuple[int, tuple]], engine: Callable, nbytes: int)
     the entry of the matching `_MATCHINGS[id]` being x^low times the
     polynomial whose value at X is `value`.
 
-    A step finds its table in `_packed(engine)` by its (width, glue) and
-    multiplies each entry by each term of its transition's row
-    (`_pack_row`), one product by a small coefficient and one shift per
-    pair, the state entry first shifted from its transition's lowest
-    exponent to the step's lowest one, which becomes part of `low`.  The
-    bound of a new entry is the sum of l1(c) |t| over the products c t that
-    form it, so it is at least the sum of the absolute values of its
-    coefficients.  No entry is dropped, not even one whose value is 0, which
-    may be a nonzero polynomial that vanishes at X: every bound counts every
-    product, so it is the same at every X.  Zero-valued entries are few: 12
-    of the 1447 new entries over one q_alt3 pass, 547 of 13661 over qa_scan.
+    The state is two lists, the values and their bounds, in the order of the
+    sorted tuple `ids` of its live matching ids, and each step runs the flat
+    op list of `_program(engine, step, ids)`: per op, one product of a source
+    value by a small coefficient and one shift, added into its target, or
+    stored there by the target's first op, so no sum starts from 0 and
+    copies a big int.  The bound of a new entry is the sum of l1(c) |t| over
+    the products c t that form it, so it is at least the sum of the absolute
+    values of its coefficients.  No entry is dropped, not even one whose
+    value is 0, which may be a nonzero polynomial that vanishes at X: every
+    bound counts every product, so it is the same at every X.  Zero-valued
+    entries are few: 12 of the 1447 new entries over one q_alt3 pass, 547 of
+    13661 over qa_scan.
     """
     b = 8 * nbytes
     low = 0
-    tables = _packed(engine)
-    state = {0: [1, 1]}  # the empty disk, matching ()
+    programs = _programs(engine)
+    ids, values, bounds = (0,), [1], [1]  # the empty disk, matching ()
     for step in steps:
-        table = tables.setdefault(step, {})
-        rows = []
-        shift = None
-        for i, (v, bound) in state.items():
-            row = table.get(i)
-            if row is None:
-                width, glue = step
-                row = table[i] = _pack_row(_transition(engine, width, _MATCHINGS[i], glue))
-            lo, entries = row
-            if shift is None or lo < shift:
-                shift = lo
-            rows.append((lo, entries, v, bound))
-        state = {}
-        for lo, entries, v, bound in rows:
-            if lo != shift:
-                v <<= b * (lo - shift)
-            for i, tv, tb, k in entries:
-                p = v * tv
-                if k:
-                    p <<= b * k
-                acc = state.get(i)
-                if acc is None:
-                    state[i] = [p, bound * tb]
-                else:
-                    acc[0] += p
-                    acc[1] += bound * tb
+        shift, ids, ops = programs.get((step, ids)) or _program(engine, step, ids)
+        values_in, bounds_in = values, bounds
+        values, bounds = [0] * len(ids), [0] * len(ids)
+        for s, t, c, a, k, add in ops:
+            p = values_in[s] * c
+            if k:
+                p <<= b * k
+            if add:
+                values[t] += p
+                bounds[t] += bounds_in[s] * a
+            else:
+                values[t] = p
+                bounds[t] = bounds_in[s] * a
         low += shift
-    return low, state
+    return low, {i: [v, bound] for i, v, bound in zip(ids, values, bounds)}
+
+
+def _program(engine: Callable, step: tuple, ids: tuple) -> tuple[int, tuple, tuple]:
+    """(shift, out, ops): one step of a sweep of `engine` from the state whose
+    live matching ids are the sorted tuple `ids`, compiled from the rows of
+    `_packed(engine)` (packing each missing one) and kept in `_programs(engine)`.
+
+    `shift` is the lowest exponent over the rows of `ids`, `out` the sorted
+    tuple of the ids the rows reach, and `ops` one (source, target, coeff,
+    |coeff|, digits, add) per term of each row, the source and the target
+    being positions in `ids` and in `out`.  The digits count both the term's
+    height in its row and the row's lowest exponent above `shift`, so a pass
+    of any width shifts each product once; `add` is False on the first op
+    that writes a target.  Nothing in a program depends on the width, so a
+    retry pass runs the programs of the first.  `_packed_sweep` calls this
+    for a (step, ids) the table does not hold; when it holds _PROGRAMS_MAX
+    programs, the oldest goes before the new one is kept."""
+    table = _packed(engine).setdefault(step, {})
+    rows = []
+    for i in ids:
+        row = table.get(i)
+        if row is None:
+            width, glue = step
+            row = table[i] = _pack_row(_transition(engine, width, _MATCHINGS[i], glue))
+        rows.append(row)
+    shift = min(lo for lo, _ in rows)
+    out = sorted({j for _, entries in rows for j, _, _, _ in entries})
+    target = {j: t for t, j in enumerate(out)}
+    written = [False] * len(out)
+    ops = []
+    for s, (lo, entries) in enumerate(rows):
+        for j, c, a, k in entries:
+            t = target[j]
+            ops.append((s, t, c, a, k + lo - shift, written[t]))
+            written[t] = True
+    program = shift, tuple(out), tuple(ops)
+    programs = _programs(engine)
+    if len(programs) >= _PROGRAMS_MAX:
+        del programs[next(iter(programs))]
+    programs[step, ids] = program
+    return program
 
 
 def _basis(width: int, matching) -> tuple[list[Crossing], list[int]]:
@@ -581,8 +636,16 @@ _IDS = {m: i for i, m in enumerate(_MATCHINGS)}
 def _packed(engine: Callable) -> dict:
     """The step tables of `engine`, kept for the process and read by passes
     of every width: (width, glue) -> {id: `_pack_row` of `_transition(engine,
-    width, _MATCHINGS[id], glue)`}, filled by `_packed_sweep` one step and
-    one matching at a time."""
+    width, _MATCHINGS[id], glue)`}, filled by `_program` one step and one
+    matching at a time."""
+    return {}
+
+
+@lru_cache(maxsize=None)
+def _programs(engine: Callable) -> dict:
+    """The step programs of `engine`, kept for the process, at most
+    _PROGRAMS_MAX of them, oldest first: (step, ids) -> `_program(engine,
+    step, ids)`."""
     return {}
 
 

@@ -6,7 +6,9 @@ oracle) and, by default, the frontier sweep of `diagram.py` that Q shares,
 over the Catalan(k) crossingless matchings of 2k points (Temperley-Lieb;
 Makowsky and Marino 2003).  The shared `diagram._transition(_bracket, ...)`
 is the bracket of a crossingless tangle glued to one crossing or one cap,
-computed once into a row of `diagram._packed(_bracket)`; the
+computed once into a row of `diagram._packed(_bracket)`, and each step runs
+a program compiled from those rows once per step and set of live matching
+ids, kept in `diagram._programs(_bracket)` under the same bound as Q's; the
 tangle engine `_smoothing` expands <D> = A <D_A> + A^-1 <D_B> at the first
 crossing, as does a piece wider than SWEEP_WIDTH, and `poly.combine` sums
 the two terms with the ring's own `*` and `+`.  The sweep's state is

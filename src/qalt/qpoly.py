@@ -19,8 +19,12 @@ A connected link piece is swept instead, by the planner and state loop of
 `diagram.py` that the bracket shares; the state holds at most 105 entries at
 SWEEP_WIDTH = 8 points.  The shared `diagram._transition(_q, ...)` is `_q` of a
 basis tangle glued to one crossing or one cap, computed once into a row of
-`diagram._packed(_q)` that passes of every width read; `diagram._sweep` says
-how the state is packed and decoded.  A wider piece goes to the switch chain,
+`diagram._packed(_q)`.  Each step runs a flat op list compiled from those
+rows once per step and set of live matching ids and kept in
+`diagram._programs(_q)`, at most `diagram._PROGRAMS_MAX` of them, the oldest
+going first, for passes of every width; a target's first op stores its
+product, the others add to it.  `diagram._sweep` says how the state is
+packed and decoded.  A wider piece goes to the switch chain,
 whose smaller pieces are swept again; `poly.combine` sums the vectors of each
 skein step with the ring's own `*` and `+`.
 

@@ -380,6 +380,66 @@ def test_a_pass_too_narrow_keeps_entries_that_pack_to_zero(monkeypatch):
     assert max(abs(v) for _, v in want[()].items()).bit_length() < 8 * passes[1]
 
 
+def _dict_sweep(steps, engine, nbytes):
+    """The reference for `_packed_sweep`: the id-keyed dict loop, with the
+    state a dict {id: [value, bound]} and every entry times every term of
+    its row summed per target id, the entry first shifted from its row's
+    lowest exponent to the step's."""
+    b = 8 * nbytes
+    low = 0
+    state = {0: [1, 1]}
+    for width, glue in steps:
+        rows = [(_row(engine, width, diagram._MATCHINGS[i], glue), v, bound) for i, (v, bound) in state.items()]
+        shift = min(lo for (lo, _), _, _ in rows)
+        state = {}
+        for (lo, entries), v, bound in rows:
+            v <<= b * (lo - shift)
+            for i, tv, tb, k in entries:
+                acc = state.setdefault(i, [0, 0])
+                acc[0] += v * tv << b * k
+                acc[1] += bound * tb
+        low += shift
+    return low, state
+
+
+@lru_cache(maxsize=None)
+def _row(engine, width, matching, glue):
+    """The packed row of a transition, kept apart from the sweep's own tables."""
+    return diagram._pack_row(_transition(engine, width, matching, glue))
+
+
+def _planned_pieces(diagrams):
+    """(plan, engine) per piece that sweeps: Q's pieces of each reduced
+    diagram, the bracket's of the diagram itself."""
+    for d in diagrams:
+        for p, engine in [*((p, _q) for p in _pieces(simplify(d))), *((p, jones._bracket) for p in _pieces(d))]:
+            steps = _sweep_steps(p)
+            if steps is not None:
+                yield steps, engine
+
+
+def _random_closures(seed, count, letters):
+    """Seeded random 3- and 4-braid closures of 1 to `letters` letters."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_braid_diagram(rng, letters, rng.choice((3, 4)))
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 4, 8])
+def test_the_compiled_sweep_equals_the_dict_loop(nbytes):
+    # values and bounds both, at widths where digits carry and where they do not
+    pieces = list(_planned_pieces(chain(_sweep_cases(), _random_closures(30, 24, 60))))
+    for steps, engine in pieces:
+        assert diagram._packed_sweep(steps, engine, nbytes) == _dict_sweep(steps, engine, nbytes), (steps, engine)
+    assert len(pieces) > 200
+    # Q times (x - 256) per step: at 1 byte every entry packs to 0
+    skewed = _skewed(IntLaurent({1: 1, 0: -256}))
+    steps = trefoil().plan
+    low, state = diagram._packed_sweep(steps, skewed, nbytes)
+    assert (low, state) == _dict_sweep(steps, skewed, nbytes)
+    assert all(v == 0 for v, _ in state.values()) == (nbytes == 1)
+
+
 def _wide_pieces():
     """Closures whose coefficients pass 40 bits."""
     yield close_braid([1, -2] * 50, 3)
@@ -459,10 +519,11 @@ def test_matching_ids_are_one_table_of_at_most_125():
     assert shared > 10
 
 
-def _counting_rows(monkeypatch):
-    """The names of the `_pack_row` and `_transition` calls from here on."""
+def _counting_calls(monkeypatch):
+    """The names of the `_pack_row`, `_transition` and `_program` calls from
+    here on; a sweep calls `_program` only for a program it has not kept."""
     calls = []
-    for name in ("_pack_row", "_transition"):
+    for name in ("_pack_row", "_transition", "_program"):
         original = getattr(diagram, name)
 
         def counted(*args, _original=original, _name=name):
@@ -478,10 +539,48 @@ def test_a_second_sweep_packs_no_row_and_returns_matchings(engine, monkeypatch):
     d = close_braid([1, -2, 3, -2, 1, 3, -2], 4)
     steps = d.plan
     first = _sweep(steps, engine)
-    calls = _counting_rows(monkeypatch)
+    calls = _counting_calls(monkeypatch)
     second = _sweep(steps, engine)
     assert calls == []
     assert second == first == _combining_sweep(steps, engine) and list(second) == [()]
+
+
+def test_the_program_table_keeps_its_bound(monkeypatch):
+    # distinct closures compile more programs than a bound of 40: the table
+    # keeps the 40 newest, never more, and every sweep stays exact.  New
+    # engine objects keep the process's own tables out of the count
+    monkeypatch.setattr(diagram, "_PROGRAMS_MAX", 40)
+
+    def fresh_q(d, memo):
+        return _q(d, memo)
+
+    def fresh_bracket(d, memo):
+        return jones._bracket(d, memo)
+
+    compiled = {fresh_q: [], fresh_bracket: []}
+    program = diagram._program
+
+    def counted(engine, step, ids):
+        out = program(engine, step, ids)
+        if engine in compiled:
+            compiled[engine].append((step, ids))
+            assert len(diagram._programs(engine)) <= 40
+        return out
+
+    monkeypatch.setattr(diagram, "_program", counted)
+    pieces = 0
+    for d in _random_closures(7, 16, 80):
+        for engine, own, swept in ((fresh_q, _q, simplify(d)), (fresh_bracket, jones._bracket, d)):
+            for p in swept.parts:
+                if p.plan is not None:
+                    assert _sweep(p.plan, engine) == _sweep(p.plan, own)
+                    pieces += 1
+    assert pieces > 20
+    for engine, keys in compiled.items():
+        # a program comes back only after 40 newer ones pushed it out, so
+        # the last 40 compiled are distinct and are the table, oldest first
+        assert len(keys) > 40
+        assert list(diagram._programs(engine)) == keys[-40:]
 
 
 def _tangle_sum(t1, t2):
@@ -586,19 +685,23 @@ def test_the_step_tables_are_one_per_engine():
 @pytest.mark.parametrize("engine", [_q, jones._bracket])
 def test_the_retry_pass_packs_no_row(engine, monkeypatch):
     # a new engine object starts from empty step tables, so a first pass,
-    # here at 8 bytes, packs every row; the wider pass that must follow
-    # reads the same rows
+    # here at 8 bytes, packs every row and compiles every program; the wider
+    # pass that must follow runs the same programs
     def fresh(d, memo):
         return engine(d, memo)
 
     steps = close_braid([1, -2] * 50, 3).plan
-    calls = _counting_rows(monkeypatch)
+    calls = _counting_calls(monkeypatch)
     _, state = diagram._packed_sweep(steps, fresh, 8)
     top = max(bound for _, bound in state.values())
     rows = sum(len(table) for table in diagram._packed(fresh).values())
+    programs = dict(diagram._programs(fresh))
     assert top.bit_length() >= 64 and calls.count("_pack_row") >= rows > 10
+    assert calls.count("_program") >= len(programs) > 5
     calls.clear()
     nbytes = nbytes_for(top)
     low, state = diagram._packed_sweep(steps, fresh, nbytes)
     assert calls == [] and nbytes > 8
+    kept = diagram._programs(fresh)
+    assert kept == programs and all(kept[key] is program for key, program in programs.items())
     assert {diagram._MATCHINGS[i]: unpack(v, nbytes, low) for i, (v, _) in state.items()} == _sweep(steps, engine)
