@@ -30,9 +30,11 @@ engine: the width-free packed rows of its transitions, `_packed(engine)`,
 keyed by step and matching id, and the step programs compiled from them,
 `_programs(engine)`, keyed by the step and the sorted tuple of the live
 matching ids and holding at most _PROGRAMS_MAX, the oldest going first.  A
-program is a flat list of ops over the state's two lists, its values and
-their l1 bounds; the first op that writes a target stores its product, and
-the others add to it.
+program is a flat list of ops over the state's list of values, the first op
+that writes a target storing its product and the others adding to it, and
+a gain that bounds how much one step can grow an entry.  A piece's chain of
+programs sets its digit width before any value is computed, so each piece
+takes one value pass.
 
 Smoothings carry neutral labels: kind A joins a-b and c-d, kind B joins
 a-d and b-c.  At any crossing one of the two merges link components and the
@@ -48,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain, combinations, count
-from math import inf
+from math import inf, prod
 from operator import index
 from typing import Callable, Iterable, Sequence
 
@@ -351,8 +353,8 @@ FALLBACK_MAX_CROSSINGS = 16
 # bracket, one of q_alt3 17 of Q.  Over 320 seeded random 3- and 4-braid
 # closures of 20-200 letters, Q's table grows to 1716 programs unbounded; at
 # 512, 97.5 % of the steps of Q and the bracket run a kept program (98.0 %
-# unbounded, 97.0 % at 256), and traced memory after the stream is 8.7 MB,
-# against 21.5 MB unbounded and 3.2 MB with no programs (Python 3.11).
+# unbounded, 97.0 % at 256), and traced memory after the stream is 8.4 MB,
+# against 20.1 MB unbounded and 3.2 MB with no programs (Python 3.11).
 _PROGRAMS_MAX = 512
 
 
@@ -452,83 +454,113 @@ def _sweep(steps: list[tuple[int, tuple]], engine: Callable) -> dict:
 
     The state runs on packed integers (`_packed_sweep`), one per entry, at
     x = X = 2^(8 nbytes), in the order of the sorted tuple of its live
-    matching ids (`_MATCHINGS`), and each entry carries an l1 bound
-    (`poly.nbytes_for`) that does not depend on X.  Each step runs a program
-    compiled from the width-free rows of `_packed(engine)` once per (step,
-    ids) and kept in `_programs(engine)`, at most _PROGRAMS_MAX of them per
-    engine, the oldest going first: a flat list of ops, each one product by
-    a small coefficient and one shift, whose first write to a target stores
-    the product in place of adding it to 0.  A link piece ends in one entry,
-    that of the matching (), which decodes exactly by `poly.unpack` once its
-    bound is below X/2.  The first pass runs at `nbytes_for(1)`, 4 bytes,
-    since no piece of qaltbench's corpora and ramps has a final bound past
-    28 bits; a larger bound sweeps the piece again at `nbytes_for` of it,
-    with the same programs, so a piece takes at most two passes.
+    matching ids (`_MATCHINGS`).  Each step runs a program compiled from the
+    width-free rows of `_packed(engine)` once per (step, ids) and kept in
+    `_programs(engine)`, at most _PROGRAMS_MAX of them per engine, the oldest
+    going first: a flat list of ops, each one product by a small coefficient
+    and one shift, whose first write to a target stores the product in place
+    of adding it to 0.  A link piece ends in one entry, that of the matching
+    (), which decodes exactly by `poly.unpack` once an l1 bound of it is
+    below X/2 (`poly.nbytes_for`).
+
+    The width is set before any value is computed, from the piece's chain of
+    programs (`_step_programs`).  No entry's bound (`_bounds`) exceeds its
+    program's gain times the largest bound before the step, so the product
+    of the gains bounds the final entry, the empty disk's being 1.  When
+    `nbytes_for` of that product is 4, the value pass runs at 4 bytes;
+    otherwise a pass over small integers, `_bounds`, gives the final entry's
+    own bound, and the value pass runs at `nbytes_for` of it.  Either way
+    the width is `nbytes_for` of the final bound, and a piece takes one
+    value pass.  No piece of qaltbench's corpora needs the bound pass.
     """
-    bound = 1
-    while True:
+    programs = _step_programs(steps, engine)
+    nbytes = nbytes_for(prod(gain for _, _, gain, _ in programs))
+    if nbytes > 4:
+        (bound,) = _bounds(programs).values()
         nbytes = nbytes_for(bound)
-        low, state = _packed_sweep(steps, engine, nbytes)
-        ((v, bound),) = state.values()
-        if bound.bit_length() < 8 * nbytes:
-            return {(): unpack(v, nbytes, low)}
+    low, state = _packed_sweep(programs, nbytes)
+    (v,) = state.values()
+    return {(): unpack(v, nbytes, low)}
 
 
-def _packed_sweep(steps: list[tuple[int, tuple]], engine: Callable, nbytes: int):
-    """One pass of `_sweep` at X = 2^(8 nbytes): (low, {id: [value, bound]}),
-    the entry of the matching `_MATCHINGS[id]` being x^low times the
-    polynomial whose value at X is `value`.
+def _step_programs(steps: list[tuple[int, tuple]], engine: Callable) -> list:
+    """The programs of a sweep of `engine` along `steps`, one per step, each
+    `_program(engine, step, ids)` from the live ids the one before it leaves,
+    the empty disk's (0,) first: those of `_programs(engine)`, compiling each
+    missing one."""
+    programs = _programs(engine)
+    chain = []
+    ids = (0,)  # the empty disk, matching ()
+    for step in steps:
+        program = programs.get((step, ids)) or _program(engine, step, ids)
+        chain.append(program)
+        ids = program[1]
+    return chain
 
-    The state is two lists, the values and their bounds, in the order of the
-    sorted tuple `ids` of its live matching ids, and each step runs the flat
-    op list of `_program(engine, step, ids)`: per op, one product of a source
-    value by a small coefficient and one shift, added into its target, or
-    stored there by the target's first op, so no sum starts from 0 and
-    copies a big int.  The bound of a new entry is the sum of l1(c) |t| over
-    the products c t that form it, so it is at least the sum of the absolute
-    values of its coefficients.  No entry is dropped, not even one whose
-    value is 0, which may be a nonzero polynomial that vanishes at X: every
-    bound counts every product, so it is the same at every X.  Zero-valued
-    entries are few: 12 of the 1447 new entries over one q_alt3 pass, 547 of
-    13661 over qa_scan.
+
+def _bounds(programs: list) -> dict:
+    """{id: bound} after the `_step_programs` chain `programs`: the bound of a
+    new entry is the sum of |c| b over its ops, c the op's coefficient and b
+    the bound of its source, so it is at least the entry's l1 norm, the
+    empty disk's entry having bound 1.  Small integers only, with no value
+    and no width."""
+    ids, bounds = (0,), [1]
+    for _, ids, _, ops in programs:
+        bounds_in, bounds = bounds, [0] * len(ids)
+        for s, t, c, _, _ in ops:
+            bounds[t] += bounds_in[s] * abs(c)
+    return dict(zip(ids, bounds))
+
+
+def _packed_sweep(programs: list, nbytes: int):
+    """The value pass of `_sweep` at X = 2^(8 nbytes) over the `_step_programs`
+    chain `programs`: (low, {id: value}), the entry of the matching
+    `_MATCHINGS[id]` being x^low times the polynomial whose value at X is
+    `value`, exact once X/2 exceeds the entry's `_bounds`.
+
+    The state is one list of values in the order of the sorted tuple of its
+    live matching ids, and each step runs its program's flat op list: per
+    op, one product of a source value by a small coefficient and one shift,
+    added into its target, or stored there by the target's first op, so no
+    sum starts from 0 and copies a big int.  No entry is dropped, not even
+    one whose value is 0, which may be a nonzero polynomial that vanishes at
+    X.  Zero-valued entries are few: 12 of the 1447 new entries over one
+    q_alt3 pass, 547 of 13661 over qa_scan.
     """
     b = 8 * nbytes
     low = 0
-    programs = _programs(engine)
-    ids, values, bounds = (0,), [1], [1]  # the empty disk, matching ()
-    for step in steps:
-        shift, ids, ops = programs.get((step, ids)) or _program(engine, step, ids)
-        values_in, bounds_in = values, bounds
-        values, bounds = [0] * len(ids), [0] * len(ids)
-        for s, t, c, a, k, add in ops:
+    ids, values = (0,), [1]  # the empty disk, matching ()
+    for shift, ids, _, ops in programs:
+        values_in, values = values, [0] * len(ids)
+        for s, t, c, k, add in ops:
             p = values_in[s] * c
             if k:
                 p <<= b * k
             if add:
                 values[t] += p
-                bounds[t] += bounds_in[s] * a
             else:
                 values[t] = p
-                bounds[t] = bounds_in[s] * a
         low += shift
-    return low, {i: [v, bound] for i, v, bound in zip(ids, values, bounds)}
+    return low, dict(zip(ids, values))
 
 
-def _program(engine: Callable, step: tuple, ids: tuple) -> tuple[int, tuple, tuple]:
-    """(shift, out, ops): one step of a sweep of `engine` from the state whose
-    live matching ids are the sorted tuple `ids`, compiled from the rows of
-    `_packed(engine)` (packing each missing one) and kept in `_programs(engine)`.
+def _program(engine: Callable, step: tuple, ids: tuple) -> tuple[int, tuple, int, tuple]:
+    """(shift, out, gain, ops): one step of a sweep of `engine` from the state
+    whose live matching ids are the sorted tuple `ids`, compiled from the
+    rows of `_packed(engine)` (packing each missing one) and kept in
+    `_programs(engine)`.
 
     `shift` is the lowest exponent over the rows of `ids`, `out` the sorted
     tuple of the ids the rows reach, and `ops` one (source, target, coeff,
-    |coeff|, digits, add) per term of each row, the source and the target
-    being positions in `ids` and in `out`.  The digits count both the term's
+    digits, add) per term of each row, the source and the target being
+    positions in `ids` and in `out`.  The digits count both the term's
     height in its row and the row's lowest exponent above `shift`, so a pass
     of any width shifts each product once; `add` is False on the first op
-    that writes a target.  Nothing in a program depends on the width, so a
-    retry pass runs the programs of the first.  `_packed_sweep` calls this
-    for a (step, ids) the table does not hold; when it holds _PROGRAMS_MAX
-    programs, the oldest goes before the new one is kept."""
+    that writes a target.  `gain` is the largest sum of |coeff| over the ops
+    of one target, so no new entry's l1 norm exceeds gain times the largest
+    old one's.  Nothing in a program depends on the width.  `_step_programs`
+    calls this for a (step, ids) the table does not hold; when it holds
+    _PROGRAMS_MAX programs, the oldest goes before the new one is kept."""
     table = _packed(engine).setdefault(step, {})
     rows = []
     for i in ids:
@@ -540,14 +572,14 @@ def _program(engine: Callable, step: tuple, ids: tuple) -> tuple[int, tuple, tup
     shift = min(lo for lo, _ in rows)
     out = sorted({j for _, entries in rows for j, _, _, _ in entries})
     target = {j: t for t, j in enumerate(out)}
-    written = [False] * len(out)
+    gains = [0] * len(out)  # a row's coefficients are nonzero: a target not yet written has gain 0
     ops = []
     for s, (lo, entries) in enumerate(rows):
         for j, c, a, k in entries:
             t = target[j]
-            ops.append((s, t, c, a, k + lo - shift, written[t]))
-            written[t] = True
-    program = shift, tuple(out), tuple(ops)
+            ops.append((s, t, c, k + lo - shift, gains[t] > 0))
+            gains[t] += a
+    program = shift, tuple(out), max(gains), tuple(ops)
     programs = _programs(engine)
     if len(programs) >= _PROGRAMS_MAX:
         del programs[next(iter(programs))]

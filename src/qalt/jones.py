@@ -12,7 +12,8 @@ ids, kept in `diagram._programs(_bracket)` under the same bound as Q's; the
 tangle engine `_smoothing` expands <D> = A <D_A> + A^-1 <D_B> at the first
 crossing, as does a piece wider than SWEEP_WIDTH, and `poly.combine` sums
 the two terms with the ring's own `*` and `+`.  The sweep's state is
-packed as for Q (`diagram._sweep`).  The engine sees the diagram as given:
+packed as for Q, in one value pass at a width set from the programs' gains
+(`diagram._sweep`).  The engine sees the diagram as given:
 the kinks and clasps that `diagram.simplify` removes change the writhe.
 V is normalized by (-A)^(-3w) and realized in s = t^(1/2) via t = A^-4.
 

@@ -23,7 +23,8 @@ basis tangle glued to one crossing or one cap, computed once into a row of
 rows once per step and set of live matching ids and kept in
 `diagram._programs(_q)`, at most `diagram._PROGRAMS_MAX` of them, the oldest
 going first, for passes of every width; a target's first op stores its
-product, the others add to it.  `diagram._sweep` says how the state is
+product, the others add to it.  `diagram._sweep` says how the programs'
+gains set the digit width before the one value pass, and how the state is
 packed and decoded.  A wider piece goes to the switch chain,
 whose smaller pieces are swept again; `poly.combine` sums the vectors of each
 skein step with the ring's own `*` and `+`.

@@ -287,26 +287,38 @@ def _pieces(d):
     return [PDDiagram([d.crossings[i] for i in piece]) for piece in _connected_pieces(d)]
 
 
+def _engine_pieces(d):
+    """(piece, engine) per piece: Q's pieces of the reduced diagram, the
+    bracket's of the diagram itself."""
+    return [*((p, _q) for p in _pieces(simplify(d))), *((p, jones._bracket) for p in _pieces(d))]
+
+
+def _planned_pieces(diagrams):
+    """(plan, engine) per piece of `_engine_pieces` that sweeps."""
+    for d in diagrams:
+        for p, engine in _engine_pieces(d):
+            steps = _sweep_steps(p)
+            if steps is not None:
+                yield steps, engine
+
+
 def test_sweep_equals_the_switch_chain():
-    # Q sweeps the pieces of the reduced diagram, the bracket those of the
-    # diagram itself; each sweep must equal its engine's skein recursion
+    # each sweep must equal its engine's skein recursion
+    recursions = {_q: _chain, jones._bracket: jones._smoothing}
     swept = wide = 0
     for d in _sweep_cases():
         q = q_polynomial(d, 64)
         assert _evaluations(q) == (
             1, (-2) ** (num_components(d) - 1), determinant_goeritz(d) ** 2
         )
-        for p, engine, recursion in [
-            *((p, _q, _chain) for p in _pieces(simplify(d))),
-            *((p, jones._bracket, jones._smoothing) for p in _pieces(d)),
-        ]:
+        for p, engine in _engine_pieces(d):
             steps = _sweep_steps(p)
             if steps is None:
                 wide += 1
             else:
                 swept += 1
                 assert max(width for width, _ in steps) <= SWEEP_WIDTH
-                assert _sweep(steps, engine) == recursion(p, {}), p
+                assert _sweep(steps, engine) == recursions[engine](p, {}), p
     assert swept > 100 and wide >= 8
 
 
@@ -320,20 +332,31 @@ def _combining_sweep(steps, engine):
 
 
 def _counting_passes(monkeypatch):
-    """The byte widths of the packed passes of every sweep from here on."""
+    """The passes of every sweep from here on, in order: "bounds" for a pass
+    of `_bounds`, and the byte width of each value pass, `_packed_sweep`."""
     passes = []
-    packed = diagram._packed_sweep
+    bounds, packed = diagram._bounds, diagram._packed_sweep
 
-    def counted(steps, engine, nbytes):
+    def counted_bounds(programs):
+        passes.append("bounds")
+        return bounds(programs)
+
+    def counted_values(programs, nbytes):
         passes.append(nbytes)
-        return packed(steps, engine, nbytes)
+        return packed(programs, nbytes)
 
-    monkeypatch.setattr(diagram, "_packed_sweep", counted)
+    monkeypatch.setattr(diagram, "_bounds", counted_bounds)
+    monkeypatch.setattr(diagram, "_packed_sweep", counted_values)
     return passes
 
 
+def _gain(steps, engine):
+    """The product of the gains of the step programs of a sweep."""
+    return math.prod(gain for _, _, gain, _ in diagram._step_programs(steps, engine))
+
+
 @pytest.mark.parametrize("k, q_bits", [(50, 77), (100, 156)])
-def test_wide_coefficients_sweep_again_at_their_width(k, q_bits, monkeypatch):
+def test_wide_coefficients_sweep_once_at_their_width(k, q_bits, monkeypatch):
     # the reduced alternating closure of (s1 s2^-1)^k is one piece, swept
     d = close_braid([1, -2] * k, 3)
     q = q_polynomial(d)
@@ -342,13 +365,16 @@ def test_wide_coefficients_sweep_again_at_their_width(k, q_bits, monkeypatch):
     assert _evaluations(q) == (1, (-2) ** (num_components(d) - 1), determinant_goeritz(d) ** 2)
     # the oracle's transitions run sweeps of their own: build it before counting
     want = {engine: _combining_sweep(d.plan, engine) for engine in (_q, jones._bracket)}
+    bound = {engine: _dict_sweep(d.plan, engine, 4)[1][0][1] for engine in want}
     passes = _counting_passes(monkeypatch)
     for engine, value in ((_q, q), (jones._bracket, bracket)):
+        assert nbytes_for(_gain(d.plan, engine)) > 4
         passes.clear()
         swept = _sweep(d.plan, engine)
         assert swept == want[engine] == {(): value}
-        # coefficients past 63 bits: the 4-byte first pass cannot decode them
-        assert passes[0] == nbytes_for(1) == 4 and len(passes) == 2 and passes[1] > 8
+        # coefficients past 63 bits: the gains call for the bound pass, and
+        # the one value pass runs at the width of the exact bound
+        assert passes == ["bounds", nbytes_for(bound[engine])] and passes[1] > 8
 
 
 def _skewed(factor):
@@ -364,19 +390,25 @@ def test_a_pass_too_narrow_keeps_entries_that_pack_to_zero(monkeypatch):
     # each transition times x - X: at that X every packed entry is 0, yet no
     # entry is the zero polynomial, and their bounds of X + 1 and more keep them
     steps = trefoil().plan
-    low, state = diagram._packed_sweep(steps, _skewed(IntLaurent({1: 1, 0: -256})), 1)
-    assert state and all(v == 0 and bound >= 1 << 7 for v, bound in state.values())
-    # the first pass of `_sweep` runs at 4 bytes, X = 2^32
+    programs = diagram._step_programs(steps, _skewed(IntLaurent({1: 1, 0: -256})))
+    low, state = diagram._packed_sweep(programs, 1)
+    bounds = diagram._bounds(programs)
+    assert state and list(state) == list(bounds)
+    assert all(v == 0 and bounds[i] >= 1 << 7 for i, v in state.items())
+    # at X = 2^32 every entry packs to 0 too: `_sweep` runs its one value
+    # pass at the width of the exact bound instead
     factor = IntLaurent({1: 1, 0: -(1 << 32)})
     skewed = _skewed(factor)
-    _, state = diagram._packed_sweep(steps, skewed, 4)
-    ((v, bound),) = state.values()
+    programs = diagram._step_programs(steps, skewed)
+    _, state = diagram._packed_sweep(programs, 4)
+    (v,) = state.values()
+    (bound,) = diagram._bounds(programs).values()
     assert v == 0 and bound >= 1 << 31
     want = _combining_sweep(steps, skewed)
     passes = _counting_passes(monkeypatch)
     swept = _sweep(steps, skewed)
     assert swept == want == {(): Q_TREFOIL * factor ** len(steps)}
-    assert passes == [4, nbytes_for(bound)]
+    assert passes == ["bounds", nbytes_for(bound)]
     assert max(abs(v) for _, v in want[()].items()).bit_length() < 8 * passes[1]
 
 
@@ -408,16 +440,6 @@ def _row(engine, width, matching, glue):
     return diagram._pack_row(_transition(engine, width, matching, glue))
 
 
-def _planned_pieces(diagrams):
-    """(plan, engine) per piece that sweeps: Q's pieces of each reduced
-    diagram, the bracket's of the diagram itself."""
-    for d in diagrams:
-        for p, engine in [*((p, _q) for p in _pieces(simplify(d))), *((p, jones._bracket) for p in _pieces(d))]:
-            steps = _sweep_steps(p)
-            if steps is not None:
-                yield steps, engine
-
-
 def _random_closures(seed, count, letters):
     """Seeded random 3- and 4-braid closures of 1 to `letters` letters."""
     rng = random.Random(seed)
@@ -427,16 +449,22 @@ def _random_closures(seed, count, letters):
 
 @pytest.mark.parametrize("nbytes", [1, 2, 4, 8])
 def test_the_compiled_sweep_equals_the_dict_loop(nbytes):
-    # values and bounds both, at widths where digits carry and where they do not
+    # the values at widths where digits carry and where they do not, and the
+    # bound pass, which reads no width, against the loop's bounds
     pieces = list(_planned_pieces(chain(_sweep_cases(), _random_closures(30, 24, 60))))
     for steps, engine in pieces:
-        assert diagram._packed_sweep(steps, engine, nbytes) == _dict_sweep(steps, engine, nbytes), (steps, engine)
+        programs = diagram._step_programs(steps, engine)
+        low, state = _dict_sweep(steps, engine, nbytes)
+        assert diagram._packed_sweep(programs, nbytes) == (low, {i: v for i, (v, _) in state.items()}), (steps, engine)
+        assert diagram._bounds(programs) == {i: bound for i, (_, bound) in state.items()}, (steps, engine)
     assert len(pieces) > 200
     # Q times (x - 256) per step: at 1 byte every entry packs to 0
     skewed = _skewed(IntLaurent({1: 1, 0: -256}))
     steps = trefoil().plan
-    low, state = diagram._packed_sweep(steps, skewed, nbytes)
-    assert (low, state) == _dict_sweep(steps, skewed, nbytes)
+    programs = diagram._step_programs(steps, skewed)
+    low, state = _dict_sweep(steps, skewed, nbytes)
+    assert diagram._packed_sweep(programs, nbytes) == (low, {i: v for i, (v, _) in state.items()})
+    assert diagram._bounds(programs) == {i: bound for i, (_, bound) in state.items()}
     assert all(v == 0 for v, _ in state.values()) == (nbytes == 1)
 
 
@@ -450,37 +478,58 @@ def _wide_pieces():
 
 
 def test_the_final_bounds_do_not_depend_on_the_width():
-    # a pass that dropped the entries packing to 0 kept bounds that changed
-    # with the width, on 5 of these 10 pieces
+    # the dict loop's bounds are the same at every width, and equal to those
+    # of the bound pass, which sets the width before any value is computed
     pairs = 0
     for d in _wide_pieces():
         for engine, swept in ((_q, simplify(d)), (jones._bracket, d)):
             (piece,) = swept.parts
             bounds = [
-                {i: bound for i, (_, bound) in diagram._packed_sweep(piece.plan, engine, nbytes)[1].items()}
+                {i: bound for i, (_, bound) in _dict_sweep(piece.plan, engine, nbytes)[1].items()}
                 for nbytes in (1, 2, 4, 8, 16, 32)
             ]
             assert list(bounds[0]) == [0] and max(bounds[0].values()).bit_length() > 40
             assert all(b == bounds[0] for b in bounds), (piece, engine)
+            assert diagram._bounds(diagram._step_programs(piece.plan, engine)) == bounds[0]
             pairs += 1
     assert pairs == 10
 
 
-def test_a_swept_piece_takes_at_most_two_passes(monkeypatch):
+def test_the_gains_bound_the_final_entry_and_set_the_width(monkeypatch):
+    # soundness of the width chosen before the sweep: the product of the
+    # gains is at least the exact bound of the final entry, and the one value
+    # pass runs at `nbytes_for` of that bound, the width a pass at 4 bytes
+    # followed by one at its bound's width would have decoded at
+    pieces = list(_planned_pieces(chain(_sweep_cases(), _random_closures(31, 24, 120), _wide_pieces())))
+    oracle = [(steps, engine, _dict_sweep(steps, engine, 4)[1][0][1]) for steps, engine in pieces]
     passes = _counting_passes(monkeypatch)
-    counts = [0, 0, 0]
-    for d in (*_sweep_cases(), close_braid([1, -2] * 100, 3)):
-        for p, engine in [*((p, _q) for p in _pieces(simplify(d))), *((p, jones._bracket) for p in _pieces(d))]:
-            steps = _sweep_steps(p)
-            if steps is None:
-                continue
-            value = _sweep(steps, engine)  # fills the step tables, whose transitions may sweep
-            passes.clear()
-            assert _sweep(steps, engine) == value
-            assert 1 <= len(passes) <= 2 and passes[0] == nbytes_for(1), (p, passes)
-            counts[len(passes)] += 1
+    wide = loose = 0
+    for steps, engine, bound in oracle:
+        gain = _gain(steps, engine)
+        assert gain >= bound, (steps, engine)
+        passes.clear()
+        _sweep(steps, engine)
+        assert passes[-1] == nbytes_for(bound), (steps, engine)
+        wide += passes[-1] > 4
+        loose += nbytes_for(gain) > passes[-1] == 4  # the bound pass kept 4 bytes
+    assert len(oracle) > 200 and wide >= 30 and loose >= 10
+
+
+def test_a_swept_piece_takes_one_value_pass(monkeypatch):
+    # at the width of its exact bound, after a bound pass only when the
+    # product of its gains needs more than 4 bytes
+    passes = _counting_passes(monkeypatch)
+    counts = [0, 0]
+    for steps, engine in _planned_pieces((*_sweep_cases(), close_braid([1, -2] * 100, 3))):
+        value = _sweep(steps, engine)  # fills the step tables, whose transitions may sweep
+        passes.clear()
+        assert _sweep(steps, engine) == value
+        bounded = nbytes_for(_gain(steps, engine)) > 4
+        assert passes[:-1] == ["bounds"] * bounded, (steps, passes)
+        assert passes[-1] == (nbytes_for(diagram._bounds(diagram._step_programs(steps, engine))[0]) if bounded else 4)
+        counts[bounded] += 1
     # only the 200-crossing closure's Q and bracket pass 31 bits
-    assert counts[1] > 100 and counts[2] == 2
+    assert counts[0] > 100 and counts[1] == 2
 
 
 def test_matching_ids_are_one_table_of_at_most_125():
@@ -489,11 +538,8 @@ def test_matching_ids_are_one_table_of_at_most_125():
     table = diagram._MATCHINGS
     assert isinstance(table, tuple)
     before = list(table)
-    for d in _sweep_cases():
-        for p, engine in [*((p, _q) for p in _pieces(simplify(d))), *((p, jones._bracket) for p in _pieces(d))]:
-            steps = _sweep_steps(p)
-            if steps is not None:
-                _sweep(steps, engine)
+    for steps, engine in _planned_pieces(_sweep_cases()):
+        _sweep(steps, engine)
     assert diagram._MATCHINGS is table and list(table) == before
     # (w-1)!! matchings of w points: 1 + 1 + 3 + 15 + 105 = 125 up to 8
     bound = sum(math.prod(range(1, w, 2)) for w in range(0, SWEEP_WIDTH + 1, 2))
@@ -683,25 +729,25 @@ def test_the_step_tables_are_one_per_engine():
 
 
 @pytest.mark.parametrize("engine", [_q, jones._bracket])
-def test_the_retry_pass_packs_no_row(engine, monkeypatch):
-    # a new engine object starts from empty step tables, so a first pass,
-    # here at 8 bytes, packs every row and compiles every program; the wider
-    # pass that must follow runs the same programs
+def test_the_bound_pass_packs_no_row(engine, monkeypatch):
+    # a new engine object starts from empty step tables, so the walk along
+    # the programs packs every row and compiles every program; the bound
+    # pass and the value pass that follow only run them
     def fresh(d, memo):
         return engine(d, memo)
 
     steps = close_braid([1, -2] * 50, 3).plan
     calls = _counting_calls(monkeypatch)
-    _, state = diagram._packed_sweep(steps, fresh, 8)
-    top = max(bound for _, bound in state.values())
+    programs = diagram._step_programs(steps, fresh)
     rows = sum(len(table) for table in diagram._packed(fresh).values())
-    programs = dict(diagram._programs(fresh))
-    assert top.bit_length() >= 64 and calls.count("_pack_row") >= rows > 10
-    assert calls.count("_program") >= len(programs) > 5
+    kept = dict(diagram._programs(fresh))
+    assert calls.count("_pack_row") >= rows > 10
+    assert calls.count("_program") >= len(kept) > 5
     calls.clear()
-    nbytes = nbytes_for(top)
-    low, state = diagram._packed_sweep(steps, fresh, nbytes)
+    (bound,) = diagram._bounds(programs).values()
+    nbytes = nbytes_for(bound)
+    low, state = diagram._packed_sweep(programs, nbytes)
     assert calls == [] and nbytes > 8
-    kept = diagram._programs(fresh)
-    assert kept == programs and all(kept[key] is program for key, program in programs.items())
-    assert {diagram._MATCHINGS[i]: unpack(v, nbytes, low) for i, (v, _) in state.items()} == _sweep(steps, engine)
+    assert diagram._programs(fresh) == kept
+    assert all(diagram._programs(fresh)[key] is program for key, program in kept.items())
+    assert {diagram._MATCHINGS[i]: unpack(v, nbytes, low) for i, v in state.items()} == _sweep(steps, engine)
