@@ -170,26 +170,25 @@ class BurauMatrix:
         return BurauMatrix(one, zero, zero, one)
 
 
-def burau(w: BraidWord) -> BurauMatrix:
-    """Reduced Burau matrix of a 3-strand word, entries in Z[t, t^-1].
+def _packed_burau(w: BraidWord, width_of) -> tuple[tuple[int, int, int, int], int, int]:
+    """The reduced Burau product of a 3-strand word on packed integers:
+    ((a, b, c, d), nbytes, k), the entries evaluated at u = X = 2^(8 nbytes)
+    and taken times u^k for the k inverse letters, with nbytes =
+    `width_of(na, nb, nc, nd)` of the entries' l1 bounds.
 
     psi(s1) = [-t, 1; 0, 1] and psi(s2) = [1, 0; t, -t], which in u = -t
-    read [u, 1; 0, 1] and [1, 0; -u, u].  The product runs on packed
-    integers: evaluation at u = X = 2^B is a ring homomorphism Z[u] -> Z,
-    so each entry is one Python int, with exact carries, and only the final
-    decode needs the bound.  For a polynomial product every inverse letter
-    is taken times u, u psi(s1^-1) = [1, -1; 0, u] and u psi(s2^-1) =
-    [u, 0; u, 1]; with k inverse letters the result is u^-k times the
-    decoded matrix.  Right-multiplying by a letter is a column operation on
-    (a, b) and on (c, d), one shift and one add or subtract per row, e.g.
-    (a, b) -> (aX, a + b) for s1.  Multiplying by +-u^j keeps the sum of
-    the absolute coefficients, so the recurrence nb += na, nd += nc
-    (s1^+-1) and na += nb, nc += nd (s2^+-1) bounds the l1 norm of every
-    entry; B is 8 times ``poly.nbytes_for`` of the largest bound, and each
-    entry is decoded to balanced base-X digits by ``poly.unpack``, then to
-    t by u^e = (-1)^e t^e.
+    read [u, 1; 0, 1] and [1, 0; -u, u].  Evaluation at u = X is a ring
+    homomorphism Z[u] -> Z, so each entry is one Python int, with exact
+    carries, at any X; only a decode needs the bound.  For a polynomial
+    product every inverse letter is taken times u, u psi(s1^-1) =
+    [1, -1; 0, u] and u psi(s2^-1) = [u, 0; u, 1].  Right-multiplying by a
+    letter is a column operation on (a, b) and on (c, d), one shift and one
+    add or subtract per row, e.g. (a, b) -> (aX, a + b) for s1.
+    Multiplying by +-u^j keeps the sum of the absolute coefficients, so the
+    recurrence nb += na, nd += nc (s1^+-1) and na += nb, nc += nd (s2^+-1)
+    bounds the l1 norm of every entry.
     Cost: about 4 big-int shifts or adds per letter, on ints of at most
-    (len(w) + 1) B bits.
+    (len(w) + 1) 8 nbytes bits.
     """
     if w.strands != 3:
         raise MalformedDiagramError("the 2x2 Burau matrices are for 3-strand words")
@@ -202,7 +201,7 @@ def burau(w: BraidWord) -> BurauMatrix:
         else:
             na += nb
             nc += nd
-    width = nbytes_for(max(na, nb, nc, nd))  # B / 8
+    width = width_of(na, nb, nc, nd)
     B = 8 * width
     a, b, c, d = 1, 0, 0, 1
     for g in letters:
@@ -216,8 +215,20 @@ def burau(w: BraidWord) -> BurauMatrix:
             b, d = (b << B) - a, (d << B) - c
         else:
             a, c = (a + b) << B, (c + d) << B
-    k = sum(1 for g in letters if g < 0)
-    return BurauMatrix(*(_u_to_t(unpack(v, width, -k)) for v in (a, b, c, d)))
+    return (a, b, c, d), width, sum(1 for g in letters if g < 0)
+
+
+def burau(w: BraidWord) -> BurauMatrix:
+    """Reduced Burau matrix of a 3-strand word, entries in Z[t, t^-1].
+
+    The product runs on packed integers (`_packed_burau`) at nbytes =
+    ``poly.nbytes_for`` of the largest entry bound; with k inverse letters
+    the matrix is u^-k times the decoded one, each entry decoded to
+    balanced base-X digits by ``poly.unpack``, then to t by
+    u^e = (-1)^e t^e.
+    """
+    entries, width, k = _packed_burau(w, lambda *bounds: nbytes_for(max(bounds)))
+    return BurauMatrix(*(_u_to_t(unpack(v, width, -k)) for v in entries))
 
 
 def _u_to_t(p: IntLaurent) -> IntLaurent:
@@ -231,8 +242,16 @@ def _neg_sqrt_t_power(e: int) -> HalfLaurent:
 
 
 def birman_jones(w: BraidWord) -> HalfLaurent:
-    """V of the braid closure: (-sqrt t)^e (t + t^-1 + tr(Burau(w)))."""
-    tr = burau(w).trace()
+    """V of the braid closure: (-sqrt t)^e (t + t^-1 + tr(Burau(w))).
+
+    The trace is read from `burau`'s packed product alone: a + d, one
+    ``poly.unpack`` and one `_u_to_t` in place of four each.  Its l1 norm
+    is at most na + nd, which may need a wider digit than the largest
+    entry bound, so the product runs at nbytes = ``poly.nbytes_for(na +
+    nd)``; at that X the entries b and c may not decode, and are not read.
+    """
+    (a, _, _, d), width, k = _packed_burau(w, lambda na, nb, nc, nd: nbytes_for(na + nd))
+    tr = _u_to_t(unpack(a + d, width, -k))
     body = IntLaurent({1: 1, -1: 1}) + tr
     return _neg_sqrt_t_power(w.exponent_sum) * HalfLaurent.from_t(body)
 

@@ -25,8 +25,9 @@ t-breadth of V is the A-span of <D> over 4.  A kink or a clasp that
 `diagram.simplify` removes multiplies <D> by a unit +-A^k, which keeps both,
 so `obstruction_check` reads them from the bracket of `simplify(d)`, the
 diagram Q expands.  The Goeritz determinant checks det at every size:
-|det G| = det(L) (Gordon and Litherland 1978) for G the Laplacian of the
-white faces, with one edge per crossing.
+|det G| = det(L) (Gordon and Litherland 1978) for G the Laplacian of either
+class of checkerboard faces, white or black, with one signed edge per
+crossing, and `determinant_goeritz` takes the class with fewer faces.
 Corner k of crossing c is white when k + flip[c] is even; `diagram._faces`
 numbers corners as the ends of `PDDiagram.partner`, 4c+k, and puts corners
 4c+s and 4c2+(s2+1 mod 4) in one face when an arc joins slot s of c to slot s2
@@ -224,13 +225,23 @@ def determinant_goeritz(d: PDDiagram) -> int:
     """det(L) from a Goeritz form of a checkerboard coloring.
 
     Works for any number of crossings; split diagrams return 0 and
-    non-planar codes raise MalformedDiagramError.  The time goes to
+    non-planar codes raise MalformedDiagramError.  Either class of faces,
+    white or black, gives a Goeritz matrix, the minor of its Laplacian with
+    one signed edge per crossing, and each presents H_1 of the double
+    branched cover, so |det| is det(L) for both (Gordon and Litherland
+    1978); the black class is the white one with every flip[c] inverted,
+    corners k + 1 and k + 3 and sign -eta.  The minor is taken over the
+    class with fewer faces, white on a tie: P(40, 40, -40) has 119 white
+    faces and 3 black, so its minor has order 2, not 118, and a balanced
+    braid closure keeps its white minor.  The time goes to
     :func:`~qalt.intmat.laplacian_det` on a sparse minor.  Measured on a
-    2-core Xeon with Python 3.11 (CPU time, best of 3): the reduced
-    closure of (s1 s2^-1)^k takes 0.001 s at 200 crossings, 0.004-0.005 s
-    at 800, 0.010-0.016 s at 1600 and 0.033-0.036 s at 3200; reduced
-    random 4-braids take 0.002 s at 288 crossings, 0.006 s at 600 and
-    0.015 s at 1214.
+    2-core Xeon with Python 3.11.7 (CPU time, best of 3 in one process,
+    two runs): the reduced closure of (s1 s2^-1)^k takes 0.0008-0.0009 s
+    at 200 crossings, 0.004 s at 800, 0.010-0.011 s at 1600 and
+    0.036-0.037 s at 3200; reduced random 4-braids of 400, 800 and 1600
+    letters (seed 5) take 0.002 s at 240 crossings, 0.009 s at 478 and
+    0.022 s at 988; P(300, 300, -300) takes 0.0016-0.0017 s, against
+    0.0051-0.0053 s on its white minor.
     """
     nfaces, face = _admit(d).faces
     if not d.crossings:
@@ -251,14 +262,24 @@ def determinant_goeritz(d: PDDiagram) -> int:
                 stack.append(c2)
             elif flip[c2] != k:
                 raise MalformedDiagramError("diagram is not checkerboard colorable")
-    # crossing c joins its white corners k and k + 2, k = flip[c], with eta = 1 - 2k
+    vertices, edges = _goeritz_graph(flip, face, 0)
+    if nfaces - vertices < vertices:
+        vertices, edges = _goeritz_graph(flip, face, 1)
+    return abs(laplacian_det(vertices, edges))
+
+
+def _goeritz_graph(flip: dict[int, int], face: list[int], color: int) -> tuple[int, list]:
+    """The number of faces of one checkerboard class, white (`color` 0) or
+    black (1), and one signed edge per crossing between them: crossing c
+    joins its corners j and j + 2, j = flip[c] ^ color, with eta = 1 - 2j."""
     index: dict[int, int] = {}
     edges = []
     for c, k in flip.items():
-        u = index.setdefault(face[4 * c + k], len(index))
-        v = index.setdefault(face[4 * c + k + 2], len(index))
-        edges.append((u, v, 1 - 2 * k))
-    return abs(laplacian_det(len(index), edges))
+        j = k ^ color
+        u = index.setdefault(face[4 * c + j], len(index))
+        v = index.setdefault(face[4 * c + j + 2], len(index))
+        edges.append((u, v, 1 - 2 * j))
+    return len(index), edges
 
 
 # -- the obstruction ------------------------------------------------------

@@ -7,9 +7,11 @@ a two-branch formula in |p|, |q|; only finitely many parameter pairs can
 pass the deg Q < det obstruction.
 
 `kanenobu_q` evaluates the closed form at x = X = 2^(8 nbytes) with
-`poly.pack`, as one sum of products of packed integers, and reads it back
-with one `poly.unpack`, nbytes being `poly.nbytes_for` of the l1 bound that
-the l1 norms of the factors give.
+`poly.pack`, as one sum of three products of packed integers, and reads it
+back with one `poly.unpack`, nbytes being `poly.nbytes_for` of the l1 bound
+that the l1 norms of the factors give.  Each argument n reads one cached
+row: the l1 norms of sigma_{n-1}, sigma_n and sigma_{n+1}, and, per
+(n, nbytes), their packed values, p's taken times the constant factors.
 """
 
 from __future__ import annotations
@@ -41,19 +43,24 @@ _L1_8_8 = _l1(_Q_8_8_MINUS_1_OVER_X)
 
 
 @lru_cache(maxsize=256)
-def _sigma_l1(n: int) -> int:
-    return _l1(sigma(n))
+def _l1_row(n: int) -> tuple[int, int, int]:
+    """The l1 norms of sigma_{n-1}, sigma_n and sigma_{n+1}."""
+    return _l1(sigma(n - 1)), _l1(sigma(n)), _l1(sigma(n + 1))
 
 
 @lru_cache(maxsize=512)
-def _packed_sigma(n: int, nbytes: int) -> int:
-    return pack(sigma(n), nbytes, 0)
+def _packed_row(n: int, nbytes: int) -> tuple[int, int, int]:
+    """sigma_{n-1}, sigma_n and sigma_{n+1} packed at `nbytes`."""
+    return tuple(pack(sigma(m), nbytes, 0) for m in (n - 1, n, n + 1))
 
 
-@lru_cache(maxsize=16)
-def _packed_factors(nbytes: int) -> tuple[int, int]:
-    """The two constant factors packed at `nbytes`, on first use of the width."""
-    return pack(_Q_8_9_MINUS_1, nbytes, 0), pack(_Q_8_8_MINUS_1_OVER_X, nbytes, 0)
+@lru_cache(maxsize=512)
+def _scaled_row(n: int, nbytes: int) -> tuple[int, int, int]:
+    """sigma_{n-1} x^-1 (Q(8_8)-1), sigma_n (Q(8_9)-1) and
+    sigma_{n+1} x^-1 (Q(8_8)-1) packed at `nbytes`."""
+    f89, f88 = pack(_Q_8_9_MINUS_1, nbytes, 0), pack(_Q_8_8_MINUS_1_OVER_X, nbytes, 0)
+    below, at, above = _packed_row(n, nbytes)
+    return below * f88, at * f89, above * f88
 
 
 def kanenobu_q(p: int, q: int) -> IntLaurent:
@@ -64,24 +71,19 @@ def kanenobu_q(p: int, q: int) -> IntLaurent:
     Evaluated on packed integers at X = 2^(8 nbytes) and decoded once, with
     nbytes = `poly.nbytes_for(B)` for the l1 bound B = l1(sigma_p)
     l1(sigma_q) l1(Q(8_9)-1) + (l1(sigma_{p+1}) l1(sigma_{q+1})
-    + l1(sigma_{p-1}) l1(sigma_{q-1})) l1(x^-1 (Q(8_8)-1)) + 1.  p and q
-    must be integers (`operator.index`); anything else raises TypeError.
+    + l1(sigma_{p-1}) l1(sigma_{q-1})) l1(x^-1 (Q(8_8)-1)) + 1.  Each
+    argument's three sigmas come from one cached row: their l1 norms by
+    n, and their packed values by (n, nbytes), p's already times the
+    constant factor it meets, so a cell makes four cache calls and three
+    products.  p and q must be integers (`operator.index`); anything else
+    raises TypeError.
     """
     p, q = operator.index(p), operator.index(q)
-    bound = (
-        _sigma_l1(p) * _sigma_l1(q) * _L1_8_9
-        + (_sigma_l1(p + 1) * _sigma_l1(q + 1) + _sigma_l1(p - 1) * _sigma_l1(q - 1)) * _L1_8_8
-        + 1
-    )
-    nbytes = nbytes_for(bound)
-    f89, f88 = _packed_factors(nbytes)
-    s = _packed_sigma
-    v = (
-        (s(p + 1, nbytes) * s(q + 1, nbytes) + s(p - 1, nbytes) * s(q - 1, nbytes)) * f88
-        - s(p, nbytes) * s(q, nbytes) * f89
-        + 1
-    )
-    return unpack(v, nbytes)
+    (l1_pb, l1_p, l1_pa), (l1_qb, l1_q, l1_qa) = _l1_row(p), _l1_row(q)
+    nbytes = nbytes_for(l1_p * l1_q * _L1_8_9 + (l1_pa * l1_qa + l1_pb * l1_qb) * _L1_8_8 + 1)
+    p_below, p_at, p_above = _scaled_row(p, nbytes)
+    q_below, q_at, q_above = _packed_row(q, nbytes)
+    return unpack(p_above * q_above + p_below * q_below - p_at * q_at + 1, nbytes)
 
 
 def kanenobu_degree(p: int, q: int) -> int:

@@ -298,7 +298,7 @@ def nbytes_for(bound: int) -> int:
 _WORDS = {struct.calcsize(f): f for f in "bhiq"}
 
 
-@lru_cache(maxsize=128)  # big_forms decodes at about 60 (nbytes, digits) pairs
+@lru_cache(maxsize=128)  # big_forms decodes at 46 (nbytes, digits) pairs
 def _half_digits(nbytes: int, digits: int) -> int:
     """The integer whose `digits` base-2^(8 nbytes) digits are all X/2."""
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * digits, "little")

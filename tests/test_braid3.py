@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from qalt import braid3
 from qalt.braid3 import (
     B3NormalForm,
     BraidWord,
@@ -23,7 +24,7 @@ from qalt.braid3 import (
 from qalt.diagram import close_braid, simplify
 from qalt.errors import HypothesisViolationError, MalformedDiagramError, PDParseError
 from qalt.jones import determinant, determinant_goeritz, jones_polynomial
-from qalt.poly import HalfLaurent, IntLaurent, eval_at_s_equals_i
+from qalt.poly import HalfLaurent, IntLaurent, eval_at_s_equals_i, nbytes_for
 from qalt.qpoly import q_degree
 
 from conftest import longest_bridge
@@ -203,6 +204,66 @@ def test_birman_empty_word_is_three_unlink():
     v = birman_jones(BraidWord(3, ()))
     assert v == HalfLaurent({2: 1, 0: 2, -2: 1})  # t + 2 + t^-1
     assert jones_polynomial(close_braid([], 3)) == v
+
+
+def entry_bounds(letters) -> tuple[int, int, int, int]:
+    """The l1 bounds (na, nb, nc, nd) of the Burau entries in u = -t: a
+    letter s1^+-1 adds column a to column b, s2^+-1 column b to column a."""
+    na, nb, nc, nd = 1, 0, 0, 1
+    for g in letters:
+        if g in (1, -1):
+            nb, nd = nb + na, nd + nc
+        else:
+            na, nc = na + nb, nc + nd
+    return na, nb, nc, nd
+
+
+B300 = (1, 2, 1, -2, -2) * 60  # the corpus's b300: 25-byte digits for 1-bit coefficients
+
+
+def birman_words():
+    """Alternating words, words with cancellation, the empty word, single
+    letters, and a seeded random word whose trace bound na + nd needs a
+    wider digit than its largest entry bound."""
+    rng = random.Random(1985)
+    words = [(), (1,), (-1,), (2,), (-2,), (1, -2) * 50, (1, -2) * 300, (1, 1, -2) * 40]
+    words += [tuple(rng.choice((1, -2)) for _ in range(rng.randint(1, 120))) for _ in range(20)]
+    words += [B300]
+    words += [tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 120))) for _ in range(20)]
+    while True:
+        letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 120)))
+        na, nb, nc, nd = entry_bounds(letters)
+        if nbytes_for(na + nd) > nbytes_for(max(na, nb, nc, nd)):
+            return words + [letters]
+
+
+def test_birman_reads_the_trace_of_the_burau_matrix(monkeypatch):
+    decodes = []
+    original = braid3.unpack
+
+    def recorded(v, nbytes, low=0):
+        decodes.append(nbytes)
+        return original(v, nbytes, low)
+
+    words = birman_words()
+    na, nb, nc, nd = entry_bounds(words[-1])
+    assert nbytes_for(na + nd) > nbytes_for(max(na, nb, nc, nd))
+    assert nbytes_for(max(entry_bounds(B300))) == 25
+    assert max(abs(v) for _, v in birman_jones(BraidWord(3, B300)).items()) == 1
+    for letters in words:
+        w = BraidWord(3, letters)
+        e = w.exponent_sum
+        body = IntLaurent({1: 1, -1: 1}) + burau(w).trace()
+        want = HalfLaurent.s_term(-1 if e % 2 else 1, e) * HalfLaurent.from_t(body)
+        na, _, _, nd = entry_bounds(letters)
+        monkeypatch.setattr(braid3, "unpack", recorded)
+        assert birman_jones(w) == want, letters
+        monkeypatch.setattr(braid3, "unpack", original)
+        # the trace alone is decoded, once, at its own bound's width
+        assert decodes == [nbytes_for(na + nd)], letters
+        decodes.clear()
+    with pytest.raises(MalformedDiagramError):
+        birman_jones(BraidWord(2, (1, -1, 1)))
 
 
 def test_closed_forms_match_birman():

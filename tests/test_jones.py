@@ -28,6 +28,7 @@ from qalt.diagram import (
     unlink,
 )
 from qalt.errors import CrossingLimitError, InternalConsistencyError, MalformedDiagramError
+from qalt.intmat import laplacian_det
 from qalt.jones import (
     ObstructionVerdict,
     _det_and_breadth,
@@ -214,6 +215,97 @@ def test_goeritz_agrees_with_bracket(rng):
         assert determinant_goeritz(d) == determinant(d)
     assert determinant_goeritz(unknot()) == 1
     assert determinant_goeritz(unlink(3)) == 0
+
+
+def checkerboard_classes(d: PDDiagram) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """(face count, Goeritz edges) of the white and of the black class of a
+    connected diagram, its faces colored here by a walk over the face table:
+    the corners k and k + 1 of a crossing lie in faces of opposite colors,
+    and the face of corner 0 of crossing 0 is white.  Each crossing joins
+    the two faces of a class at its corners j and j + 2, j in {0, 1}, with
+    sign 1 - 2j."""
+    _, face = d.faces
+    touching: dict[int, list[int]] = {}
+    for corner, f in enumerate(face):
+        touching.setdefault(f, []).append(corner)
+    color = {face[0]: 0}
+    stack = [face[0]]
+    while stack:
+        f = stack.pop()
+        for corner in touching[f]:
+            for other in ((corner & ~3) | (corner + 1) % 4, (corner & ~3) | (corner - 1) % 4):
+                g = face[other]
+                if g not in color:
+                    color[g] = color[f] ^ 1
+                    stack.append(g)
+                assert color[g] != color[f], "adjacent corners share a color"
+    classes = []
+    for side in (0, 1):
+        index = {f: i for i, f in enumerate(f for f in color if color[f] == side)}
+        edges = []
+        for c in range(len(d.crossings)):
+            j = 0 if color[face[4 * c]] == side else 1
+            edges.append((index[face[4 * c + j]], index[face[4 * c + j + 2]], 1 - 2 * j))
+        classes.append((len(index), edges))
+    return classes
+
+
+@pytest.fixture
+def minors(monkeypatch):
+    """(order, sorted edge signs) of each Laplacian minor that
+    `determinant_goeritz` takes."""
+    seen = []
+    original = jones.laplacian_det
+
+    def recorded(n, edges):
+        seen.append((n - 1, sorted(w for _, _, w in edges)))
+        return original(n, edges)
+
+    monkeypatch.setattr(jones, "laplacian_det", recorded)
+    return seen
+
+
+def _checkerboard_cases():
+    rng = random.Random(1978)
+    cases = [random_braid_diagram(rng, 12, rng.randint(2, 4)) for _ in range(20)]
+    cases += [close_braid([1, -2] * k, 3) for k in (1, 2, 5, 20)]
+    cases += [close_braid([1, -2, 3, -2] * k, 4) for k in (2, 6)]
+    for family, params in (("A", (5, 7, 9)), ("B", (5, 7, 9)), ("C", (3, 4, 8))):
+        cases += [generate_pretzel(pretzel_family_report(family, r).entries) for r in params]
+    cases += [connected_sum(trefoil(), figure_eight(), 1, 1), connected_sum(hopf_link(), trefoil(), 1, 1)]
+    cases += [connected_sum(generate_pretzel([3, 3, -3]), close_braid([1, -2] * 4, 3), 1, 1)]
+    cases += [KINKED_TREFOIL, mirror(KINKED_TREFOIL), *UNKNOT_KINKS, *CLASPED]
+    return [d for d in cases if len(_connected_pieces(d)) == 1 and not d.free_loops]
+
+
+@pytest.mark.parametrize("d", _checkerboard_cases(), ids=render_pd)
+def test_both_checkerboard_classes_give_the_determinant(minors, d):
+    (nw, white), (nb, black) = checkerboard_classes(d)
+    assert abs(laplacian_det(nw, white)) == abs(laplacian_det(nb, black))
+    assert abs(laplacian_det(nw, white)) == determinant_goeritz(d) == determinant(d)
+    # the minor of the class with fewer faces, white on a tie
+    edges = black if nb < nw else white
+    assert minors == [(min(nw, nb) - 1, sorted(w for _, _, w in edges))]
+
+
+@pytest.mark.parametrize("p, q, r", [(40, 40, -40), (31, 30, -29), (300, 300, -300)])
+def test_a_pretzel_takes_the_minor_of_its_three_black_faces(minors, p, q, r):
+    d = generate_pretzel([p, q, r])
+    (nw, white), (nb, black) = checkerboard_classes(d)
+    assert (nw, nb) == (len(d) - 1, 3)
+    assert abs(laplacian_det(nw, white)) == abs(laplacian_det(nb, black)) == abs(p * q + q * r + r * p)
+    assert determinant_goeritz(d) == determinant(d) == abs(p * q + q * r + r * p)
+    assert [order for order, _ in minors] == [2]
+
+
+def test_a_balanced_closure_keeps_the_white_minor(minors):
+    for k in (3, 10, 100, 400):
+        d = simplify(close_braid([1, -2] * k, 3))
+        (nw, white), (nb, _) = checkerboard_classes(d)
+        determinant_goeritz(d)
+        # k + 1 faces in each class, and the white class's minor, of order k
+        assert nw == nb == k + 1
+        assert minors[-1] == (k, sorted(w for _, _, w in white))
 
 
 def test_breadth_values():

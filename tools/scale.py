@@ -12,13 +12,16 @@ The paths:
   the words drawn from ``random.Random(k)``;
 - goeritz: `determinant_goeritz` of the reduced closure of (s1 s2^-1)^k.
 
-Each path doubles its size from a small start.  A size runs in three fresh
-processes, so every step table starts empty, and each times one computation
-in CPU time, the diagrams built before the clock starts; the size's time is
-the best of the three.  A path stops at the first size whose time passes the
-budget.  The last line of standard output is a JSON object: per path, the
-last size that fit and, per size, its time and the sha256 digest of its
-output's text, the same in all three processes.
+Each path grows its size by a factor of sqrt 2 from a small start, size i
+being round(start 2^(i/2)), so every second size doubles the one two before
+it, and a size that lands near the budget moves the fit by sqrt 2, not 2.
+A size runs in three fresh processes, so every step table starts empty, and
+each times one computation in CPU time, the diagrams built before the clock
+starts; the size's time is the best of the three.  A path stops at the
+first size whose time passes the budget.  The last line of standard output
+is a JSON object: per path, the last size that fit and, per size, its time
+and the sha256 digest of its output's text, the same in all three
+processes.
 
 With ``--check TABLE`` the run fails unless every digest it reached equals
 the table's and each path reached at least two sizes of the table.  Before
@@ -48,7 +51,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from qalt import jones, qpoly  # noqa: E402
 from qalt.diagram import close_braid, simplify  # noqa: E402
 
-# the first size of each path; each next size doubles it
+# the first size of each path; size i is round(start 2^(i/2))
 STARTS = {"sweep": 10, "check": 25, "goeritz": 100}
 VERIFY_MAX = 80  # the largest sweep size --check recomputes in-process
 REPEATS = 3
@@ -109,15 +112,13 @@ def measure(path: str, k: int) -> dict:
 
 
 def scale(path: str, budget: float) -> dict:
-    """The sizes of `path` from its start, doubling, through the first one
-    over `budget`."""
+    """The sizes of `path` from its start, growing by sqrt 2, through the
+    first one over `budget`."""
     steps = []
-    k = STARTS[path]
-    while True:
-        steps.append(measure(path, k))
-        if steps[-1]["cpu_s"] > budget:
-            break
-        k *= 2
+    i = 0
+    while not steps or steps[-1]["cpu_s"] <= budget:
+        steps.append(measure(path, round(STARTS[path] * 2 ** (i / 2))))
+        i += 1
     return {"fit": steps[-2]["size"] if len(steps) > 1 else None, "steps": steps}
 
 
