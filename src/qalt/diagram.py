@@ -25,16 +25,15 @@ through each removed crossing; `connected_sum` finds the second end of an
 arc as the partner of its first.
 
 The frontier sweep of a connected link piece, shared by Q and the bracket,
-runs the steps of the piece's `plan` over two process-wide tables per
-engine: the width-free packed rows of its transitions, `_packed(engine)`,
-keyed by step and matching id, and the step programs compiled from them,
-`_programs(engine)`, keyed by the step and the sorted tuple of the live
-matching ids and holding at most _PROGRAMS_MAX, the oldest going first.  A
-program is a flat list of ops over the state's list of values, the first op
-that writes a target storing its product and the others adding to it, and
-a gain that bounds how much one step can grow an entry.  A piece's chain of
-programs sets its digit width before any value is computed, so each piece
-takes one value pass.
+runs the steps of the piece's `plan` over two process-wide caches keyed by
+engine: `_row`, every width-free packed row of its transitions, by step and
+matching id, and `_program`, the step programs compiled from them, by step
+and the sorted tuple of the live matching ids, the _PROGRAMS_MAX used last
+over both engines.  A program is a flat list of ops over the state's list
+of values, the first op that writes a target storing its product and the
+others adding to it, and a gain that bounds how much one step can grow an
+entry.  A piece's chain of programs sets its digit width before any value
+is computed, so each piece takes one value pass.
 
 Smoothings carry neutral labels: kind A joins a-b and c-d, kind B joins
 a-d and b-c.  At any crossing one of the two merges link components and the
@@ -348,14 +347,16 @@ SWEEP_WIDTH = 8
 # and 81 ms at 40 (2-core Xeon, Python 3.11, CPU time, one cold run each).
 FALLBACK_MAX_CROSSINGS = 16
 
-# The most step programs (`_program`) kept per engine, the oldest going
-# first.  A warm pass of qaltbench's qa_scan runs 143 of Q and 91 of the
-# bracket, one of q_alt3 17 of Q.  Over 320 seeded random 3- and 4-braid
-# closures of 20-200 letters, Q's table grows to 1716 programs unbounded; at
-# 512, 97.5 % of the steps of Q and the bracket run a kept program (98.0 %
-# unbounded, 97.0 % at 256), and traced memory after the stream is 8.4 MB,
-# against 20.1 MB unbounded and 3.2 MB with no programs (Python 3.11).
-_PROGRAMS_MAX = 512
+# The most step programs `_program` keeps, over Q and the bracket together,
+# the least recently used going first.  A warm pass of qaltbench's qa_scan
+# runs 143 of Q and 91 of the bracket, one of q_alt3 17 of Q.  The 320 seeded
+# random 3- and 4-braid closures of 20-200 letters of the CI's "programs"
+# step compile 2027 distinct programs over 53268 steps.  728 is the smallest
+# bound at which they compile no more (2517) than the 2518 of two tables of
+# 512, one per engine, the oldest going first; traced memory after the
+# stream is 10.2 MB, against 9.9 MB for those tables, 22.1 MB unbounded and
+# 4.5 MB with no programs kept (Python 3.11).
+_PROGRAMS_MAX = 728
 
 
 def _runs(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -454,12 +455,13 @@ def _sweep(steps: list[tuple[int, tuple]], engine: Callable) -> dict:
 
     The state runs on packed integers (`_packed_sweep`), one per entry, at
     x = X = 2^(8 nbytes), in the order of the sorted tuple of its live
-    matching ids (`_MATCHINGS`).  Each step runs a program compiled from the
-    width-free rows of `_packed(engine)` once per (step, ids) and kept in
-    `_programs(engine)`, at most _PROGRAMS_MAX of them per engine, the oldest
-    going first: a flat list of ops, each one product by a small coefficient
-    and one shift, whose first write to a target stores the product in place
-    of adding it to 0.  A link piece ends in one entry, that of the matching
+    matching ids (`_MATCHINGS`).  Each step runs a program compiled once per
+    (step, ids) from the width-free rows of the live ids: `_row(engine, step,
+    id)` keeps every row for the process, and `_program`, an `lru_cache`,
+    the _PROGRAMS_MAX programs of Q and the bracket used last.  A program is
+    a flat list of ops, each one product by a small coefficient and one
+    shift, whose first write to a target stores the product in place of
+    adding it to 0.  A link piece ends in one entry, that of the matching
     (), which decodes exactly by `poly.unpack` once an l1 bound of it is
     below X/2 (`poly.nbytes_for`).
 
@@ -486,13 +488,11 @@ def _sweep(steps: list[tuple[int, tuple]], engine: Callable) -> dict:
 def _step_programs(steps: list[tuple[int, tuple]], engine: Callable) -> list:
     """The programs of a sweep of `engine` along `steps`, one per step, each
     `_program(engine, step, ids)` from the live ids the one before it leaves,
-    the empty disk's (0,) first: those of `_programs(engine)`, compiling each
-    missing one."""
-    programs = _programs(engine)
+    the empty disk's (0,) first."""
     chain = []
     ids = (0,)  # the empty disk, matching ()
     for step in steps:
-        program = programs.get((step, ids)) or _program(engine, step, ids)
+        program = _program(engine, step, ids)
         chain.append(program)
         ids = program[1]
     return chain
@@ -544,11 +544,11 @@ def _packed_sweep(programs: list, nbytes: int):
     return low, dict(zip(ids, values))
 
 
+@lru_cache(maxsize=_PROGRAMS_MAX)
 def _program(engine: Callable, step: tuple, ids: tuple) -> tuple[int, tuple, int, tuple]:
     """(shift, out, gain, ops): one step of a sweep of `engine` from the state
-    whose live matching ids are the sorted tuple `ids`, compiled from the
-    rows of `_packed(engine)` (packing each missing one) and kept in
-    `_programs(engine)`.
+    whose live matching ids are the sorted tuple `ids`, compiled from their
+    rows `_row(engine, step, id)`.
 
     `shift` is the lowest exponent over the rows of `ids`, `out` the sorted
     tuple of the ids the rows reach, and `ops` one (source, target, coeff,
@@ -558,17 +558,8 @@ def _program(engine: Callable, step: tuple, ids: tuple) -> tuple[int, tuple, int
     of any width shifts each product once; `add` is False on the first op
     that writes a target.  `gain` is the largest sum of |coeff| over the ops
     of one target, so no new entry's l1 norm exceeds gain times the largest
-    old one's.  Nothing in a program depends on the width.  `_step_programs`
-    calls this for a (step, ids) the table does not hold; when it holds
-    _PROGRAMS_MAX programs, the oldest goes before the new one is kept."""
-    table = _packed(engine).setdefault(step, {})
-    rows = []
-    for i in ids:
-        row = table.get(i)
-        if row is None:
-            width, glue = step
-            row = table[i] = _pack_row(_transition(engine, width, _MATCHINGS[i], glue))
-        rows.append(row)
+    old one's.  Nothing in a program depends on the width."""
+    rows = [_row(engine, step, i) for i in ids]
     shift = min(lo for lo, _ in rows)
     out = sorted({j for _, entries in rows for j, _, _, _ in entries})
     target = {j: t for t, j in enumerate(out)}
@@ -579,12 +570,7 @@ def _program(engine: Callable, step: tuple, ids: tuple) -> tuple[int, tuple, int
             t = target[j]
             ops.append((s, t, c, k + lo - shift, gains[t] > 0))
             gains[t] += a
-    program = shift, tuple(out), max(gains), tuple(ops)
-    programs = _programs(engine)
-    if len(programs) >= _PROGRAMS_MAX:
-        del programs[next(iter(programs))]
-    programs[step, ids] = program
-    return program
+    return shift, tuple(out), max(gains), tuple(ops)
 
 
 def _basis(width: int, matching) -> tuple[list[Crossing], list[int]]:
@@ -643,7 +629,7 @@ def _glued(width: int, matching, glue) -> PDDiagram:
 
 def _transition(engine: Callable, width: int, matching, glue) -> dict:
     """The vector of `_glued(width, matching, glue)` by `engine`; the sweep
-    computes each once and keeps it as a row of `_packed(engine)`."""
+    computes each once, packed by `_row`."""
     return engine(_glued(width, matching, glue), {})
 
 
@@ -665,20 +651,11 @@ _IDS = {m: i for i, m in enumerate(_MATCHINGS)}
 
 
 @lru_cache(maxsize=None)
-def _packed(engine: Callable) -> dict:
-    """The step tables of `engine`, kept for the process and read by passes
-    of every width: (width, glue) -> {id: `_pack_row` of `_transition(engine,
-    width, _MATCHINGS[id], glue)`}, filled by `_program` one step and one
-    matching at a time."""
-    return {}
-
-
-@lru_cache(maxsize=None)
-def _programs(engine: Callable) -> dict:
-    """The step programs of `engine`, kept for the process, at most
-    _PROGRAMS_MAX of them, oldest first: (step, ids) -> `_program(engine,
-    step, ids)`."""
-    return {}
+def _row(engine: Callable, step: tuple, i: int) -> tuple[int, tuple]:
+    """`_pack_row` of the transition of `engine` that glues the basis tangle
+    of `_MATCHINGS[i]` by the sweep step (width, glue)."""
+    width, glue = step
+    return _pack_row(_transition(engine, width, _MATCHINGS[i], glue))
 
 
 def _pack_row(vec: dict) -> tuple[int, tuple]:

@@ -4,16 +4,14 @@ deg Q < det obstruction verdict.
 The bracket is computed two ways: a literal 2^n state sum (the reference
 oracle) and, by default, the frontier sweep of `diagram.py` that Q shares,
 over the Catalan(k) crossingless matchings of 2k points (Temperley-Lieb;
-Makowsky and Marino 2003).  The shared `diagram._transition(_bracket, ...)`
-is the bracket of a crossingless tangle glued to one crossing or one cap,
-computed once into a row of `diagram._packed(_bracket)`, and each step runs
-a program compiled from those rows once per step and set of live matching
-ids, kept in `diagram._programs(_bracket)` under the same bound as Q's; the
-tangle engine `_smoothing` expands <D> = A <D_A> + A^-1 <D_B> at the first
-crossing, as does a piece wider than SWEEP_WIDTH, and `poly.combine` sums
-the two terms with the ring's own `*` and `+`.  The sweep's state is
-packed as for Q, in one value pass at a width set from the programs' gains
-(`diagram._sweep`).  The engine sees the diagram as given:
+Makowsky and Marino 2003).  The bracket supplies its loop factor, delta =
+-A^2 - A^-2 per piece or free loop past the first, and its transitions,
+`diagram._transition(_bracket, ...)`, the bracket of a crossingless tangle
+glued to one crossing or one cap; `diagram._sweep` says how they are kept,
+compiled into step programs and run on packed integers.  The tangle engine
+`_smoothing` expands <D> = A <D_A> + A^-1 <D_B> at the first crossing, as
+does a piece wider than SWEEP_WIDTH, and `poly.combine` sums the two terms
+with the ring's own `*` and `+`.  The engine sees the diagram as given:
 the kinks and clasps that `diagram.simplify` removes change the writhe.
 V is normalized by (-A)^(-3w) and realized in s = t^(1/2) via t = A^-4.
 

@@ -17,17 +17,12 @@ components.
 
 A connected link piece is swept instead, by the planner and state loop of
 `diagram.py` that the bracket shares; the state holds at most 105 entries at
-SWEEP_WIDTH = 8 points.  The shared `diagram._transition(_q, ...)` is `_q` of a
-basis tangle glued to one crossing or one cap, computed once into a row of
-`diagram._packed(_q)`.  Each step runs a flat op list compiled from those
-rows once per step and set of live matching ids and kept in
-`diagram._programs(_q)`, at most `diagram._PROGRAMS_MAX` of them, the oldest
-going first, for passes of every width; a target's first op stores its
-product, the others add to it.  `diagram._sweep` says how the programs'
-gains set the digit width before the one value pass, and how the state is
-packed and decoded.  A wider piece goes to the switch chain,
-whose smaller pieces are swept again; `poly.combine` sums the vectors of each
-skein step with the ring's own `*` and `+`.
+SWEEP_WIDTH = 8 points.  Q supplies its transitions,
+`diagram._transition(_q, ...)`, `_q` of a basis tangle glued to one crossing
+or one cap; `diagram._sweep` says how they are kept, compiled into step
+programs and run on packed integers.  A wider piece goes to the switch
+chain, whose smaller pieces are swept again; `poly.combine` sums the
+vectors of each skein step with the ring's own `*` and `+`.
 
 `diagram._expand` splits pieces by Q(A u B) = (2x^-1 - 1) Q(A) Q(B), and
 memoizes on the exact diagram, `PDDiagram.key()`: it cannot collide, and

@@ -1,4 +1,3 @@
-import inspect
 import math
 import random
 from fractions import Fraction
@@ -49,8 +48,8 @@ from conftest import longest_bridge, matchings, random_braid_diagram
 
 P = IntLaurent.parse
 
-# the sweep computes each transition once, into its step tables; the oracles
-# here ask for transitions directly, so they keep their own cache
+# the sweep computes each transition once, into its row cache `diagram._row`;
+# the oracles here ask for transitions directly, so they keep their own cache
 _transition = lru_cache(maxsize=None)(diagram._transition)
 
 Q_TREFOIL = P("2x^2+2x-3")
@@ -436,7 +435,7 @@ def _dict_sweep(steps, engine, nbytes):
 
 @lru_cache(maxsize=None)
 def _row(engine, width, matching, glue):
-    """The packed row of a transition, kept apart from the sweep's own tables."""
+    """The packed row of a transition, kept apart from the sweep's own cache."""
     return diagram._pack_row(_transition(engine, width, matching, glue))
 
 
@@ -521,7 +520,7 @@ def test_a_swept_piece_takes_one_value_pass(monkeypatch):
     passes = _counting_passes(monkeypatch)
     counts = [0, 0]
     for steps, engine in _planned_pieces((*_sweep_cases(), close_braid([1, -2] * 100, 3))):
-        value = _sweep(steps, engine)  # fills the step tables, whose transitions may sweep
+        value = _sweep(steps, engine)  # fills the sweep caches, whose transitions may sweep
         passes.clear()
         assert _sweep(steps, engine) == value
         bounded = nbytes_for(_gain(steps, engine)) > 4
@@ -532,12 +531,40 @@ def test_a_swept_piece_takes_one_value_pass(monkeypatch):
     assert counts[0] > 100 and counts[1] == 2
 
 
-def test_matching_ids_are_one_table_of_at_most_125():
+def _fresh_caches(monkeypatch, bound=diagram._PROGRAMS_MAX, compile=None):
+    """Empty `_row` and `_program` caches for the rest of a test, at most
+    `bound` programs, each compiled by `compile` when given: a sweep then
+    packs every row and compiles every program it runs."""
+    row = lru_cache(maxsize=None)(diagram._row.__wrapped__)
+    program = lru_cache(maxsize=bound)(compile or diagram._program.__wrapped__)
+    monkeypatch.setattr(diagram, "_row", row)
+    monkeypatch.setattr(diagram, "_program", program)
+    return row, program
+
+
+def _counting_calls(monkeypatch):
+    """The names of the `_pack_row` and `_transition` calls from here on,
+    with their arguments; only a `_row` miss makes them."""
+    calls = []
+    for name in ("_pack_row", "_transition"):
+        original = getattr(diagram, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append((_name, args))
+            return _original(*args)
+
+        monkeypatch.setattr(diagram, name, counted)
+    return calls
+
+
+def test_matching_ids_are_one_table_of_at_most_125(monkeypatch):
     # the ids are process-wide and fixed at import: every matching of at most
     # SWEEP_WIDTH points, each once, and no sweep of either engine changes them
     table = diagram._MATCHINGS
     assert isinstance(table, tuple)
     before = list(table)
+    row, _ = _fresh_caches(monkeypatch)
+    calls = _counting_calls(monkeypatch)
     for steps, engine in _planned_pieces(_sweep_cases()):
         _sweep(steps, engine)
     assert diagram._MATCHINGS is table and list(table) == before
@@ -551,33 +578,22 @@ def test_matching_ids_are_one_table_of_at_most_125():
         assert diagram._IDS[m] == i
         assert sorted(chain(*m)) == list(range(2 * len(m))) and 2 * len(m) <= SWEEP_WIDTH
     # a crossingless matching has one id, and Q and the bracket keep the row
-    # of that matching under it
-    q_tables, b_tables = diagram._packed(_q), diagram._packed(jones._bracket)
+    # of that matching under it, each the packed transition of its own engine
+    transitions = [args for name, args in calls if name == "_transition"]
+    keys = {_q: set(), jones._bracket: set()}
+    for engine, width, m, glue in transitions:
+        keys[engine].add(((width, glue), diagram._IDS[m]))
+    # each row was packed once, and is read back from the cache below
+    assert row.cache_info().misses == len(transitions) == sum(map(len, keys.values()))
     shared = 0
-    for step in q_tables.keys() & b_tables.keys():
+    for step, i in keys[_q] & keys[jones._bracket]:
         width, glue = step
-        for i in q_tables[step].keys() & b_tables[step].keys():
-            m = table[i]
-            assert not _basis(2 * len(m), m)[0]  # crossingless
-            for engine, tables in ((_q, q_tables), (jones._bracket, b_tables)):
-                assert tables[step][i] == diagram._pack_row(_transition(engine, width, m, glue))
-            shared += 1
-    assert shared > 10
-
-
-def _counting_calls(monkeypatch):
-    """The names of the `_pack_row`, `_transition` and `_program` calls from
-    here on; a sweep calls `_program` only for a program it has not kept."""
-    calls = []
-    for name in ("_pack_row", "_transition", "_program"):
-        original = getattr(diagram, name)
-
-        def counted(*args, _original=original, _name=name):
-            calls.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(diagram, name, counted)
-    return calls
+        m = table[i]
+        assert not _basis(2 * len(m), m)[0]  # crossingless
+        for engine in keys:
+            assert row(engine, step, i) == diagram._pack_row(_transition(engine, width, m, glue))
+        shared += 1
+    assert shared > 10 and row.cache_info().misses == len(transitions)
 
 
 @pytest.mark.parametrize("engine", [_q, jones._bracket])
@@ -585,48 +601,51 @@ def test_a_second_sweep_packs_no_row_and_returns_matchings(engine, monkeypatch):
     d = close_braid([1, -2, 3, -2, 1, 3, -2], 4)
     steps = d.plan
     first = _sweep(steps, engine)
+    misses = diagram._program.cache_info().misses
     calls = _counting_calls(monkeypatch)
     second = _sweep(steps, engine)
-    assert calls == []
+    assert calls == [] and diagram._program.cache_info().misses == misses
     assert second == first == _combining_sweep(steps, engine) and list(second) == [()]
 
 
 def test_the_program_table_keeps_its_bound(monkeypatch):
-    # distinct closures compile more programs than a bound of 40: the table
-    # keeps the 40 newest, never more, and every sweep stays exact.  New
-    # engine objects keep the process's own tables out of the count
-    monkeypatch.setattr(diagram, "_PROGRAMS_MAX", 40)
+    # the process keeps every row and the _PROGRAMS_MAX programs used last;
+    # distinct closures compile more programs than a bound of 40: the cache
+    # never holds more, and every sweep stays exact
+    assert diagram._row.cache_parameters() == {"maxsize": None, "typed": False}
+    assert diagram._program.cache_parameters() == {"maxsize": diagram._PROGRAMS_MAX, "typed": False}
+    pieces = [(steps, engine, _combining_sweep(steps, engine)) for steps, engine in _planned_pieces(_random_closures(7, 16, 80))]
+    cache = lru_cache(maxsize=40)(diagram._program.__wrapped__)
+    monkeypatch.setattr(diagram, "_program", cache)
+    for steps, engine, value in pieces:
+        assert _sweep(steps, engine) == value, (steps, engine)
+        assert cache.cache_info().currsize <= 40
+    info = cache.cache_info()
+    assert len(pieces) > 20 and info.currsize == 40 and info.misses > 200
 
-    def fresh_q(d, memo):
-        return _q(d, memo)
 
-    def fresh_bracket(d, memo):
-        return jones._bracket(d, memo)
-
-    compiled = {fresh_q: [], fresh_bracket: []}
-    program = diagram._program
+def test_a_piece_swept_between_a_streams_closures_stays_cached(monkeypatch):
+    # least recently used goes first: a piece swept again after each closure
+    # of a stream that compiles far more than 40 programs is never compiled
+    # again at a bound of 40, where the oldest going first would evict it
+    compile = diagram._program.__wrapped__
+    compiled = []
 
     def counted(engine, step, ids):
-        out = program(engine, step, ids)
-        if engine in compiled:
-            compiled[engine].append((step, ids))
-            assert len(diagram._programs(engine)) <= 40
-        return out
+        compiled.append((engine, step, ids))
+        return compile(engine, step, ids)
 
-    monkeypatch.setattr(diagram, "_program", counted)
-    pieces = 0
-    for d in _random_closures(7, 16, 80):
-        for engine, own, swept in ((fresh_q, _q, simplify(d)), (fresh_bracket, jones._bracket, d)):
-            for p in swept.parts:
-                if p.plan is not None:
-                    assert _sweep(p.plan, engine) == _sweep(p.plan, own)
-                    pieces += 1
-    assert pieces > 20
-    for engine, keys in compiled.items():
-        # a program comes back only after 40 newer ones pushed it out, so
-        # the last 40 compiled are distinct and are the table, oldest first
-        assert len(keys) > 40
-        assert list(diagram._programs(engine)) == keys[-40:]
+    _, cache = _fresh_caches(monkeypatch, 40, counted)
+    hot = list(_planned_pieces([close_braid([1, -2, 1, -2, 2], 3)]))
+    want = [_sweep(*piece) for piece in hot]
+    assert 0 < len(set(compiled)) == len(compiled) <= 16
+    stream = list(_planned_pieces(_random_closures(11, 40, 24)))
+    for steps, engine in stream:
+        _sweep(steps, engine)
+        compiled.clear()
+        assert [_sweep(*piece) for piece in hot] == want
+        assert compiled == [] and cache.cache_info().currsize <= 40
+    assert len(stream) > 40 and cache.cache_info().misses > 200
 
 
 def _tangle_sum(t1, t2):
@@ -724,30 +743,46 @@ def test_kidwell_degree_of_reduced_alternating_closures(k):
     assert q_polynomial(d).degree() == len(d) - 1 == 2 * k - 1
 
 
-def test_the_step_tables_are_one_per_engine():
-    assert list(inspect.signature(diagram._packed).parameters) == ["engine"]
+def test_rows_and_programs_are_keyed_by_engine(monkeypatch):
+    # Q and the bracket share steps and crossingless matching ids, yet
+    # whichever engine asks first, neither receives the other's row or program
+    steps = close_braid([1, -2, 3, -2, 1, 3, -2], 4).plan
+    engines = (_q, jones._bracket)
+    crossingless = [i for i, m in enumerate(diagram._MATCHINGS) if not _basis(2 * len(m), m)[0]]
+    differ = 0
+    for order in (engines, engines[::-1]):
+        row, program = _fresh_caches(monkeypatch)
+        for step in steps:
+            width, glue = step
+            for i in crossingless:
+                if 2 * len(diagram._MATCHINGS[i]) == width:
+                    rows = [row(engine, step, i) for engine in order]
+                    assert rows == [diagram._pack_row(_transition(engine, width, diagram._MATCHINGS[i], glue)) for engine in order]
+                    differ += rows[0] != rows[1]
+        for engine in order:
+            ids = (0,)
+            for step, kept in zip(steps, diagram._step_programs(steps, engine)):
+                assert kept == program.__wrapped__(engine, step, ids)
+                ids = kept[1]
+    assert differ > 20
 
 
 @pytest.mark.parametrize("engine", [_q, jones._bracket])
 def test_the_bound_pass_packs_no_row(engine, monkeypatch):
-    # a new engine object starts from empty step tables, so the walk along
-    # the programs packs every row and compiles every program; the bound
-    # pass and the value pass that follow only run them
-    def fresh(d, memo):
-        return engine(d, memo)
-
+    # from empty caches the walk along the programs packs every row and
+    # compiles every program; the bound pass and the value pass that follow
+    # only run them
     steps = close_braid([1, -2] * 50, 3).plan
+    row, program = _fresh_caches(monkeypatch)
     calls = _counting_calls(monkeypatch)
-    programs = diagram._step_programs(steps, fresh)
-    rows = sum(len(table) for table in diagram._packed(fresh).values())
-    kept = dict(diagram._programs(fresh))
-    assert calls.count("_pack_row") >= rows > 10
-    assert calls.count("_program") >= len(kept) > 5
+    programs = diagram._step_programs(steps, engine)
+    misses = row.cache_info().misses, program.cache_info().misses
+    assert [name for name, _ in calls].count("_pack_row") == misses[0] > 10
+    assert misses[1] > 5
     calls.clear()
     (bound,) = diagram._bounds(programs).values()
     nbytes = nbytes_for(bound)
     low, state = diagram._packed_sweep(programs, nbytes)
     assert calls == [] and nbytes > 8
-    assert diagram._programs(fresh) == kept
-    assert all(diagram._programs(fresh)[key] is program for key, program in kept.items())
+    assert (row.cache_info().misses, program.cache_info().misses) == misses
     assert {diagram._MATCHINGS[i]: unpack(v, nbytes, low) for i, v in state.items()} == _sweep(steps, engine)

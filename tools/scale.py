@@ -15,7 +15,7 @@ The paths:
 Each path grows its size by a factor of sqrt 2 from a small start, size i
 being round(start 2^(i/2)), so every second size doubles the one two before
 it, and a size that lands near the budget moves the fit by sqrt 2, not 2.
-A size runs in three fresh processes, so every step table starts empty, and
+A size runs in three fresh processes, so the sweep's caches start empty, and
 each times one computation in CPU time, the diagrams built before the clock
 starts; the size's time is the best of the three.  A path stops at the
 first size whose time passes the budget.  The last line of standard output
