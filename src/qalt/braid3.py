@@ -1,6 +1,7 @@
 """Closed 3-braids: Murasugi normal forms, the Burau representation,
 Birman's Jones trace formula, determinant formulas with a matrix-tree
-oracle, Baldwin's quasi-alternating classification, and crossing bounds.
+oracle on a weighted edge list, Baldwin's quasi-alternating
+classification, and crossing bounds.
 
 Normal forms are input data, never computed from arbitrary words (the
 conjugacy problem is out of scope); word-level consistency is checked by
@@ -285,7 +286,7 @@ def _family1_tree_count(pairs) -> int:
 
     The hub attaches at cumulative positions cum_i on a q-cycle (syllable i
     just before its own q_i block, as in :func:`tutte_graph`); each nonempty
-    subset of syllables contributes the product of its parallel-edge counts
+    subset of syllables contributes the product of its hub-edge weights
     p_i times the product of the cyclic gaps between consecutive chosen
     points (q for a single point).  The sum runs as a chain over the subsets
     with first element i0: f[i0] = p_i0 and, for j > i0,
@@ -294,12 +295,11 @@ def _family1_tree_count(pairs) -> int:
     q - (cum_j - cum_i0).  Two running sums (of f[i] and of f[i] cum_i)
     give each f[j] in O(1), so the count takes O(s^2) for s syllables.
     """
-    q = sum(qi for _, qi in pairs)
     cum = []
-    acc = 0
+    q = 0
     for _, qi in pairs:
-        cum.append(acc)
-        acc += qi
+        cum.append(q)
+        q += qi
     total = 0
     for i0, (p0, _) in enumerate(pairs):
         f_sum, fc_sum = p0, p0 * cum[i0]
@@ -326,48 +326,28 @@ def det_formula(nf: B3NormalForm) -> int:
     return 2 + sign if nf.m == -1 else 2 - sign
 
 
-@dataclass(frozen=True)
-class Multigraph:
-    """Undirected multigraph: vertex count plus edge multiplicities."""
-
-    vertices: int
-    edges: tuple[tuple[int, int, int], ...]  # (u, v, multiplicity), u <= v
-
-    @staticmethod
-    def from_edges(vertices: int, pairs) -> "Multigraph":
-        mult: dict[tuple[int, int], int] = {}
-        for u, v in pairs:
-            if not (0 <= u < vertices and 0 <= v < vertices):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            key = (min(u, v), max(u, v))
-            mult[key] = mult.get(key, 0) + 1
-        return Multigraph(
-            vertices, tuple(sorted((u, v, m) for (u, v), m in mult.items()))
-        )
-
-
-def tutte_graph(pairs) -> Multigraph:
-    """Cycle on q = sum q_i vertices plus a hub joined by p_i parallel edges
-    to the cumulative position q_1 + ... + q_(i-1), before the q_i block."""
+def tutte_graph(pairs) -> tuple[int, list[tuple[int, int, int]]]:
+    """The hub-and-cycle graph as (vertices, [(u, v, weight), ...]), the
+    format `intmat.laplacian_det` takes: a cycle on q = sum q_i vertices
+    0..q-1 and the hub q, joined by one edge of weight p_i (p_i parallel
+    edges) to the cumulative position q_1 + ... + q_(i-1), before the q_i
+    block.  The q = 1 cycle is a loop, which the Laplacian ignores."""
     pairs = [(int(p), int(q)) for p, q in pairs]
     if not pairs or any(p < 1 or q < 1 for p, q in pairs):
         raise HypothesisViolationError("need positive (p_i, q_i) pairs")
     q = sum(qi for _, qi in pairs)
-    hub = q  # vertices 0..q-1 cycle, q is the hub
-    edges = []
-    if q > 1:
-        for j in range(q):
-            edges.append((j, (j + 1) % q))
+    edges = [(j, (j + 1) % q, 1) for j in range(q)]
     acc = 0
     for p, qi in pairs:
-        edges.extend([(hub, (acc - 1) % q)] * p)
+        edges.append((q, (acc - 1) % q, p))
         acc += qi
-    return Multigraph.from_edges(q + 1, edges)
+    return q + 1, edges
 
 
-def spanning_tree_count(g: Multigraph) -> int:
-    """Matrix-tree theorem: determinant of the reduced integer Laplacian."""
-    return laplacian_det(g.vertices, g.edges)
+def spanning_tree_count(graph: tuple[int, list[tuple[int, int, int]]]) -> int:
+    """Matrix-tree theorem: a principal cofactor of the weighted Laplacian
+    of a (vertices, edges) pair such as `tutte_graph`'s."""
+    return laplacian_det(*graph)
 
 
 # -- classification and crossing bounds -----------------------------------

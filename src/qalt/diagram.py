@@ -320,7 +320,10 @@ def _admit(d: PDDiagram, max_crossings: float = inf, reduce: Callable = lambda d
     invariant needs: a tangle, the empty link and a non-planar code (`d.faces`)
     raise MalformedDiagramError, and CrossingLimitError is raised when `d` and
     the pieces of `reduce(d)` with no sweep plan, which go to the exponential
-    fallback, each have more than `max_crossings` crossings; tables are kept."""
+    fallback, each have more than `max_crossings` crossings; tables are kept.
+    A bound that is NaN or negative raises ValueError before any walk."""
+    if not max_crossings >= 0:
+        raise ValueError(f"the crossing bound {max_crossings} is not a number >= 0")
     if d.boundary:
         raise MalformedDiagramError("a tangle has no link invariants")
     if not (d.crossings or d.free_loops):
@@ -351,11 +354,9 @@ FALLBACK_MAX_CROSSINGS = 16
 # the least recently used going first.  A warm pass of qaltbench's qa_scan
 # runs 143 of Q and 91 of the bracket, one of q_alt3 17 of Q.  The 320 seeded
 # random 3- and 4-braid closures of 20-200 letters of the CI's "programs"
-# step compile 2027 distinct programs over 53268 steps.  728 is the smallest
-# bound at which they compile no more (2517) than the 2518 of two tables of
-# 512, one per engine, the oldest going first; traced memory after the
-# stream is 10.2 MB, against 9.9 MB for those tables, 22.1 MB unbounded and
-# 4.5 MB with no programs kept (Python 3.11).
+# step need 2027 distinct programs over 53268 steps; at this bound they
+# compile 2517 times, and traced memory after the stream is 10.2 MB, against
+# 22.1 MB unbounded and 4.5 MB with no programs kept (Python 3.11).
 _PROGRAMS_MAX = 728
 
 

@@ -31,11 +31,13 @@ a row changes size and stale ones skipped, finds the pivot row.  A step
 thus costs the pivot row's size times the number of rows it writes, plus
 a heap operation per row that changes size: the fill, not n^2.  On sparse
 matrices a pivot row meets few other rows and fill stays small.
-`laplacian_det` builds such minors for the Goeritz determinant (`jones`)
-and the matrix-tree count (`braid3`).  A Laplacian's rows and columns sum
-to zero, so every principal cofactor is equal (Kirchhoff); it deletes the
-vertex with the most neighbours, the densest row and column, so the minor
-stays sparse.
+`laplacian_det` builds such minors from one graph format, a vertex count
+and a list of weighted edges (u, v, weight), parallel edges summing: the
+Goeritz graph (`jones`) and the Tutte graph of the matrix-tree count
+(`braid3`) both reach it so.  A Laplacian's rows and columns sum to zero,
+so every principal cofactor is equal (Kirchhoff); it deletes the vertex
+with the most neighbours, the densest row and column, so the minor stays
+sparse.
 """
 from __future__ import annotations
 

@@ -167,7 +167,8 @@ def _smoothing(d: PDDiagram, memo: dict) -> dict:
 
 def kauffman_bracket(d: PDDiagram, max_crossings: float = inf) -> IntLaurent:
     """<D> in A by the frontier sweep; more than `max_crossings` crossings, no
-    bound by default, on the pieces with no sweep plan raise CrossingLimitError."""
+    bound by default, on the pieces with no sweep plan raise CrossingLimitError,
+    and a NaN or negative bound ValueError."""
     return _bracket(_admit(d, max_crossings), {})[()]
 
 
@@ -309,7 +310,8 @@ def obstruction_check(
     is a conjecture and never used to rule links out.
     """
     reduced = _admit(d, max_crossings, simplify)
-    dq = q_polynomial(reduced, max_crossings).degree()
+    # the bracket first: a bad bracket bound is refused before Q runs
     dt, br = _det_and_breadth(kauffman_bracket(reduced, jones_max_crossings))
+    dq = q_polynomial(reduced, max_crossings).degree()
     verdict = "NotQuasiAlternating" if dq >= dt else "Inconclusive"
     return ObstructionVerdict(verdict, dq, dt, br)

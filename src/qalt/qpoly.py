@@ -67,7 +67,8 @@ def q_polynomial(
 
     The empty link and a non-planar PD code raise MalformedDiagramError; more
     than `max_crossings` crossings (default 16) on the pieces of `simplify(d)`
-    with no sweep plan, which go to the switch chain, CrossingLimitError."""
+    with no sweep plan, which go to the switch chain, CrossingLimitError; a
+    NaN or negative `max_crossings`, ValueError."""
     reduced = _admit(d, max_crossings, simplify)
     if memo is None:
         memo = {}

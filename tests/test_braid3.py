@@ -19,10 +19,10 @@ from qalt.braid3 import (
     spanning_tree_count,
     to_word,
     tutte_graph,
-    Multigraph,
 )
 from qalt.diagram import close_braid, simplify
 from qalt.errors import HypothesisViolationError, MalformedDiagramError, PDParseError
+from qalt.intmat import laplacian_det
 from qalt.jones import determinant, determinant_goeritz, jones_polynomial
 from qalt.poly import HalfLaurent, IntLaurent, eval_at_s_equals_i, nbytes_for
 from qalt.qpoly import q_degree
@@ -338,22 +338,35 @@ def test_det_formula_equals_goeritz_at_paper_scale():
 def test_tutte_graph_and_matrix_tree():
     for p in range(1, 6):
         for q in range(1, 6):
-            g = tutte_graph([(p, q)])
-            assert g.vertices == q + 1
-            assert spanning_tree_count(g) == p * q
+            vertices, edges = tutte_graph([(p, q)])
+            assert vertices == q + 1
+            assert spanning_tree_count((vertices, edges)) == p * q
     assert spanning_tree_count(tutte_graph([(1, 1), (1, 1)])) == 5
-    triangle = Multigraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
-    assert spanning_tree_count(triangle) == 3
-    quad = Multigraph.from_edges(2, [(0, 1)] * 4)
-    assert spanning_tree_count(quad) == 4
-    split = Multigraph.from_edges(4, [(0, 1), (2, 3)])
-    assert spanning_tree_count(split) == 0
-    for edge in ((0, 3), (-1, 0)):
-        with pytest.raises(ValueError, match="out of range"):
-            Multigraph.from_edges(3, [(0, 1), edge])
+    assert spanning_tree_count((3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])) == 3
+    # four parallel edges are one edge of weight 4
+    assert spanning_tree_count((2, [(0, 1, 4)])) == 4
+    assert spanning_tree_count((4, [(0, 1, 1), (2, 3, 1)])) == 0
+    for edge in ((0, 3, 1), (-1, 0, 1)):
+        with pytest.raises(ValueError, match="outside"):
+            spanning_tree_count((3, [(0, 1, 1), edge]))
     for pairs in ([], [(0, 1)], [(2, 1), (1, 0)]):
         with pytest.raises(HypothesisViolationError):
             tutte_graph(pairs)
+    # one hub edge of weight p_i counts as the p_i parallel edges it stands for
+    for nf in _baldwin_box():
+        if nf.family != 1:
+            continue
+        vertices, edges = tutte_graph(nf.pairs)
+        q = vertices - 1
+        assert sum(u == q for u, _, _ in edges) == len(nf.pairs)
+        parallel = [(j, (j + 1) % q, 1) for j in range(q)]
+        acc = 0
+        for p, qi in nf.pairs:
+            parallel += [(q, (acc - 1) % q, 1)] * p
+            acc += qi
+        trees = spanning_tree_count((vertices, edges))
+        assert trees == braid3._family1_tree_count(nf.pairs), nf
+        assert trees == laplacian_det(vertices, parallel), nf
 
 
 def test_three_way_determinant_small_grid():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import re
 from itertools import chain
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from qalt.diagram import (
+    FALLBACK_MAX_CROSSINGS,
     SWEEP_WIDTH,
     PDDiagram,
     SmoothingKind,
@@ -36,8 +38,8 @@ from qalt.diagram import (
     unknot,
     unlink,
 )
-from qalt.errors import MalformedDiagramError, PDParseError
-from qalt.jones import determinant_goeritz, jones_polynomial
+from qalt.errors import CrossingLimitError, MalformedDiagramError, PDParseError
+from qalt.jones import _det_and_breadth, determinant_goeritz, jones_polynomial, kauffman_bracket
 from qalt.qpoly import q_polynomial
 
 from conftest import matchings
@@ -577,6 +579,50 @@ def test_the_benchmark_pieces_plan_as_the_scanning_planner_does():
         assert len(parts) == pieces
         for p in parts:
             assert p.plan is not None and p.plan == _scanning_steps(p), p
+
+
+def _reshuffled(d, rng):
+    """`d` with its arc labels permuted, a random half of its tuples rotated
+    by two and its crossings in a random order: the same link."""
+    labels = sorted(set(chain(*d.crossings)))
+    image = dict(zip(labels, rng.sample(labels, len(labels))))
+    crossings = [tuple(image[a] for a in t) for t in d.crossings]
+    for i in rng.sample(range(len(crossings)), len(crossings) // 2):
+        t = crossings[i]
+        crossings[i] = t[2:] + t[:2]
+    rng.shuffle(crossings)
+    return PDDiagram(crossings, d.free_loops)
+
+
+def test_a_reshuffled_pd_code_gives_the_same_invariants():
+    # the sweep plans in PD order, so whether Q runs depends on the crossing
+    # order; so does the bracket's cost, whose smoothings of a piece with no
+    # plan leave pieces in the same order.  Where both run within the default
+    # bound they give the unshuffled diagram's Q, det and breadth, and
+    # Goeritz's det, which plans no sweep, holds on every link
+    jobs = json.loads((CORPUS / "qa_scan.json").read_text())["jobs"]
+    links = [_recipe(job["diagram"]) for job in jobs]
+    rng = random.Random(4)
+    for _ in range(100):
+        strands = rng.choice((3, 4))
+        gens = [g for i in range(1, strands) for g in (i, -i)]
+        links.append(close_braid([rng.choice(gens) for _ in range(rng.randint(20, 80))], strands))
+    rng = random.Random(3)
+    refused = 0
+    for d in map(simplify, links):
+        shuffled = _reshuffled(d, rng)
+        assert determinant_goeritz(shuffled) == determinant_goeritz(d), d
+        try:
+            q = q_polynomial(shuffled)
+            bracket = kauffman_bracket(shuffled, FALLBACK_MAX_CROSSINGS)
+        except CrossingLimitError:
+            refused += 1
+            continue
+        assert q == q_polynomial(d, math.inf), d
+        assert _det_and_breadth(bracket) == _det_and_breadth(kauffman_bracket(d)), d
+    # a finding, not a bound: plans that do not depend on the crossing order
+    # would lower it, and CHANGES.md records each change with its cause
+    assert refused == 81
 
 
 def test_glued_tangles_walk_like_the_arc_walks():

@@ -5,7 +5,7 @@ from itertools import chain
 
 import pytest
 
-from qalt import diagram, jones
+from qalt import diagram, jones, qpoly
 from qalt.diagram import (
     PDDiagram,
     _basis,
@@ -556,6 +556,32 @@ def test_crossing_limits():
     report = pretzel_family_report("C", 12)
     assert (v.deg_q, v.det) == (report.deg_q, report.det) == (34, 144)
     assert determinant_goeritz(d) == 144
+
+
+def test_a_nan_or_negative_bound_raises_before_any_walk(monkeypatch):
+    # a NaN bound bounds nothing, and a negative one refuses diagrams that
+    # need no fallback; 0 admits a diagram whose pieces all plan
+    d = close_braid([1, -2] * 10, 3)
+    outputs = (q_polynomial(d), kauffman_bracket(d), jones_polynomial(d), obstruction_check(d))
+    assert (q_polynomial(d, 0), kauffman_bracket(d, 0), jones_polynomial(d, 0), obstruction_check(d, 0, 0)) == outputs
+
+    def walk(*args):
+        raise AssertionError("a walk ran")
+
+    monkeypatch.setattr(diagram, "_faces", walk)
+    monkeypatch.setattr(jones, "_expand", walk)
+    monkeypatch.setattr(qpoly, "_expand", walk)
+    fresh = close_braid([1, -2] * 10, 3)
+    for bound in (float("nan"), -1):
+        for call in (
+            lambda: q_polynomial(fresh, bound),
+            lambda: kauffman_bracket(fresh, bound),
+            lambda: jones_polynomial(fresh, bound),
+            lambda: obstruction_check(fresh, bound),
+            lambda: obstruction_check(d, 16, bound),  # d's faces were walked above
+        ):
+            with pytest.raises(ValueError, match=f"the crossing bound {bound} "):
+                call()
 
 
 def test_goeritz_plans_no_sweep(monkeypatch):
