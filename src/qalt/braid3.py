@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import neg
 
 from .errors import HypothesisViolationError, MalformedDiagramError, PDParseError
 from .intmat import laplacian_det
@@ -234,7 +235,11 @@ def burau(w: BraidWord) -> BurauMatrix:
 
 def _u_to_t(p: IntLaurent) -> IntLaurent:
     """p(u) at u = -t: the sign of each odd power flips."""
-    return IntLaurent({e: -c if e & 1 else c for e, c in p.items()})
+    low, run = p.run()
+    odd = 1 - low % 2  # the first slot of an odd exponent
+    t = list(run)
+    t[odd::2] = map(neg, run[odd::2])
+    return IntLaurent.from_run(low, t)
 
 
 def _neg_sqrt_t_power(e: int) -> HalfLaurent:

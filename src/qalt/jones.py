@@ -175,12 +175,11 @@ def kauffman_bracket(d: PDDiagram, max_crossings: float = inf) -> IntLaurent:
 def _normalize_bracket(bracket: IntLaurent, writhe: int) -> HalfLaurent:
     # V = (-A)^{-3w} <D>, then s = A^-2 (so t = A^-4)
     signed = bracket * IntLaurent.term(-1 if writhe % 2 else 1, -3 * writhe)
-    out: dict[int, int] = {}
-    for e, v in signed.items():
-        if e % 2:
-            raise InternalConsistencyError("odd A-exponent in normalized bracket")
-        out[-e // 2] = v
-    return HalfLaurent(out)
+    low, run = signed.run()
+    if low % 2 or any(run[1::2]):
+        raise InternalConsistencyError("odd A-exponent in normalized bracket")
+    # A^e goes to s^(-e/2): every other slot, top first
+    return HalfLaurent.from_run(-signed.degree() // 2, run[::-2])
 
 
 def jones_polynomial(d: PDDiagram | OrientedDiagram, max_crossings: float = inf) -> HalfLaurent:
@@ -196,13 +195,12 @@ def _det_and_breadth(bracket: IntLaurent) -> tuple[int, Fraction]:
     A^4 = -1 in absolute value, and its A-span over 4."""
     if bracket.is_zero():
         raise InternalConsistencyError("Kauffman bracket of a nonempty link is zero")
-    lo = bracket.low_degree()
-    value = 0
-    for e, c in bracket.items():
-        if (e - lo) % 4:
-            raise InternalConsistencyError(f"bracket exponents {lo} and {e} differ mod 4")
-        value += -c if (e - lo) & 4 else c
-    return abs(value), Fraction(bracket.degree() - lo, 4)
+    lo, run = bracket.run()
+    if any(run[1::4]) or any(run[2::4]) or any(run[3::4]):
+        e = next(lo + k for k, c in enumerate(run) if c and k % 4)
+        raise InternalConsistencyError(f"bracket exponents {lo} and {e} differ mod 4")
+    # A^(lo + 4j) at A^4 = -1 is (-1)^j A^lo
+    return abs(sum(run[0::8]) - sum(run[4::8])), Fraction(len(run) - 1, 4)
 
 
 def determinant(d: PDDiagram) -> int:

@@ -9,6 +9,15 @@ powers of t (and monomials like (-sqrt(t))^e) are honest monomials.  Jones
 polynomials live there.  The two rings stay apart: mixing them in arithmetic
 raises TypeError, and they never compare equal.
 
+An element is one dense run of coefficients from its lowest exponent to its
+highest, both nonzero.  `degree` and `low_degree` are O(1), a sum aligns two
+runs, a product sums the products of their nonzero slots, and readers that
+need terms by residue or parity take slices of the run (`IntLaurent.run`).
+Storage is proportional to the exponent span, not to the number of terms:
+every polynomial the package builds spans O(crossings) exponents, a
+Kauffman bracket 4 slots per term, since its exponents share one residue
+mod 4.
+
 `pack` and `unpack` evaluate a polynomial at x = 2^B and read it back from
 balanced base-2^B digits, and `nbytes_for` picks B from a bound on the
 coefficients.  Three callers multiply such packed integers and decode once:
@@ -25,21 +34,29 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add, neg
 from typing import Iterable, Mapping
 
 
 class IntLaurent:
     """Integer Laurent polynomial in one variable x.
 
-    Internally a map from exponent to nonzero coefficient; the zero
-    polynomial is the empty map, so the representation is canonical and
-    equality/hashing are structural.
+    Internally one dense run: `_low`, the lowest exponent, and `_c`, the
+    tuple of the coefficients of x^_low, x^(_low + 1), ..., whose first and
+    last entries are nonzero; the zero polynomial is (0, ()).  So the
+    representation is canonical and equality and hashing are structural;
+    storage is proportional to the exponent span (see the module notes).
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_low", "_c")
 
     def __init__(self, coeffs: Mapping[int, int] = {}):  # only read, never stored
-        self._c = {e: v for e, v in coeffs.items() if v}
+        terms = {e: v for e, v in coeffs.items() if v}
+        low = min(terms, default=0)
+        run = [0] * (max(terms, default=-1) - low + 1)
+        for e, v in terms.items():
+            run[e - low] = v
+        self._low, self._c = low, tuple(run)
 
     # -- constructors ------------------------------------------------
 
@@ -49,15 +66,32 @@ class IntLaurent:
 
     @classmethod
     def const(cls, n: int):
-        return cls({0: n})
+        return cls.from_run(0, (n,))
 
     @classmethod
     def term(cls, coeff: int, exp: int):
-        return cls({exp: coeff})
+        return cls.from_run(exp, (coeff,))
 
     @staticmethod
     def x() -> "IntLaurent":
-        return IntLaurent({1: 1})
+        return IntLaurent.from_run(1, (1,))
+
+    @classmethod
+    def from_run(cls, low: int, run):
+        """x^low (run[0] + run[1] x + run[2] x^2 + ...) for a sequence `run`
+        of ints; zeros at either end are dropped."""
+        hi = len(run)
+        while hi and not run[hi - 1]:
+            hi -= 1
+        start = 0
+        while start < hi and not run[start]:
+            start += 1
+        out = object.__new__(cls)
+        if start == hi:
+            out._low, out._c = 0, ()
+        else:
+            out._low, out._c = low + start, tuple(run[start:hi])
+        return out
 
     # -- ring structure ----------------------------------------------
 
@@ -74,26 +108,26 @@ class IntLaurent:
         if other is NotImplemented:
             return NotImplemented
         # elements are immutable, so either operand may be the result
-        if not other._c:
+        a, b = self._c, other._c
+        if not b:
             return self
-        if not self._c:
+        if not a:
             return other
-        c = dict(self._c)
-        for e, v in other._c.items():
-            nv = c.get(e, 0) + v
-            if nv:
-                c[e] = nv
-            else:
-                c.pop(e, None)
-        out = object.__new__(type(self))
-        out._c = c
-        return out
+        low, off = self._low, other._low - self._low
+        if off < 0:
+            a, b, low, off = b, a, other._low, -off
+        # b starts `off` slots above a: a's head, the zeros between them if
+        # they are apart, the overlap summed, then the longer run's tail; only
+        # the overlap can cancel
+        na = len(a)
+        run = a[:off] + (0,) * (off - na) + tuple(map(add, a[off:], b)) + a[off + len(b):] + b[max(na - off, 0):]
+        return type(self).from_run(low, run)
 
     __radd__ = __add__
 
     def __neg__(self):
         out = object.__new__(type(self))
-        out._c = {e: -v for e, v in self._c.items()}
+        out._low, out._c = self._low, tuple(map(neg, self._c))
         return out
 
     def __sub__(self, other):
@@ -112,40 +146,38 @@ class IntLaurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._c:
+        a, b = self._c, other._c
+        if not a:
             return self
-        if not other._c:
+        if not b:
             return other
-        # a monomial factor shifts and scales the other one: nothing cancels
-        mono, poly = (other, self) if len(other._c) == 1 else (self, other)
-        if len(mono._c) == 1:
-            ((e0, v0),) = mono._c.items()
-            if e0 == 0 and v0 == 1:
-                return poly
-            out = object.__new__(type(self))
-            out._c = {e + e0: v * v0 for e, v in poly._c.items()}
-            return out
-        c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                nv = c.get(e, 0) + v1 * v2
-                if nv:
-                    c[e] = nv
-                else:
-                    del c[e]
         out = object.__new__(type(self))
-        out._c = c
+        out._low = self._low + other._low
+        # a monomial factor shifts and scales the other one: nothing cancels
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            (v0,) = b
+            out._c = a if v0 == 1 else tuple([v * v0 for v in a])
+            return out
+        # the end products are nonzero, so no end cancels; the loops visit
+        # nonzero slots only, so a bracket's run, 3 zeros in 4, costs no
+        # more than its terms
+        run = [0] * (len(a) + len(b) - 1)
+        terms = [(j, w) for j, w in enumerate(b) if w]
+        for i, v in enumerate(a):
+            if v:
+                for j, w in terms:
+                    run[i + j] += v * w
+        out._c = tuple(run)
         return out
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
-            if len(self._c) == 1:
-                ((e, v),) = self._c.items()
-                if v in (1, -1):
-                    return type(self)({e * n: v if n % 2 else 1})
+            if len(self._c) == 1 and self._c[0] in (1, -1):
+                return self.from_run(self._low * n, (self._c[0] if n % 2 else 1,))
             raise ValueError("negative powers only defined for unit monomials")
         result = self.const(1)
         base = self
@@ -158,7 +190,7 @@ class IntLaurent:
 
     def shift(self, k: int):
         """Multiply by x^k."""
-        return type(self)({e + k: v for e, v in self._c.items()})
+        return self.from_run(self._low + k, self._c)
 
     # -- queries -------------------------------------------------------
 
@@ -167,30 +199,39 @@ class IntLaurent:
 
     def degree(self) -> int:
         """Highest exponent with nonzero coefficient; -1 for the zero polynomial."""
-        return max(self._c) if self._c else -1
+        return self._low + len(self._c) - 1 if self._c else -1
 
     def low_degree(self) -> int:
         """Lowest exponent with nonzero coefficient; undefined for 0."""
         if not self._c:
             raise ValueError("low_degree of the zero polynomial")
-        return min(self._c)
+        return self._low
 
     def coeff(self, e: int) -> int:
-        return self._c.get(e, 0)
+        k = e - self._low
+        return self._c[k] if 0 <= k < len(self._c) else 0
 
-    def items(self):
-        return self._c.items()
+    def items(self) -> list[tuple[int, int]]:
+        """The (exponent, coefficient) pairs of the nonzero terms, in
+        ascending order of exponent."""
+        return [(e, v) for e, v in enumerate(self._c, self._low) if v]
+
+    def run(self) -> tuple[int, tuple[int, ...]]:
+        """(lowest exponent, coefficient run): the stored form, (0, ()) for 0."""
+        return self._low, self._c
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._c == other._c
+        return self._low == other._low and self._c == other._c
 
     def __hash__(self):
         # a constant equals its int, so it must hash like it
         c = self._c
-        return hash(c.get(0, 0) if c.keys() <= {0} else tuple(sorted(c.items())))
+        if self._low or len(c) > 1:
+            return hash((self._low, c))
+        return hash(c[0] if c else 0)
 
     def __bool__(self):
         return bool(self._c)
@@ -206,8 +247,7 @@ class IntLaurent:
         if not self._c:
             return "0"
         parts = []
-        for e in sorted(self._c, reverse=True):
-            v = self._c[e]
+        for e, v in reversed(self.items()):
             sign = "-" if v < 0 else ("+" if parts else "")
             mag = abs(v)
             if e == 0:
@@ -276,7 +316,7 @@ def pack(p: IntLaurent, nbytes: int, low: int) -> int:
     arithmetic at any X; only `unpack` needs the coefficients bounded.
     """
     b = 8 * nbytes
-    return sum(v << b * (e - low) for e, v in p._c.items())
+    return sum(v << b * k for k, v in enumerate(p._c, p._low - low) if v)
 
 
 def nbytes_for(bound: int) -> int:
@@ -316,7 +356,9 @@ def unpack(v: int, nbytes: int, low: int = 0) -> IntLaurent:
     `to_bytes`, in the host's byte order, writes every digit as `nbytes`
     bytes.  bit_length // 8 nbytes + 2 digits hold any v.  When a digit is
     a native word (nbytes 1, 2, 4 or 8), one `memoryview.cast` reads every
-    digit; other widths read the bytes digit by digit.
+    digit into a list; other widths read the bytes digit by digit.  That
+    digit list, its zero digits at either end dropped, is the result's
+    coefficient run as it is stored, so no Python loop runs per term.
     """
     digits = v.bit_length() // (8 * nbytes) + 2
     offset = _half_digits(nbytes, digits)
@@ -328,9 +370,7 @@ def unpack(v: int, nbytes: int, low: int = 0) -> IntLaurent:
         coeffs = [int.from_bytes(raw[i:i + nbytes], sys.byteorder, signed=True) for i in range(0, len(raw), nbytes)]
     if sys.byteorder == "big":  # the top digit came first
         coeffs.reverse()
-    out = object.__new__(IntLaurent)
-    out._c = {e: c for e, c in enumerate(coeffs, low) if c}
-    return out
+    return IntLaurent.from_run(low, coeffs)
 
 
 def chebyshev_S(k: int) -> IntLaurent:
@@ -405,16 +445,18 @@ class HalfLaurent(IntLaurent):
 
     @staticmethod
     def s_term(coeff: int, s_exp: int) -> "HalfLaurent":
-        return HalfLaurent({s_exp: coeff})
+        return HalfLaurent.from_run(s_exp, (coeff,))
 
     @staticmethod
     def from_t(p: IntLaurent) -> "HalfLaurent":
         """Embed Z[t, t^-1] via t = s^2."""
-        return HalfLaurent({2 * e: v for e, v in p.items()})
+        run = [0] * (2 * len(p._c) - 1)  # [] for 0
+        run[::2] = p._c
+        return HalfLaurent.from_run(2 * p._low, run)
 
     def substitute_s_inverse(self) -> "HalfLaurent":
         """s -> s^-1, i.e. t -> t^-1."""
-        return HalfLaurent({-e: v for e, v in self._c.items()})
+        return HalfLaurent.from_run(-self.degree(), self._c[::-1])
 
     @staticmethod
     def _power(e: int) -> str:
@@ -427,13 +469,16 @@ class HalfLaurent(IntLaurent):
 
 
 def eval_at_s_equals_i(p: HalfLaurent) -> GaussianInt:
-    """Exact substitution s = i, i.e. t = -1."""
-    re = im = 0
-    for e, v in p.items():
-        r, i = _I_POWERS[e % 4]
-        re += v * r
-        im += v * i
-    return GaussianInt(re, im)
+    """Exact substitution s = i, i.e. t = -1.
+
+    The slot k of the run holds s^(low + k), which is i^low i^k at s = i,
+    so the value is i^low times the run's slot sums by k mod 4 weighted by
+    1, i, -1 and -i."""
+    low, run = p.run()
+    s0, s1, s2, s3 = (sum(run[k::4]) for k in range(4))
+    re, im = s0 - s2, s1 - s3
+    r, i = _I_POWERS[low % 4]
+    return GaussianInt(r * re - i * im, r * im + i * re)
 
 
 def breadth_t(p: HalfLaurent) -> Fraction:

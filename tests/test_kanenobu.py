@@ -48,13 +48,14 @@ def test_degree_formula_vs_expansion():
             assert kanenobu_q(p, q).degree() == kanenobu_degree(p, q)
 
 
+# past |p| + |q| of about 80 the coefficient bound passes 2^63, and the
+# packed value is decoded from digits wider than a machine word
+WIDE_CELLS = [(p, q) for p in (-60, -45, 45, 60, 80) for q in (-60, -45, 45, 60, 80, -1, 0, 1)]
+
+
 def test_kanenobu_q_equals_its_formula():
     x_inv = IntLaurent.term(1, -1)
-    # past |p| + |q| of about 80 the coefficient bound passes 2^63, and the
-    # packed value is decoded from digits wider than a machine word
-    wide = [-60, -45, 45, 60, 80]
-    cells = [(p, q) for p in range(-25, 26) for q in range(-25, 26)]
-    cells += [(p, q) for p in wide for q in wide + [-1, 0, 1]]
+    cells = [(p, q) for p in range(-25, 26) for q in range(-25, 26)] + WIDE_CELLS
     for p, q in cells:
         expected = (
             -sigma(p) * sigma(q) * (Q_8_9 - 1)
@@ -63,6 +64,17 @@ def test_kanenobu_q_equals_its_formula():
             + 1
         )
         assert kanenobu_q(p, q) == expected, (p, q)
+
+
+def test_q_at_1_and_2():
+    # Brandt, Lickorish and Millett (Invent. Math. 84, 1986): every knot has
+    # Q(1) = 1 and Q(2) = det^2, here 625; both values read every coefficient
+    cells = [(p, q) for p in range(-40, 41) for q in range(-40, 41)] + WIDE_CELLS
+    for p, q in cells:
+        Q = kanenobu_q(p, q)
+        low = min(Q.low_degree(), 0)
+        assert sum(v for _, v in Q.items()) == 1, (p, q)
+        assert sum(v << e - low for e, v in Q.items()) == KANENOBU_DET**2 << -low, (p, q)
 
 
 def test_parameters_must_be_integers():

@@ -124,6 +124,42 @@ def test_constant_hash_matches_int():
         assert len({g, c}) == 1
 
 
+def test_routes_to_one_polynomial_agree():
+    # 3x^-2 - x + 5x^3 by a mapping with explicit zeros, by parse, by unpack
+    # and by ring operations whose ends cancel, all stored alike
+    x = IntLaurent.x()
+    one = x + 1 - x
+    target = IntLaurent({-3: 0, -2: 3, 0: 0, 1: -1, 3: 5, 7: 0})
+    routes = [
+        target,
+        P("5x^3-x+3x^-2"),
+        unpack(3 - (1 << 96) + (5 << 160), 4, -2),
+        (5 * x**5 - x**3 + 3) * x**-2 * one,
+        IntLaurent.term(3, -2) + (x - 5 * x**3) * -one,
+        (target + x**10) - x**10,
+        (x**-10 + target) - x**-10,
+        -(-target),
+        target.shift(4).shift(-4),
+    ]
+    for p in routes:
+        assert p == target and hash(p) == hash(target) and p.run() == (-2, (3, 0, 0, -1, 0, 5))
+    assert len(set(routes)) == 1
+    assert one == 1 and hash(one) == hash(1) and one.run() == (0, (1,))
+    # the run spans the exponents, and degrees stay exact at a wide span
+    far = x**-100000 + x**100000
+    square = far * far
+    assert (far.low_degree(), far.degree()) == (-100000, 100000)
+    assert (square.low_degree(), square.degree()) == (-200000, 200000)
+    assert square.items() == [(-200000, 1), (0, 2), (200000, 1)]
+    assert square - x**200000 - 2 == x**-200000
+    # items() is sized, ascending and free of zeros
+    for p in routes + [far, square, one, IntLaurent.zero()]:
+        items = p.items()
+        exps = [e for e, _ in items]
+        assert len(items) == len(exps) and exps == sorted(set(exps))
+        assert all(v for _, v in items) and IntLaurent(dict(items)) == p
+
+
 def test_degree_multiplicative():
     rng = random.Random(7)
     for _ in range(200):
@@ -292,6 +328,9 @@ def test_unpack_inverts_pack(nbytes):
         # X^2 - 1 is all 1 bits: its low digit -1 borrows from the top one
         IntLaurent({-7: -1, -5: 1}),
         IntLaurent({0: -1, 1: -top, 2: 1}),
+        # zero digits between the terms, and above a negative top term
+        IntLaurent({-6: top, 6: -top}),
+        IntLaurent({2: 1, 3: 0, 9: -1}),
     ]
     rng = random.Random(nbytes)
     for _ in range(200):
@@ -304,6 +343,11 @@ def test_unpack_inverts_pack(nbytes):
             assert v == sum(c * (1 << 8 * nbytes * (e - low)) for e, c in p.items())
             assert unpack(v, nbytes, low) == p, (p, low)
     assert pack(IntLaurent.zero(), nbytes, 3) == 0 and unpack(0, nbytes, -3) == 0
+    # digits 0, 0, d, 0, 0, -d, 0 from the bottom: the stored run drops the
+    # zero digits below and above the terms and keeps those between them
+    for d in (1, -1, top, -top):
+        v = sum(c << 8 * nbytes * k for k, c in enumerate([0, 0, d, 0, 0, -d, 0]))
+        assert unpack(v, nbytes, -3).run() == (-1, (d, 0, 0, -d))
     # a digit of X/2 is out of the balanced range: it reads as -X/2 plus a carry
     assert unpack(pack(IntLaurent.const(half), nbytes, 0), nbytes) == IntLaurent({0: -half, 1: 1})
 
