@@ -1,7 +1,7 @@
 """Closed 3-braids: Murasugi normal forms, the Burau representation,
 Birman's Jones trace formula, determinant formulas with a matrix-tree
-oracle on a weighted edge list, Baldwin's quasi-alternating
-classification, and crossing bounds.
+oracle on a weighted edge list, and Baldwin's quasi-alternating
+classification.
 
 Normal forms are input data, never computed from arbitrary words (the
 conjugacy problem is out of scope); word-level consistency is checked by
@@ -10,11 +10,10 @@ comparing Jones polynomials instead.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from operator import neg
+from operator import index, neg
 
-from .errors import HypothesisViolationError, MalformedDiagramError, PDParseError
+from .errors import HypothesisViolationError, MalformedDiagramError
 from .intmat import laplacian_det
 from .poly import HalfLaurent, IntLaurent, nbytes_for, unpack
 
@@ -37,36 +36,6 @@ class BraidWord:
     def exponent_sum(self) -> int:
         return sum(1 if g > 0 else -1 for g in self.letters)
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.strands != other.strands:
-            raise MalformedDiagramError("strand counts differ")
-        return BraidWord(self.strands, self.letters + other.letters)
-
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-g for g in reversed(self.letters)))
-
-
-_WORD_TOKEN = re.compile(r"s?(-?\d+)(?:\^(-?\d+))?$")
-
-
-def parse_braid_word(text: str, strands: int = 3) -> BraidWord:
-    """`s1 s2 s1^-1` or compact `1 2 -1` (whitespace or comma separated)."""
-    letters: list[int] = []
-    tokens = [t for t in re.split(r"[\s,]+", text.strip()) if t]
-    if not tokens:
-        raise PDParseError("empty braid word")
-    for tok in tokens:
-        m = _WORD_TOKEN.match(tok)
-        if not m:
-            raise PDParseError(f"bad braid letter {tok!r}")
-        idx = int(m.group(1))
-        power = int(m.group(2)) if m.group(2) else 1
-        if idx == 0 or power == 0:
-            raise PDParseError(f"bad braid letter {tok!r}")
-        g = idx if power > 0 else -idx
-        letters.extend([g] * abs(power))
-    return BraidWord(strands, tuple(letters))
-
 
 # -- Murasugi normal forms ----------------------------------------------
 
@@ -78,6 +47,9 @@ class B3NormalForm:
     family 1: h^n s1^p1 s2^-q1 ... s1^ps s2^-qs   (all p_i, q_i >= 1)
     family 2: h^n s2^m                            (m in Z)
     family 3: h^n s1^m s2^-1                      (m in {-1,-2,-3})
+
+    The builders `family1`, `family2` and `family3` take n, m and every
+    p_i, q_i by `operator.index`: a non-integer raises TypeError.
     """
 
     family: int
@@ -107,23 +79,15 @@ class B3NormalForm:
 
     @staticmethod
     def family1(n: int, pairs) -> "B3NormalForm":
-        return B3NormalForm(1, n, tuple((int(p), int(q)) for p, q in pairs))
+        return B3NormalForm(1, index(n), tuple((index(p), index(q)) for p, q in pairs))
 
     @staticmethod
     def family2(n: int, m: int) -> "B3NormalForm":
-        return B3NormalForm(2, n, (), int(m))
+        return B3NormalForm(2, index(n), (), index(m))
 
     @staticmethod
     def family3(n: int, m: int) -> "B3NormalForm":
-        return B3NormalForm(3, n, (), int(m))
-
-
-def normal_form_from_dict(data: dict) -> B3NormalForm:
-    fam = int(data["family"])
-    n = int(data["n"])
-    if fam == 1:
-        return B3NormalForm.family1(n, data["pairs"])
-    return B3NormalForm(fam, n, (), int(data["m"]))
+        return B3NormalForm(3, index(n), (), index(m))
 
 
 def to_word(nf: B3NormalForm) -> BraidWord:
@@ -155,21 +119,8 @@ class BurauMatrix:
     c: IntLaurent
     d: IntLaurent
 
-    def __mul__(self, o: "BurauMatrix") -> "BurauMatrix":
-        return BurauMatrix(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-        )
-
     def trace(self) -> IntLaurent:
         return self.a + self.d
-
-    @staticmethod
-    def identity() -> "BurauMatrix":
-        one, zero = IntLaurent.const(1), IntLaurent.zero()
-        return BurauMatrix(one, zero, zero, one)
 
 
 def _packed_burau(w: BraidWord, width_of) -> tuple[tuple[int, int, int, int], int, int]:
@@ -262,27 +213,6 @@ def birman_jones(w: BraidWord) -> HalfLaurent:
     return _neg_sqrt_t_power(w.exponent_sum) * HalfLaurent.from_t(body)
 
 
-def closed_form_jones(nf: B3NormalForm) -> HalfLaurent:
-    """The displayed closed forms for families 2 and 3."""
-    n = nf.n
-    t_pm = IntLaurent({1: 1, -1: 1})  # t + t^-1
-    if nf.family == 2:
-        m = nf.m
-        body = t_pm + IntLaurent({3 * n: 1}) + IntLaurent({3 * n + m: -1 if m % 2 else 1})
-        return _neg_sqrt_t_power(m + 6 * n) * HalfLaurent.from_t(body)
-    if nf.family == 3:
-        if nf.m == -1:
-            body = t_pm + IntLaurent({3 * n - 1: -1})  # t^{3n} (-t)^-1
-            return _neg_sqrt_t_power(6 * n - 2) * HalfLaurent.from_t(body)
-        if nf.m == -2:
-            return _neg_sqrt_t_power(6 * n - 3) * HalfLaurent.from_t(t_pm)
-        # trace term for m = -3 is -t^{3n-2}: tr Burau(s1^-3 s2^-1) = -t^-2
-        # (the n = 0 closure destabilizes to the trefoil, pinning the sign)
-        body = t_pm + IntLaurent({3 * n - 2: -1})
-        return _neg_sqrt_t_power(6 * n - 4) * HalfLaurent.from_t(body)
-    raise HypothesisViolationError("no closed Jones form for family 1")
-
-
 # -- determinants ---------------------------------------------------------
 
 
@@ -336,8 +266,10 @@ def tutte_graph(pairs) -> tuple[int, list[tuple[int, int, int]]]:
     format `intmat.laplacian_det` takes: a cycle on q = sum q_i vertices
     0..q-1 and the hub q, joined by one edge of weight p_i (p_i parallel
     edges) to the cumulative position q_1 + ... + q_(i-1), before the q_i
-    block.  The q = 1 cycle is a loop, which the Laplacian ignores."""
-    pairs = [(int(p), int(q)) for p, q in pairs]
+    block.  The q = 1 cycle is a loop, which the Laplacian ignores.  Each
+    p_i and q_i must be an integer (`operator.index`); anything else raises
+    TypeError."""
+    pairs = [(index(p), index(q)) for p, q in pairs]
     if not pairs or any(p < 1 or q < 1 for p, q in pairs):
         raise HypothesisViolationError("need positive (p_i, q_i) pairs")
     q = sum(qi for _, qi in pairs)
@@ -355,7 +287,7 @@ def spanning_tree_count(graph: tuple[int, list[tuple[int, int, int]]]) -> int:
     return laplacian_det(*graph)
 
 
-# -- classification and crossing bounds -----------------------------------
+# -- classification -------------------------------------------------------
 
 
 def baldwin_is_qa(nf: B3NormalForm) -> bool:
@@ -368,38 +300,3 @@ def baldwin_is_qa(nf: B3NormalForm) -> bool:
         )
     return nf.n in (0, 1)
 
-
-def crossing_upper_bound(nf: B3NormalForm) -> int:
-    """Upper bound on the crossing number in the quasi-alternating regime
-    of family 1 (n in {-1, 0, 1}).
-
-    For n = +-1 these are the braid-reduction bounds 4+p+q, 3+q, p+4 and 5;
-    for n = 0 the closure is alternating and single-syllable words
-    destabilize, giving p+q with the s=1 degenerate cases q, p and 0.
-    """
-    if nf.family != 1 or nf.n not in (-1, 0, 1):
-        raise HypothesisViolationError(
-            "crossing bound stated for family 1 with n in {-1, 0, 1}"
-        )
-    s = len(nf.pairs)
-    p = sum(pi for pi, _ in nf.pairs)
-    q = sum(qi for _, qi in nf.pairs)
-    if nf.n == 0:
-        if s == 1:
-            p1, q1 = nf.pairs[0]
-            if p1 == 1 and q1 == 1:
-                return 0
-            if p1 == 1:
-                return q1
-            if q1 == 1:
-                return p1
-        return p + q
-    if s == 1:
-        p1, q1 = nf.pairs[0]
-        if p1 == 1 and q1 == 1:
-            return 5
-        if p1 == 1:
-            return 3 + q1
-        if q1 == 1:
-            return p1 + 4
-    return 4 + p + q

@@ -843,11 +843,17 @@ def _relabel(
 
 
 def smooth(d: PDDiagram, crossing_index: int, kind: SmoothingKind) -> PDDiagram:
-    """Replace one crossing by a crossingless connection."""
+    """Replace one crossing by a crossingless connection; a `kind` that is
+    not a SmoothingKind raises TypeError."""
     if not 0 <= crossing_index < len(d.crossings):
         raise MalformedDiagramError(f"crossing index {crossing_index} out of range")
     a, b, c, e = d.crossings[crossing_index]
-    pairs = [(a, b), (c, e)] if kind is SmoothingKind.A else [(a, e), (b, c)]
+    if kind is SmoothingKind.A:
+        pairs = [(a, b), (c, e)]
+    elif kind is SmoothingKind.B:
+        pairs = [(a, e), (b, c)]
+    else:
+        raise TypeError(f"smoothing kind must be SmoothingKind.A or .B, got {kind!r}")
     kept = [t for i, t in enumerate(d.crossings) if i != crossing_index]
     return PDDiagram(*_relabel(kept, pairs, d.free_loops, d.boundary))
 
@@ -1068,9 +1074,14 @@ def generate_pretzel(signs: Sequence[int]) -> PDDiagram:
     Entry p_i contributes |p_i| crossings of handedness sign(p_i); the i-th
     region's right strand joins the (i+1)-th region's left strand above and
     below, cyclically.  The regions are the braid word
-    sigma_1^p_1 sigma_3^p_2 ... sigma_(2k-1)^p_k on 2k strands.
+    sigma_1^p_1 sigma_3^p_2 ... sigma_(2k-1)^p_k on 2k strands.  Each entry
+    must be an integer (`operator.index`), as in `close_braid`; anything else
+    raises MalformedDiagramError.
     """
-    entries = list(signs)
+    try:
+        entries = [index(p) for p in signs]
+    except TypeError as e:
+        raise MalformedDiagramError(f"pretzel entries must be integers: {e}") from e
     if not entries:
         raise MalformedDiagramError("pretzel needs at least one twist region")
     if any(p == 0 for p in entries):

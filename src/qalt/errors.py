@@ -2,7 +2,7 @@
 
 
 class PDParseError(ValueError):
-    """Input text does not match the PD / braid / catalog grammar."""
+    """Input text does not match the PD grammar."""
 
 
 class MalformedDiagramError(ValueError):

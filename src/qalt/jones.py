@@ -1,17 +1,16 @@
 """Jones polynomial via the Kauffman bracket, link determinant, and the
 deg Q < det obstruction verdict.
 
-The bracket is computed two ways: a literal 2^n state sum (the reference
-oracle) and, by default, the frontier sweep of `diagram.py` that Q shares,
-over the Catalan(k) crossingless matchings of 2k points (Temperley-Lieb;
-Makowsky and Marino 2003).  The bracket supplies its loop factor, delta =
--A^2 - A^-2 per piece or free loop past the first, and its transitions,
-`diagram._transition(_bracket, ...)`, the bracket of a crossingless tangle
-glued to one crossing or one cap; `diagram._sweep` says how they are kept,
-compiled into step programs and run on packed integers.  The tangle engine
-`_smoothing` expands <D> = A <D_A> + A^-1 <D_B> at the first crossing, as
-does a piece wider than SWEEP_WIDTH, and `poly.combine` sums the two terms
-with the ring's own `*` and `+`.  The engine sees the diagram as given:
+The bracket is computed by the frontier sweep of `diagram.py` that Q
+shares, over the Catalan(k) crossingless matchings of 2k points
+(Temperley-Lieb; Makowsky and Marino 2003).  The bracket supplies its loop
+factor, delta = -A^2 - A^-2 per piece or free loop past the first, and its
+transitions, `diagram._transition(_bracket, ...)`, the bracket of a
+crossingless tangle glued to one crossing or one cap; `diagram._sweep` says
+how they are kept, compiled into step programs and run on packed integers.
+The tangle engine `_smoothing` expands <D> = A <D_A> + A^-1 <D_B> at the
+first crossing, as does a piece wider than SWEEP_WIDTH, and `poly.combine`
+sums the two terms with the ring's own `*` and `+`.  The engine sees the diagram as given:
 the kinks and clasps that `diagram.simplify` removes change the writhe.
 V is normalized by (-A)^(-3w) and realized in s = t^(1/2) via t = A^-4.
 
@@ -32,10 +31,9 @@ numbers corners as the ends of `PDDiagram.partner`, 4c+k, and puts corners
 of c2, so one walk over `partner` sets flip[c2] = flip[c] + s + s2 + 1
 (mod 2).  `diagram._admit` rejects the empty link and a non-planar PD
 code with MalformedDiagramError before any engine starts.  A bracket bound,
-none by default, counts the crossings of the pieces with no sweep plan; the
-2^n state sum takes at most FALLBACK_MAX_CROSSINGS (16).  The end table is
-built with the diagram, and the face walk and the piece split over it, the
-piece sub-diagrams and their sweep plans are kept on it, so
+none by default, counts the crossings of the pieces with no sweep plan.  The
+end table is built with the diagram, and the face walk and the piece split
+over it, the piece sub-diagrams and their sweep plans are kept on it, so
 `obstruction_check` derives each once for Q and the bracket of `simplify(d)`
 together.
 """
@@ -52,12 +50,11 @@ from .diagram import (
     SmoothingKind,
     _admit,
     _expand,
-    _find,
     _strands,
     simplify,
     smooth,
 )
-from .errors import CrossingLimitError, InternalConsistencyError, MalformedDiagramError
+from .errors import InternalConsistencyError, MalformedDiagramError
 from .intmat import laplacian_det
 from .poly import HalfLaurent, IntLaurent, combine
 from .qpoly import q_polynomial
@@ -123,33 +120,6 @@ def orient(d: PDDiagram, flips: frozenset[int] | set[int] = frozenset()) -> Orie
 # -- Kauffman bracket ---------------------------------------------------
 
 
-def bracket_state_sum(d: PDDiagram) -> IntLaurent:
-    """<D> over all 2^n smoothings, n <= FALLBACK_MAX_CROSSINGS (reference oracle)."""
-    if len(_admit(d)) > FALLBACK_MAX_CROSSINGS:
-        raise CrossingLimitError(f"{len(d)} crossings exceed the bound {FALLBACK_MAX_CROSSINGS}")
-    n = len(d.crossings)
-    total = IntLaurent.zero()
-    for state in range(1 << n):
-        parent: dict[int, int] = {}
-        loops = d.free_loops
-        a_minus_b = 0
-        for i, (a, b, c, e) in enumerate(d.crossings):
-            if state >> i & 1:  # A: join a-b, c-d
-                a_minus_b += 1
-                pairs = ((a, b), (c, e))
-            else:
-                a_minus_b -= 1
-                pairs = ((a, e), (b, c))
-            for x, y in pairs:
-                rx, ry = _find(parent, x), _find(parent, y)
-                if rx == ry:
-                    loops += 1
-                else:
-                    parent[ry] = rx
-        total = total + IntLaurent.term(1, a_minus_b) * _LOOP ** (loops - 1)
-    return total
-
-
 def _bracket(d: PDDiagram, memo: dict) -> dict:
     return _expand(d, memo, _LOOP, _bracket, _smoothing)
 
@@ -168,7 +138,13 @@ def _smoothing(d: PDDiagram, memo: dict) -> dict:
 def kauffman_bracket(d: PDDiagram, max_crossings: float = inf) -> IntLaurent:
     """<D> in A by the frontier sweep; more than `max_crossings` crossings, no
     bound by default, on the pieces with no sweep plan raise CrossingLimitError,
-    and a NaN or negative bound ValueError."""
+    and a NaN or negative bound ValueError.
+
+    With no bound, a code whose crossing order the sweep cannot plan goes
+    to `_smoothing`, which takes time exponential in its crossings: one
+    reshuffled 31-crossing link took 3.4 s, and another ran for over two
+    minutes (2-core Xeon, Python 3.11.7).  `obstruction_check` refuses such a code at once, by Q's bound
+    of FALLBACK_MAX_CROSSINGS (16)."""
     return _bracket(_admit(d, max_crossings), {})[()]
 
 
@@ -184,7 +160,9 @@ def _normalize_bracket(bracket: IntLaurent, writhe: int) -> HalfLaurent:
 
 def jones_polynomial(d: PDDiagram | OrientedDiagram, max_crossings: float = inf) -> HalfLaurent:
     """V_L(t) as a polynomial in s = t^(1/2), normalized to V(unknot) = 1;
-    `max_crossings` bounds the bracket as in `kauffman_bracket`, none by default."""
+    `max_crossings` bounds the bracket as in `kauffman_bracket`, none by
+    default, so an unplanned code takes exponential time here too, where
+    `obstruction_check` is bounded by Q's 16."""
     if not isinstance(d, OrientedDiagram):
         d = orient(d)
     return _normalize_bracket(kauffman_bracket(d.base, max_crossings), d.writhe)

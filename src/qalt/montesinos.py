@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 from .errors import HypothesisViolationError, InternalConsistencyError
 
@@ -42,10 +43,12 @@ class MontesinosPresentation:
 
     @staticmethod
     def make(e, tangles, final) -> "MontesinosPresentation":
+        """The presentation with every entry taken by `operator.index`: a
+        non-integer raises TypeError."""
         return MontesinosPresentation(
-            int(e),
-            tuple((int(a), int(b)) for a, b in tangles),
-            (int(final[0]), int(final[1])),
+            index(e),
+            tuple((index(a), index(b)) for a, b in tangles),
+            (index(final[0]), index(final[1])),
         )
 
 
@@ -114,9 +117,12 @@ def corollary26_obstruction(tangles, beta: int, l: int, k: int) -> Corollary26Re
 
     The determinant beta * prod(a_i) does not depend on k while the
     crossing count grows by one per unit of k, so beyond the returned
-    threshold every member is flagged NotQuasiAlternating.
+    threshold every member is flagged NotQuasiAlternating.  Every tangle
+    entry, beta, l and k must be an integer (`operator.index`); anything
+    else raises TypeError.
     """
-    tangles = tuple((int(a), int(b)) for a, b in tangles)
+    tangles = tuple((index(a), index(b)) for a, b in tangles)
+    beta, l, k = index(beta), index(l), index(k)
     total = sum(Fraction(b, a) for a, b in tangles)
     if total != 1:
         raise HypothesisViolationError(
@@ -175,9 +181,10 @@ class PretzelFamilyReport:
 
 def pretzel_family_report(family: str, parameter: int) -> PretzelFamilyReport:
     """Closed forms for the families P(r+2, r+1, -r), P(r+1, r+1, -r)
-    (odd r > 3) and P(n, n, -n) (n >= 3)."""
+    (odd r > 3) and P(n, n, -n) (n >= 3).  The parameter must be an
+    integer (`operator.index`); anything else raises TypeError."""
     fam = family.upper()
-    r = int(parameter)
+    r = index(parameter)
     if fam == "A":
         if r <= 3 or r % 2 == 0:
             raise HypothesisViolationError("family A needs odd r > 3")

@@ -50,7 +50,6 @@ from .diagram import (
     smooth,
     switch,
 )
-from .errors import MalformedDiagramError
 from .poly import IntLaurent, combine
 
 _X = IntLaurent.x()
@@ -77,17 +76,6 @@ def q_polynomial(
 
 def q_degree(d: PDDiagram) -> int:
     return q_polynomial(d).degree()
-
-
-def check_lemma22(d: PDDiagram, crossing_index: int) -> bool:
-    """deg Q(D) <= max(deg Q(D_A), deg Q(D_B)) + 1 at the given crossing."""
-    if not 0 <= crossing_index < len(d):
-        raise MalformedDiagramError(f"no crossing {crossing_index} in diagram")
-    memo: dict = {}
-    dq = q_polynomial(d, memo=memo).degree()
-    da = q_polynomial(smooth(d, crossing_index, SmoothingKind.A), memo=memo)
-    db = q_polynomial(smooth(d, crossing_index, SmoothingKind.B), memo=memo)
-    return dq <= max(da.degree(), db.degree()) + 1
 
 
 def _q(d: PDDiagram, memo: dict) -> dict:

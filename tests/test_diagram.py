@@ -158,6 +158,10 @@ def test_smooth_trefoil():
             assert len(smooth(d, i, k)) == 2
     with pytest.raises(MalformedDiagramError):
         smooth(d, 3, SmoothingKind.A)
+    # a kind that is not a SmoothingKind used to take the B-smoothing
+    for kind in ("A", "B", None):
+        with pytest.raises(TypeError, match="smoothing kind"):
+            smooth(d, 0, kind)
 
 
 def test_smoothing_component_change():

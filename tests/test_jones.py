@@ -7,9 +7,12 @@ import pytest
 
 from qalt import diagram, jones, qpoly
 from qalt.diagram import (
+    FALLBACK_MAX_CROSSINGS,
     PDDiagram,
+    _admit,
     _basis,
     _connected_pieces,
+    _find,
     _sweep_steps,
     SmoothingKind,
     close_braid,
@@ -30,9 +33,9 @@ from qalt.diagram import (
 from qalt.errors import CrossingLimitError, InternalConsistencyError, MalformedDiagramError
 from qalt.intmat import laplacian_det
 from qalt.jones import (
+    _LOOP,
     ObstructionVerdict,
     _det_and_breadth,
-    bracket_state_sum,
     breadth,
     determinant,
     determinant_goeritz,
@@ -48,6 +51,33 @@ from qalt.qpoly import q_polynomial
 from conftest import random_braid_diagram
 
 V_TREFOIL = HalfLaurent({-8: -1, -6: 1, -2: 1})  # -t^-4 + t^-3 + t^-1
+
+
+def bracket_state_sum(d: PDDiagram) -> IntLaurent:
+    """<D> over all 2^n smoothings, n <= FALLBACK_MAX_CROSSINGS (reference oracle)."""
+    if len(_admit(d)) > FALLBACK_MAX_CROSSINGS:
+        raise CrossingLimitError(f"{len(d)} crossings exceed the bound {FALLBACK_MAX_CROSSINGS}")
+    n = len(d.crossings)
+    total = IntLaurent.zero()
+    for state in range(1 << n):
+        parent: dict[int, int] = {}
+        loops = d.free_loops
+        a_minus_b = 0
+        for i, (a, b, c, e) in enumerate(d.crossings):
+            if state >> i & 1:  # A: join a-b, c-d
+                a_minus_b += 1
+                pairs = ((a, b), (c, e))
+            else:
+                a_minus_b -= 1
+                pairs = ((a, e), (b, c))
+            for x, y in pairs:
+                rx, ry = _find(parent, x), _find(parent, y)
+                if rx == ry:
+                    loops += 1
+                else:
+                    parent[ry] = rx
+        total = total + IntLaurent.term(1, a_minus_b) * _LOOP ** (loops - 1)
+    return total
 
 
 def s_term(c, e):

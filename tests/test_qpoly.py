@@ -39,7 +39,6 @@ from qalt.poly import IntLaurent, combine as _combine, nbytes_for, unpack
 from qalt.qpoly import (
     _chain,
     _q,
-    check_lemma22,
     q_degree,
     q_polynomial,
 )
@@ -55,6 +54,17 @@ _transition = lru_cache(maxsize=None)(diagram._transition)
 Q_TREFOIL = P("2x^2+2x-3")
 Q_HOPF = P("2x+1-2x^-1")
 # one-step hand expansions: Q_H = x(1+1) - (2x^-1 - 1), Q_T = x(Q_H + 1) - 1
+
+
+def check_lemma22(d: PDDiagram, crossing_index: int) -> bool:
+    """deg Q(D) <= max(deg Q(D_A), deg Q(D_B)) + 1 at the given crossing."""
+    if not 0 <= crossing_index < len(d):
+        raise MalformedDiagramError(f"no crossing {crossing_index} in diagram")
+    memo: dict = {}
+    dq = q_polynomial(d, memo=memo).degree()
+    da = q_polynomial(smooth(d, crossing_index, SmoothingKind.A), memo=memo)
+    db = q_polynomial(smooth(d, crossing_index, SmoothingKind.B), memo=memo)
+    return dq <= max(da.degree(), db.degree()) + 1
 
 
 def test_unknot_and_unlinks():

@@ -138,7 +138,8 @@ def verify(table: dict) -> list[str]:
         q2 = sum(Fraction(2) ** e * c for e, c in qpoly.q_polynomial(d, inf).items())
         if q2 != det**2:
             faults.append(f"sweep {k}: Q(2) = {q2}, det^2 = {det ** 2}")
-        if jones._det_and_breadth(jones.kauffman_bracket(d, inf))[0] != det:
+        # the closure is reduced, so `determinant` reads the bracket of d itself
+        if jones.determinant(d) != det:
             faults.append(f"sweep {k}: the bracket's det differs from the Goeritz determinant {det}")
     return faults
 
